@@ -7,20 +7,20 @@ available behind --log-json.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
 import time
-from pathlib import Path
 
 import click
 import numpy as np
 
 from . import evalbench, funcmap, pipeline, spectral, transfer
 from .errors import ArgumentError, DataError, MeshCorrError, NumericError
-from .features import FeatureBundle, load_features, write_features
+from .features import load_features, write_features
 from .funcmap import FmapWeights
-from .mesh import normalize_mesh, vertex_areas
+from .mesh import normalize_mesh
 from .meshio import load_mesh, save_mesh
 
 EXIT_ARGUMENT = 2
@@ -58,10 +58,16 @@ def main():
     """Dense vertex correspondence between textured triangle meshes."""
 
 
+def _split_names(ctx, param, value):
+    return tuple(d.strip() for d in value.split(",") if d.strip())
+
+
 def _solver_options(fn):
+    """Options that set a RunConfig; their defaults are RunConfig's."""
     for opt in reversed([
-        click.option("-k", "--basis-size", type=int, default=10,
-                     show_default=True, help="spectral basis size"),
+        click.option("-k", "--basis-size", "k", type=int,
+                     default=pipeline.RunConfig.k, show_default=True,
+                     help="spectral basis size"),
         click.option("--alpha", type=float, default=funcmap.DEFAULT_ALPHA,
                      show_default=True, help="isometry weight"),
         click.option("--beta", type=float, default=funcmap.DEFAULT_BETA,
@@ -70,28 +76,27 @@ def _solver_options(fn):
                      default=funcmap.DEFAULT_W_ENTROPY, show_default=True),
         click.option("--w-sum", type=float, default=funcmap.DEFAULT_W_SUM,
                      show_default=True),
-        click.option("--descriptors", default="hks,wks,posenc",
-                     show_default=True,
+        click.option("--descriptors",
+                     default=",".join(pipeline.RunConfig.descriptors),
+                     show_default=True, callback=_split_names,
                      help="comma-separated stack used when no feature "
                           "files are given"),
-        click.option("--recovery", type=click.Choice(["argmax", "nearest"]),
-                     default="argmax", show_default=True),
-        click.option("--max-iter", type=int, default=500, show_default=True),
-        click.option("--seed", type=int, default=0, show_default=True),
+        click.option("--recovery", type=click.Choice(funcmap.RECOVERY_METHODS),
+                     default=pipeline.RunConfig.recovery, show_default=True),
+        click.option("--max-iter", type=int,
+                     default=pipeline.RunConfig.max_iter, show_default=True),
         click.option("--log-json", is_flag=True),
     ]):
         fn = opt(fn)
     return fn
 
 
-def _make_config(basis_size, alpha, beta, w_entropy, w_sum, descriptors,
-                 recovery, max_iter, seed, preprocess=True):
-    weights = FmapWeights(alpha, beta, w_entropy, w_sum)
-    names = tuple(d.strip() for d in descriptors.split(",") if d.strip())
-    return pipeline.RunConfig(k=basis_size, weights=weights,
-                              descriptors=names, recovery=recovery,
-                              max_iter=max_iter, seed=seed,
-                              preprocess=preprocess)
+def _make_config(options, preprocess):
+    """RunConfig from the parsed ``_solver_options`` values."""
+    weights = FmapWeights(**{f.name: options.pop(f.name)
+                             for f in dataclasses.fields(FmapWeights)})
+    return pipeline.RunConfig(weights=weights, preprocess=preprocess,
+                              **options)
 
 
 @main.command("match")
@@ -103,13 +108,10 @@ def _make_config(basis_size, alpha, beta, w_entropy, w_sum, descriptors,
 @_solver_options
 @_handle_errors
 def cmd_match(source, target, source_features, target_features, output,
-              basis_size, alpha, beta, w_entropy, w_sum, descriptors,
-              recovery, max_iter, seed, log_json):
+              log_json, **options):
     """Compute a dense map between two meshes and write it as JSON."""
     external = source_features is not None or target_features is not None
-    config = _make_config(basis_size, alpha, beta, w_entropy, w_sum,
-                          descriptors, recovery, max_iter, seed,
-                          preprocess=not external)
+    config = _make_config(options, preprocess=not external)
     src = load_mesh(source)
     tgt = load_mesh(target)
     sf = tf = None
@@ -138,10 +140,8 @@ def cmd_match(source, target, source_features, target_features, output,
 def cmd_eval(map_path, source_instance, target_instance, max_threshold,
              log_json):
     """Evaluate a stored map against ground-truth semantic groups."""
-    src = evalbench._load_instance(Path(source_instance),
-                                   Path(source_instance).parent.name, "test")
-    tgt = evalbench._load_instance(Path(target_instance),
-                                   Path(target_instance).parent.name, "test")
+    src = evalbench.load_instance(source_instance)
+    tgt = evalbench.load_instance(target_instance)
     _, pmap, _ = funcmap.load_map(map_path)
     errors = evalbench.geodesic_error(pmap, src.groups, tgt.groups, src.geo,
                                       src.areas)
@@ -166,12 +166,9 @@ def cmd_eval(map_path, source_instance, target_instance, max_threshold,
 @_solver_options
 @_handle_errors
 def cmd_benchmark(dataset_root, category, split, jobs, csv_path, json_path,
-                  max_threshold, basis_size, alpha, beta, w_entropy, w_sum,
-                  descriptors, recovery, max_iter, seed, log_json):
+                  max_threshold, log_json, **options):
     """Run the all-pairs protocol over dataset categories."""
-    config = _make_config(basis_size, alpha, beta, w_entropy, w_sum,
-                          descriptors, recovery, max_iter, seed,
-                          preprocess=False)
+    config = _make_config(options, preprocess=False)
 
     def matcher(src_inst, tgt_inst):
         # dataset vertex order carries the annotation; only rescale
@@ -227,7 +224,8 @@ def cmd_transfer_color(source_textured, source, target, map_path, output):
 @click.option("--keypoints", required=True, type=click.Path())
 @click.option("--map", "map_path", required=True, type=click.Path())
 @click.option("-o", "--output", required=True, type=click.Path())
-@click.option("-k", "--basis-size", type=int, default=10, show_default=True)
+@click.option("-k", "--basis-size", type=int, default=pipeline.RunConfig.k,
+              show_default=True)
 @_handle_errors
 def cmd_transfer_keypoints(source, target, keypoints, map_path, output,
                            basis_size):
@@ -259,23 +257,14 @@ def cmd_transfer_keypoints(source, target, keypoints, map_path, output,
 def cmd_descriptors(mesh_path, hks_times, wks_energies, posenc_bands,
                     basis_size, no_preprocess, output):
     """Compute a descriptor stack and write it as a DMF feature file."""
-    chosen = []
-    if hks_times is not None:
-        chosen.append("hks")
-    if wks_energies is not None:
-        chosen.append("wks")
-    if posenc_bands is not None:
-        chosen.append("posenc")
-    if not chosen:
+    sizes = {"hks_times": hks_times, "wks_energies": wks_energies,
+             "posenc_bands": posenc_bands}
+    sizes = {key: n for key, n in sizes.items() if n is not None}
+    if not sizes:
         raise ArgumentError("choose at least one of --hks/--wks/--posenc")
     config = pipeline.RunConfig(
-        descriptors=tuple(chosen),
-        descriptor_k=basis_size,
-        hks_times=hks_times or pipeline.DEFAULT_HKS_TIMES,
-        wks_energies=wks_energies or pipeline.DEFAULT_WKS_ENERGIES,
-        posenc_bands=posenc_bands if posenc_bands is not None
-        else pipeline.DEFAULT_POSENC_BANDS,
-        preprocess=not no_preprocess)
+        descriptors=tuple(key.split("_")[0] for key in sizes),
+        descriptor_k=basis_size, preprocess=not no_preprocess, **sizes)
     mesh = load_mesh(mesh_path)
     prep = pipeline.prepare_mesh(mesh, config)
     stack = pipeline.descriptor_stack(prep, config)

@@ -118,12 +118,13 @@ def load_dataset(root, split: str | None = None):
             inst_split = splits.get(key, "test")
             if split is not None and inst_split != split:
                 continue
-            instances.append(_load_instance(inst_dir, cat_dir.name,
-                                            inst_split))
+            instances.append(load_instance(inst_dir, inst_split))
     return instances
 
 
-def _load_instance(inst_dir: Path, category: str, split: str):
+def load_instance(inst_dir, split: str = "test") -> DatasetInstance:
+    """Load one instance directory; its category is its parent's name."""
+    inst_dir = Path(inst_dir)
     textured = load_mesh(inst_dir / "mesh.ply")
     remeshed = load_mesh(inst_dir / "remeshed.ply")
     groups = load_groups(inst_dir / "groups.json")
@@ -142,8 +143,8 @@ def _load_instance(inst_dir: Path, category: str, split: str):
         raise DataError(
             f"{inst_dir}: geodesic matrix n={geo.n} != remeshed vertices "
             f"{remeshed.n_vertices}")
-    return DatasetInstance(inst_dir.name, category, split, textured,
-                           remeshed, groups, geo)
+    return DatasetInstance(inst_dir.name, inst_dir.parent.name, split,
+                           textured, remeshed, groups, geo)
 
 
 def evaluate_pair(src: DatasetInstance, tgt: DatasetInstance, matcher,

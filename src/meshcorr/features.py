@@ -18,9 +18,6 @@ from .errors import ArgumentError, DataError, FormatError, ShapeError, Undefined
 
 _MAGIC = b"DMF1"
 
-SOURCES = ("external-file", "hks", "wks", "posenc", "concat", "descriptor",
-           "encoded-position", "external")
-
 
 @dataclass(frozen=True)
 class FeatureField:

@@ -9,8 +9,9 @@ The spectral map C (k x k) is found by minimizing
   + w_sum * soft-assignment row/column sums      Pi rows -> 1, columns -> n_N/n_M
 
 with Pi = Phi_N C Phi_M^+ (rows index target vertices, columns source
-vertices; match(j) is the row-argmax). All gradients are analytic; the
-clamp contributes zero gradient outside (0, 1).
+vertices; match(j) is the row of Phi_M nearest to row j of Phi_N C, or
+the row-argmax of Pi). All gradients are analytic; the clamp contributes
+zero gradient outside (0, 1).
 
 Every term but the entropy is a fixed quadratic in c = vec(C) (row-major
 C.ravel()): c^T H c - 2 b^T c + const, with a k^2 x k^2 matrix H built
@@ -28,8 +29,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+from scipy.spatial import cKDTree
 
-from .errors import ArgumentError, NumericError
+from .errors import ArgumentError, FormatError, NumericError
 from .spectral import SpectralBasis
 
 EPS_LOG = 1e-12
@@ -41,6 +43,9 @@ DEFAULT_ALPHA = 1e-2
 DEFAULT_BETA = 1e-4
 DEFAULT_W_ENTROPY = 1e-5
 DEFAULT_W_SUM = 1e-3
+DEFAULT_MAX_ITER = 500
+DEFAULT_TOL = 1e-7
+RECOVERY_METHODS = ("nearest", "argmax")  # the first is the default
 
 
 @dataclass(frozen=True)
@@ -169,8 +174,7 @@ def multiplication_operator(basis: SpectralBasis, channel) -> np.ndarray:
 
 
 def build_problem(basis_M: SpectralBasis, basis_N: SpectralBasis,
-                  f, g, weights: FmapWeights | None = None,
-                  reduce_channels: bool = True) -> FmapProblem:
+                  f, g, weights: FmapWeights | None = None) -> FmapProblem:
     """Assemble an FmapProblem from per-vertex features.
 
     For d > MAX_BETA_CHANNELS the commutativity operators are built on
@@ -191,7 +195,7 @@ def build_problem(basis_M: SpectralBasis, basis_N: SpectralBasis,
     G = basis_N.pinv() @ g
 
     fr, gr = f, g
-    if reduce_channels and f.shape[1] > MAX_BETA_CHANNELS:
+    if f.shape[1] > MAX_BETA_CHANNELS:
         stacked = np.vstack([f, g])
         stacked = stacked - stacked.mean(axis=0)
         _, _, vt = np.linalg.svd(stacked, full_matrices=False)
@@ -253,8 +257,9 @@ def fmap_objective(C, problem: FmapProblem):
     return value + ev, grad + eg
 
 
-def solve_fmap(problem: FmapProblem, max_iter: int = 500,
-               tol: float = 1e-7, C0: np.ndarray | None = None) -> FunctionalMap:
+def solve_fmap(problem: FmapProblem, max_iter: int = DEFAULT_MAX_ITER,
+               tol: float = DEFAULT_TOL,
+               C0: np.ndarray | None = None) -> FunctionalMap:
     """Minimize the regularized objective with limited-memory
     quasi-Newton (L-BFGS-B, history 30) in whitened coordinates.
 
@@ -315,35 +320,30 @@ def solve_fmap(problem: FmapProblem, max_iter: int = 500,
 
 def recover_pointmap(C, basis_M: SpectralBasis, basis_N: SpectralBasis,
                      keep_dense: bool = False,
-                     method: str = "argmax") -> PointMap:
+                     method: str = RECOVERY_METHODS[0]) -> PointMap:
     """Dense vertex map from a spectral map.
 
-    ``argmax`` picks the row-argmax of the clamped Pi (ties break to the
-    smallest index); ``nearest`` matches rows of Phi_N C to rows of
-    Phi_M in the spectral embedding.
+    ``nearest`` sends target vertex j to the source vertex whose row of
+    Phi_M is nearest to row j of Phi_N C (a k-d tree, O(n k) memory);
+    ``argmax`` takes the row-argmax of the clamped Pi = Phi_N C Phi_M^+
+    (ties to the smallest index), which builds the dense n_N x n_M Pi.
+    The confidence of j is the clamped Pi entry of its chosen pair.
     """
     C = np.asarray(getattr(C, "C", C), dtype=np.float64)
     if C.shape != (basis_M.k, basis_N.k):
         raise ArgumentError("C is not square in the shared basis size")
-    if method == "nearest":
-        emb_n = basis_N.phi @ C                      # (n_N, k)
-        emb_m = basis_M.phi                          # (n_M, k)
-        d2 = ((emb_n ** 2).sum(axis=1)[:, None]
-              - 2.0 * emb_n @ emb_m.T
-              + (emb_m ** 2).sum(axis=1)[None, :])
-        match = np.argmin(d2, axis=1)
-        pi = basis_N.phi @ C @ basis_M.pinv() if keep_dense else None
-        conf = (np.clip(pi, 0.0, 1.0)[np.arange(len(match)), match]
-                if pi is not None else np.zeros(len(match)))
-        return PointMap(match, conf, pi)
-    if method != "argmax":
+    if method not in RECOVERY_METHODS:
         raise ArgumentError(f"unknown recovery method '{method}'")
-
-    pi = basis_N.phi @ C @ basis_M.pinv()
-    clamped = np.clip(pi, 0.0, 1.0)
-    match = np.argmax(clamped, axis=1)
-    conf = clamped[np.arange(clamped.shape[0]), match]
-    return PointMap(match, conf, pi if keep_dense else None)
+    emb_n = basis_N.phi @ C                          # (n_N, k)
+    pi = emb_n @ basis_M.pinv() if keep_dense or method == "argmax" else None
+    if method == "nearest":
+        match = cKDTree(basis_M.phi).query(emb_n)[1]
+    else:
+        match = np.argmax(np.clip(pi, 0.0, 1.0), axis=1)
+    # Pi[j, i] = (Phi_N C)[j] . Phi_M[i] a_M[i]
+    conf = np.einsum("jk,jk->j", emb_n, basis_M.phi[match])
+    conf *= basis_M.areas.areas[match]
+    return PointMap(match, np.clip(conf, 0.0, 1.0), pi if keep_dense else None)
 
 
 def fmap_from_pointmap(target_to_source, basis_M: SpectralBasis,
@@ -475,6 +475,8 @@ def save_map(path, fmap: FunctionalMap, pmap: PointMap,
         "target_to_source": [int(i) for i in pmap.target_to_source],
         "confidence": [float(c) for c in pmap.confidence],
         "objective": float(fmap.final_objective),
+        "converged": bool(fmap.converged),
+        "iterations": int(fmap.iterations),
         "weights": weights.as_dict(),
     }
     with open(path, "w") as fh:
@@ -483,10 +485,18 @@ def save_map(path, fmap: FunctionalMap, pmap: PointMap,
 
 
 def load_map(path):
+    """Read a map written by ``save_map``; a malformed file raises
+    FormatError."""
     with open(path, "r") as fh:
-        doc = json.load(fh)
-    C = np.asarray(doc["C"], dtype=np.float64)
-    pmap = PointMap(np.asarray(doc["target_to_source"], dtype=np.int64),
-                    np.asarray(doc["confidence"], dtype=np.float64))
-    fmap = FunctionalMap(C, True, float(doc["objective"]), 0)
+        try:
+            doc = json.load(fh)
+            pmap = PointMap(np.asarray(doc["target_to_source"], np.int64),
+                            np.asarray(doc["confidence"], np.float64))
+            fmap = FunctionalMap(np.asarray(doc["C"], np.float64),
+                                 bool(doc["converged"]),
+                                 float(doc["objective"]),
+                                 int(doc["iterations"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: malformed map file "
+                              f"({type(exc).__name__}: {exc})") from exc
     return fmap, pmap, doc.get("weights", {})

@@ -12,7 +12,8 @@ import numpy as np
 from . import spectral
 from .errors import ArgumentError
 from .features import FeatureBundle, FeatureField, concat_features, unit_normalize
-from .funcmap import (FmapWeights, FunctionalMap, PointMap, build_problem,
+from .funcmap import (DEFAULT_MAX_ITER, DEFAULT_TOL, RECOVERY_METHODS,
+                      FmapWeights, FunctionalMap, PointMap, build_problem,
                       recover_pointmap, solve_fmap)
 from .mesh import TriMesh, cleanup_mesh, cotangent_weights, normalize_mesh, vertex_areas
 
@@ -25,19 +26,18 @@ DEFAULT_POSENC_BANDS = 6
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Settings of one match; the CLI takes its defaults from here."""
     k: int = spectral.DEFAULT_FMAP_K
     weights: FmapWeights = field(default_factory=FmapWeights)
-    descriptors: tuple = ("hks", "wks", "posenc")
+    descriptors: tuple = DESCRIPTOR_NAMES
     descriptor_k: int = spectral.DEFAULT_DESC_K
     hks_times: int = DEFAULT_HKS_TIMES
     wks_energies: int = DEFAULT_WKS_ENERGIES
     posenc_bands: int = DEFAULT_POSENC_BANDS
-    max_iter: int = 500
-    tol: float = 1e-7
-    recovery: str = "nearest"
-    keep_dense: bool = False
+    max_iter: int = DEFAULT_MAX_ITER
+    tol: float = DEFAULT_TOL
+    recovery: str = RECOVERY_METHODS[0]
     preprocess: bool = True
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,6 @@ def match_meshes(source: TriMesh, target: TriMesh, config: RunConfig,
                             config.weights)
     fmap = solve_fmap(problem, max_iter=config.max_iter, tol=config.tol)
     pmap = recover_pointmap(fmap.C, basis_s, basis_t,
-                            keep_dense=config.keep_dense,
                             method=config.recovery)
     return MatchResult(fmap, pmap, config)
 

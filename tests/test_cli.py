@@ -8,7 +8,8 @@ from click.testing import CliRunner
 from meshcorr.cli import main
 from meshcorr.funcmap import FmapWeights, FunctionalMap, PointMap, save_map
 from meshcorr.geodesics import save_groups
-from meshcorr.meshio import save_mesh
+from meshcorr.meshio import load_mesh, save_mesh
+from meshcorr.pipeline import RunConfig, match_meshes
 
 from conftest import grid_patch, icosphere, octant_groups
 
@@ -57,10 +58,24 @@ def test_match_seed_determinism(runner, tmp_path):
         out = tmp_path / name
         res = runner.invoke(main, ["match", "--source", str(p), "--target",
                                    str(p), "-o", str(out), "--descriptors",
-                                   "hks", "--max-iter", "50", "--seed", "3"])
+                                   "hks", "--max-iter", "50"])
         assert res.exit_code == 0, all_output(res)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_match_defaults_are_run_config(runner, tmp_path):
+    # with no solver options the CLI runs what RunConfig() runs
+    p = tmp_path / "m.ply"
+    save_mesh(p, strong_bump_grid(10))
+    out = tmp_path / "map.json"
+    res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                               str(p), "-o", str(out)])
+    assert res.exit_code == 0, all_output(res)
+    m = load_mesh(p)
+    want = match_meshes(m, m, RunConfig()).pmap.target_to_source
+    doc = json.loads(out.read_text())
+    np.testing.assert_array_equal(doc["target_to_source"], want)
 
 
 def test_match_missing_feature_file_exits_3(runner, tmp_path):
@@ -110,6 +125,17 @@ def test_descriptors_command_and_external_features(runner, tmp_path):
     res = runner.invoke(main, ["descriptors", "--mesh", str(p),
                                "-o", str(feat)])
     assert res.exit_code == 2  # no descriptor family chosen
+
+
+@pytest.mark.parametrize("flag", ["--hks", "--wks"])
+def test_descriptors_zero_samples_exits_2(runner, tmp_path, flag):
+    p = tmp_path / "m.ply"
+    save_mesh(p, strong_bump_grid(6))
+    feat = tmp_path / "m.dmf"
+    res = runner.invoke(main, ["descriptors", "--mesh", str(p), flag, "0",
+                               "-o", str(feat)])
+    assert res.exit_code == 2, all_output(res)
+    assert not feat.exists()
 
 
 def make_instance(root, category, name, mesh, groups):
@@ -189,6 +215,29 @@ def test_transfer_color_command(runner, tmp_path):
     from meshcorr.meshio import load_mesh
     np.testing.assert_allclose(load_mesh(out).colors,
                                load_mesh(tex_path).colors)
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '{"C": [[1.0]], "confidence": [1.0], "objective": 0.0, '
+    '"converged": true, "iterations": 0}',
+    '{"C": [[1.0]], "target_to_source": [0], "confidence": [1.0], '
+    '"objective": 0.0, "iterations": 0}',
+    '{"C": [[1.0]], "target_to_source": [0], "confidence": [1.0], '
+    '"objective": 0.0, "converged": true}',
+], ids=["bad-json", "no-target_to_source", "no-converged", "no-iterations"])
+def test_transfer_color_malformed_map_exits_3(runner, tmp_path, text):
+    m = strong_bump_grid(6)
+    tex_path = tmp_path / "tex.ply"
+    save_mesh(tex_path, m.with_colors(np.ones((m.n_vertices, 3))))
+    map_path = tmp_path / "map.json"
+    map_path.write_text(text)
+    res = runner.invoke(main, ["transfer-color", "--source-textured",
+                               str(tex_path), "--source", str(tex_path),
+                               "--target", str(tex_path), "--map",
+                               str(map_path), "-o", str(tmp_path / "o.ply")])
+    assert res.exit_code == 3, all_output(res)
+    assert "map.json" in all_output(res)
 
 
 def test_transfer_keypoints_command(runner, tmp_path):

@@ -148,8 +148,14 @@ def test_recover_pointmap_methods_and_dense():
     pa = recover_pointmap(C, b, b, method="argmax", keep_dense=True)
     pn = recover_pointmap(C, b, b, method="nearest")
     assert pa.pi_dense is not None and pa.pi_dense.shape == (m.n_vertices,) * 2
+    assert pn.pi_dense is None
     assert pa.n == pn.n == m.n_vertices
     assert (pa.confidence >= 0).all() and (pa.confidence <= 1).all()
+    rows = np.arange(pn.n)
+    np.testing.assert_allclose(
+        pn.confidence,
+        np.clip(pa.pi_dense, 0.0, 1.0)[rows, pn.target_to_source],
+        atol=1e-12)
     with pytest.raises(ArgumentError):
         recover_pointmap(C, b, b, method="bogus")
     with pytest.raises(ArgumentError):
@@ -179,6 +185,9 @@ def test_save_load_map_roundtrip(tmp_path):
     fm, pm, w = load_map(p)
     np.testing.assert_allclose(fm.C, fm_in.C)
     np.testing.assert_array_equal(pm.target_to_source, pmap.target_to_source)
+    np.testing.assert_array_equal(pm.confidence, pmap.confidence)
+    assert (fm.converged, fm.iterations, fm.final_objective) == \
+        (fm_in.converged, fm_in.iterations, fm_in.final_objective)
     assert w["alpha"] == 0.5
 
 
