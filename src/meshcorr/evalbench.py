@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, EvaluationError
+from .errors import ArgumentError, DataError, EvaluationError, FormatError
 from .geodesics import (GeodesicMatrix, SemanticGroups, geodesic_matrix,
                         load_geodesic_matrix, load_groups,
                         save_geodesic_matrix)
@@ -76,7 +76,6 @@ class DatasetInstance:
     name: str
     category: str
     split: str
-    textured_mesh: TriMesh
     remeshed: TriMesh
     groups: SemanticGroups
     geo: GeodesicMatrix
@@ -123,9 +122,13 @@ def load_dataset(root, split: str | None = None):
 
 
 def load_instance(inst_dir, split: str = "test") -> DatasetInstance:
-    """Load one instance directory; its category is its parent's name."""
+    """Load one instance directory; its category is its parent's name.
+    Evaluation reads remeshed.ply, groups.json and geo.dgm; mesh.ply, the
+    textured source that transfer-color reads, must exist but is not
+    parsed."""
     inst_dir = Path(inst_dir)
-    textured = load_mesh(inst_dir / "mesh.ply")
+    if not (inst_dir / "mesh.ply").exists():
+        raise FormatError(f"mesh file not found: {inst_dir / 'mesh.ply'}")
     remeshed = load_mesh(inst_dir / "remeshed.ply")
     groups = load_groups(inst_dir / "groups.json")
     if groups.n != remeshed.n_vertices:
@@ -144,7 +147,7 @@ def load_instance(inst_dir, split: str = "test") -> DatasetInstance:
             f"{inst_dir}: geodesic matrix n={geo.n} != remeshed vertices "
             f"{remeshed.n_vertices}")
     return DatasetInstance(inst_dir.name, inst_dir.parent.name, split,
-                           textured, remeshed, groups, geo)
+                           remeshed, groups, geo)
 
 
 def evaluate_pair(src: DatasetInstance, tgt: DatasetInstance, matcher,

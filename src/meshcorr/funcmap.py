@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -485,8 +486,10 @@ def save_map(path, fmap: FunctionalMap, pmap: PointMap,
 
 
 def load_map(path):
-    """Read a map written by ``save_map``; a malformed file raises
-    FormatError."""
+    """Read a map written by ``save_map``; a missing or malformed file
+    raises FormatError."""
+    if not Path(path).exists():
+        raise FormatError(f"map file not found: {path}")
     with open(path, "r") as fh:
         try:
             doc = json.load(fh)

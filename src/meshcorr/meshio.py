@@ -6,7 +6,7 @@ Colors are carried as floats in [0, 1]; 8-bit channels are scaled by
 
 from __future__ import annotations
 
-import struct
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +96,8 @@ def _load_off(path: Path) -> TriMesh:
         pos = 1
     try:
         nv, nf = int(tokens[pos]), int(tokens[pos + 1])
+        if nv < 0 or nf < 0:
+            raise ValueError("negative count")
         pos += 3  # skip edge count
     except (ValueError, IndexError):
         raise FormatError(f"{path}:{lines[min(pos, len(lines) - 1)]}: "
@@ -110,12 +112,15 @@ def _load_off(path: Path) -> TriMesh:
     for _ in range(nf):
         if pos >= len(tokens):
             raise FormatError(f"{path}: truncated face list")
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise TopologyError(
-                f"{path}:{lines[pos]}: only triangle faces are supported, "
-                f"got {cnt}-gon")
-        faces.append([int(t) for t in tokens[pos + 1:pos + 4]])
+        try:
+            cnt = int(tokens[pos])
+            if cnt != 3:
+                raise TopologyError(
+                    f"{path}:{lines[pos]}: only triangle faces are supported, "
+                    f"got {cnt}-gon")
+            faces.append([int(tokens[pos + i]) for i in (1, 2, 3)])
+        except (IndexError, ValueError):
+            raise FormatError(f"{path}:{lines[pos]}: bad or truncated face")
         pos += 4
     return TriMesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
 
@@ -123,179 +128,178 @@ def _load_off(path: Path) -> TriMesh:
 # ---------------------------------------------------------------- PLY
 
 _PLY_TYPES = {
-    "char": "b", "int8": "b", "uchar": "B", "uint8": "B",
-    "short": "h", "int16": "h", "ushort": "H", "uint16": "H",
-    "int": "i", "int32": "i", "uint": "I", "uint32": "I",
-    "float": "f", "float32": "f", "double": "d", "float64": "d",
+    "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
+    "short": "<i2", "int16": "<i2", "ushort": "<u2", "uint16": "<u2",
+    "int": "<i4", "int32": "<i4", "uint": "<u4", "uint32": "<u4",
+    "float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8",
 }
+_FACE_INDEX = ("vertex_indices", "vertex_index")
 
 
 def _load_ply(path: Path) -> TriMesh:
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"ply":
+        if fh.readline().strip() != b"ply":
             raise FormatError(f"{path}:1: not a PLY file")
         fmt = None
         elements = []  # (name, count, [(prop_name, type, list_len_type)])
-        lineno = 1
-        while True:
-            line = fh.readline()
-            lineno += 1
-            if not line:
-                raise FormatError(f"{path}:{lineno}: unexpected EOF in header")
+        for lineno, line in enumerate(fh, start=2):
             parts = line.decode("ascii", errors="replace").split()
             if not parts or parts[0] == "comment":
                 continue
-            if parts[0] == "format":
-                fmt = parts[1]
-                if fmt not in ("ascii", "binary_little_endian"):
-                    raise FormatError(
-                        f"{path}:{lineno}: unsupported PLY format '{fmt}'")
-            elif parts[0] == "element":
-                elements.append((parts[1], int(parts[2]), []))
-            elif parts[0] == "property":
-                if not elements:
-                    raise FormatError(
-                        f"{path}:{lineno}: property before element")
-                if parts[1] == "list":
-                    elements[-1][2].append((parts[4], parts[3], parts[2]))
-                else:
-                    elements[-1][2].append((parts[2], parts[1], None))
-            elif parts[0] == "end_header":
-                break
+            try:
+                if parts[0] == "format":
+                    fmt = parts[1]
+                    if fmt not in ("ascii", "binary_little_endian"):
+                        raise ValueError(f"unsupported PLY format '{fmt}'")
+                elif parts[0] == "element":
+                    elements.append((parts[1], int(parts[2]), []))
+                    if elements[-1][1] < 0:
+                        raise ValueError("negative element count")
+                elif parts[0] == "property":
+                    if not elements:
+                        raise ValueError("property before element")
+                    if parts[1] == "list":
+                        prop = (parts[4], parts[3], parts[2])
+                    else:
+                        prop = (parts[2], parts[1], None)
+                    elements[-1][2].append(prop)
+                elif parts[0] == "end_header":
+                    break
+            except (IndexError, ValueError) as exc:
+                raise FormatError(
+                    f"{path}:{lineno}: malformed header line ({exc})")
+        else:
+            raise FormatError(f"{path}: unexpected EOF in header")
         if fmt is None:
             raise FormatError(f"{path}: PLY header missing format line")
+        body = fh.read()
 
-        data = {}
-        if fmt == "ascii":
-            body = fh.read().decode("ascii", errors="replace").split("\n")
-            row = 0
-            body = [ln for ln in body if ln.strip()]
-            for name, count, props in elements:
-                rows = []
-                for _ in range(count):
-                    if row >= len(body):
-                        raise FormatError(f"{path}: truncated '{name}' data")
-                    rows.append(body[row].split())
-                    row += 1
-                data[name] = _parse_ascii_element(path, name, props, rows)
+    if fmt == "ascii":  # (line number, line) of each non-blank line
+        body = body.decode("ascii", errors="replace").split("\n")
+        body = [row for row in enumerate(body, lineno + 1) if row[1].strip()]
+    data, pos = {}, 0
+    for name, count, props in elements:
+        if count and props:
+            read = _read_ascii if fmt == "ascii" else _read_binary
+            data[name], pos = read(path, body, pos, name, count, props)
         else:
-            for name, count, props in elements:
-                data[name] = _parse_binary_element(fh, path, name, count, props)
-
-    prop_types = {name: {p[0]: p[1] for p in props}
-                  for name, _, props in elements}
-    return _assemble_ply(path, data, prop_types.get("vertex", {}))
+            data[name] = {p: np.empty((0, 0) if lt else 0) for p, _, lt in props}
+    return _assemble_ply(path, data, {p: t for el, _, props in elements
+                                      if el == "vertex" for p, t, _ in props})
 
 
-def _parse_ascii_element(path, name, props, rows):
-    out = {p[0]: [] for p in props}
-    for toks in rows:
-        pos = 0
+def _record_dtype(where, name, props, record):
+    """One record of an element as a structured dtype, each list as long
+    as in `record`: an ASCII line (every field then a float64, one per
+    value) or a buffer that starts with the binary record."""
+    ascii = isinstance(record, str)
+    fields = []
+    try:
+        if ascii:
+            record = np.loadtxt([record], comments=None, ndmin=2)[0]
         for pname, ptype, ltype in props:
+            vtype = "<f8" if ascii else _PLY_TYPES[ptype]
             if ltype is not None:
-                cnt = int(toks[pos])
-                vals = [float(t) for t in toks[pos + 1:pos + 1 + cnt]]
-                out[pname].append(vals)
-                pos += 1 + cnt
-            else:
-                out[pname].append(float(toks[pos]))
-                pos += 1
-    return {k: (v if isinstance(v[0], list) else np.array(v))
-            for k, v in out.items()} if rows else {p[0]: [] for p in props}
+                ctype = np.dtype("<f8" if ascii else _PLY_TYPES[ltype])
+                at = np.dtype(fields).itemsize
+                n = int(record[at // 8] if ascii else
+                        np.frombuffer(record, ctype, 1, at)[0])
+                if name == "face" and pname in _FACE_INDEX and n != 3:
+                    raise TopologyError(f"{where}: only triangle faces are "
+                                        f"supported, got {n}-gon")
+                fields.append((pname + " count", ctype))
+                vtype = (vtype, (n,))
+            fields.append((pname, vtype))
+        dtype = np.dtype(fields)
+        if ascii and dtype.itemsize != 8 * len(record):
+            raise ValueError(f"{len(record)} values, expected "
+                             f"{dtype.itemsize // 8}")
+    except (IndexError, KeyError, OverflowError, ValueError) as exc:
+        raise FormatError(f"{where}: malformed '{name}' record ({exc!r})")
+    return dtype
 
 
-def _parse_binary_element(fh, path, name, count, props):
-    out = {p[0]: [] for p in props}
-    if all(p[2] is None for p in props):
-        # fixed layout: read in one block
-        fmt = "<" + "".join(_PLY_TYPES[p[1]] for p in props)
-        size = struct.calcsize(fmt)
-        raw = fh.read(size * count)
-        if len(raw) != size * count:
-            raise FormatError(f"{path}: truncated binary '{name}' data")
-        arr = np.array(list(struct.iter_unpack(fmt, raw)))
-        for i, (pname, _, _) in enumerate(props):
-            out[pname] = arr[:, i] if count else np.empty(0)
-        return out
-    for _ in range(count):
-        for pname, ptype, ltype in props:
-            if ltype is not None:
-                lfmt = "<" + _PLY_TYPES[ltype]
-                raw = fh.read(struct.calcsize(lfmt))
-                if len(raw) != struct.calcsize(lfmt):
-                    raise FormatError(f"{path}: truncated '{name}' data")
-                cnt = struct.unpack(lfmt, raw)[0]
-                vfmt = "<" + _PLY_TYPES[ptype] * cnt
-                raw = fh.read(struct.calcsize(vfmt))
-                if len(raw) != struct.calcsize(vfmt):
-                    raise FormatError(f"{path}: truncated '{name}' data")
-                out[pname].append(list(struct.unpack(vfmt, raw)))
-            else:
-                vfmt = "<" + _PLY_TYPES[ptype]
-                raw = fh.read(struct.calcsize(vfmt))
-                if len(raw) != struct.calcsize(vfmt):
-                    raise FormatError(f"{path}: truncated '{name}' data")
-                out[pname].append(struct.unpack(vfmt, raw)[0])
-    return {k: (v if (v and isinstance(v[0], list)) else np.array(v, dtype=float))
-            for k, v in out.items()}
+def _odd_records(rec, props):
+    """Indices of the records whose list lengths differ from the first's."""
+    return np.flatnonzero(np.any([rec[p + " count"] != rec.dtype[p].shape[0]
+                                  for p, _, lt in props if lt], axis=0))
+
+
+def _read_binary(path, buf, offset, name, count, props):
+    record = memoryview(buf)[offset:]
+    dtype = _record_dtype(f"{path}: '{name}' record 0", name, props, record)
+    end = offset + dtype.itemsize * count
+    if end > len(buf):
+        raise FormatError(f"{path}: truncated binary '{name}' data")
+    rec = np.frombuffer(buf, dtype, count, offset)
+    for i in _odd_records(rec, props)[:1]:  # a non-triangle face raises
+        where = f"{path}: '{name}' record {i}"
+        _record_dtype(where, name, props, record[i * dtype.itemsize:])
+        raise FormatError(f"{where}: list lengths differ from record 0's")
+    return {f: rec[f] for f in dtype.names}, end
+
+
+def _read_ascii(path, rows, start, name, count, props):
+    """Parse `count` (line number, line) rows as one float64 block laid
+    out like the first row."""
+    block = rows[start:start + count]
+    if len(block) < count:
+        raise FormatError(f"{path}: truncated '{name}' data")
+    dtype = _record_dtype(f"{path}:{block[0][0]}", name, props, block[0][1])
+    try:
+        rec = np.loadtxt([ln for _, ln in block], comments=None,
+                         ndmin=2).view(dtype)[:, 0]
+        odd = _odd_records(rec, props)
+    except ValueError:  # a row of another width, or a non-number
+        odd = range(count)
+    for lineno, line in (block[i] for i in odd):  # raise at the first
+        if _record_dtype(f"{path}:{lineno}", name, props, line) != dtype:
+            raise FormatError(f"{path}:{lineno}: '{name}' row's list "
+                              "lengths differ from the first row's")
+    return {f: rec[f] for f in dtype.names}, start + count
 
 
 def _assemble_ply(path, data, vertex_types) -> TriMesh:
-    if "vertex" not in data:
-        raise FormatError(f"{path}: PLY file has no vertex element")
-    vel = data["vertex"]
     try:
+        vel = data["vertex"]
         verts = np.column_stack([vel["x"], vel["y"], vel["z"]])
     except KeyError:
-        raise FormatError(f"{path}: vertex element missing x/y/z")
+        raise FormatError(f"{path}: PLY file has no vertex element with x/y/z")
     colors = None
     if all(c in vel for c in ("red", "green", "blue")):
-        colors = np.column_stack([vel["red"], vel["green"], vel["blue"]])
-        if vertex_types.get("red") in ("uchar", "uint8", "ushort", "uint16"):
-            scale = 255.0 if vertex_types["red"] in ("uchar", "uint8") else 65535.0
-            colors = colors / scale
-    faces = []
+        scale = {"uchar": 255.0, "uint8": 255.0, "ushort": 65535.0,
+                 "uint16": 65535.0}.get(vertex_types["red"], 1.0)
+        colors = np.column_stack([vel["red"], vel["green"], vel["blue"]]) / scale
     fel = data.get("face", {})
-    idx = fel.get("vertex_indices", fel.get("vertex_index", []))
-    for f in idx:
-        if len(f) != 3:
-            raise TopologyError(
-                f"{path}: only triangle faces are supported, got "
-                f"{len(f)}-gon")
-        faces.append([int(v) for v in f])
-    return TriMesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3),
-                   colors)
+    idx = fel.get("vertex_indices", fel.get("vertex_index", np.empty((0, 3))))
+    if idx.ndim != 2:
+        raise FormatError(f"{path}: face vertex indices must be a list")
+    return TriMesh(verts, idx.astype(np.int64).reshape(-1, 3), colors)
 
 
 def _save_ply(path: Path, mesh: TriMesh, binary: bool):
     n, m = mesh.n_vertices, mesh.n_triangles
     has_color = mesh.colors is not None
-    header = ["ply",
-              "format binary_little_endian 1.0" if binary else "format ascii 1.0",
-              f"element vertex {n}",
-              "property double x", "property double y", "property double z"]
-    if has_color:
-        header += ["property uchar red", "property uchar green",
-                   "property uchar blue"]
-    header += [f"element face {m}",
-               "property list uchar int vertex_indices", "end_header"]
-    if has_color:
-        rgb = np.clip(np.rint(mesh.colors * 255.0), 0, 255).astype(np.uint8)
+    fmt = "binary_little_endian" if binary else "ascii"
+    header = ["ply", f"format {fmt} 1.0", f"element vertex {n}"]
+    header += [f"property double {c}" for c in "xyz"]
+    header += [f"property uchar {c}" for c in ("red", "green", "blue")
+               if has_color]
+    header += [f"element face {m}", "property list uchar int vertex_indices",
+               "end_header", ""]
+    rgb = (np.clip(np.rint(mesh.colors * 255.0), 0, 255).astype(np.uint8)
+           if has_color else np.empty((n, 0), np.uint8))
+    if binary:
+        vert = np.empty(n, [("xyz", "<f8", (3,)), ("rgb", "u1", rgb.shape[1:])])
+        vert["xyz"], vert["rgb"] = mesh.vertices, rgb
+        face = np.empty(m, [("n", "u1"), ("idx", "<i4", (3,))])
+        face["n"], face["idx"] = 3, mesh.triangles
+        body = vert.tobytes() + face.tobytes()
+    else:
+        row = " ".join(["%r"] * (3 + rgb.shape[1])) + "\n"
+        verts = [v + c for v, c in zip(mesh.vertices.tolist(), rgb.tolist())]
+        body = (row * n % tuple(chain.from_iterable(verts))
+                + "3 %d %d %d\n" * m % tuple(mesh.triangles.ravel().tolist()))
+        body = body.encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            for i in range(n):
-                fh.write(struct.pack("<3d", *mesh.vertices[i]))
-                if has_color:
-                    fh.write(struct.pack("<3B", *rgb[i]))
-            for f in mesh.triangles:
-                fh.write(struct.pack("<B3i", 3, *f))
-        else:
-            for i in range(n):
-                line = " ".join(repr(float(c)) for c in mesh.vertices[i])
-                if has_color:
-                    line += " " + " ".join(str(int(c)) for c in rgb[i])
-                fh.write((line + "\n").encode("ascii"))
-            for f in mesh.triangles:
-                fh.write(f"3 {f[0]} {f[1]} {f[2]}\n".encode("ascii"))
+        fh.write("\n".join(header).encode("ascii") + body)

@@ -19,10 +19,6 @@ from .mesh import TriMesh, cleanup_mesh, cotangent_weights, normalize_mesh, vert
 
 DESCRIPTOR_NAMES = ("hks", "wks", "posenc")
 
-DEFAULT_HKS_TIMES = 16
-DEFAULT_WKS_ENERGIES = 100
-DEFAULT_POSENC_BANDS = 6
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -31,9 +27,9 @@ class RunConfig:
     weights: FmapWeights = field(default_factory=FmapWeights)
     descriptors: tuple = DESCRIPTOR_NAMES
     descriptor_k: int = spectral.DEFAULT_DESC_K
-    hks_times: int = DEFAULT_HKS_TIMES
-    wks_energies: int = DEFAULT_WKS_ENERGIES
-    posenc_bands: int = DEFAULT_POSENC_BANDS
+    hks_times: int = spectral.DEFAULT_HKS_TIMES
+    wks_energies: int = spectral.DEFAULT_WKS_ENERGIES
+    posenc_bands: int = spectral.DEFAULT_POSENC_BANDS
     max_iter: int = DEFAULT_MAX_ITER
     tol: float = DEFAULT_TOL
     recovery: str = RECOVERY_METHODS[0]

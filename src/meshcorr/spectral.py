@@ -25,6 +25,9 @@ from .mesh import TriMesh, VertexAreas
 DENSE_LIMIT = 3000
 DEFAULT_FMAP_K = 10      # basis size used by the map solver
 DEFAULT_DESC_K = 128     # basis size used for descriptors
+DEFAULT_HKS_TIMES = 16
+DEFAULT_WKS_ENERGIES = 100
+DEFAULT_POSENC_BANDS = 6
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,8 @@ def _nonzero_spectrum(basis: SpectralBasis):
     return lam[nz], basis.phi[:, nz]
 
 
-def hks(basis: SpectralBasis, num_times: int = 16) -> FeatureField:
+def hks(basis: SpectralBasis,
+        num_times: int = DEFAULT_HKS_TIMES) -> FeatureField:
     """Heat kernel signature over log-spaced diffusion times.
 
     k_t(v) = sum_i exp(-lam_i t) phi_i(v)^2, each time column rescaled
@@ -157,7 +161,8 @@ def hks(basis: SpectralBasis, num_times: int = 16) -> FeatureField:
     return FeatureField(sig / mean, "descriptor")
 
 
-def wks(basis: SpectralBasis, num_energies: int = 100) -> FeatureField:
+def wks(basis: SpectralBasis,
+        num_energies: int = DEFAULT_WKS_ENERGIES) -> FeatureField:
     """Wave kernel signature over log-energy bands.
 
     Gaussian bands of width sigma = 7 * step span [log lam_2, log lam_k];
@@ -181,7 +186,8 @@ def wks(basis: SpectralBasis, num_energies: int = 100) -> FeatureField:
     return FeatureField(sig / norm, "descriptor")
 
 
-def positional_encoding(mesh: TriMesh, bands: int = 6) -> FeatureField:
+def positional_encoding(mesh: TriMesh,
+                        bands: int = DEFAULT_POSENC_BANDS) -> FeatureField:
     """NeRF-style sinusoidal encoding of vertex XYZ.
 
     Returns [xyz, sin(2^b pi xyz), cos(2^b pi xyz) for b < bands],

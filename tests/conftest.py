@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from meshcorr.mesh import TriMesh
+
+# Property tests draw the same examples on every run and stay fast.
+settings.register_profile("meshcorr", derandomize=True, deadline=None,
+                          max_examples=100, database=None)
+settings.load_profile("meshcorr")
 
 
 def icosphere(subdivisions=2, radius=1.0):

@@ -258,3 +258,46 @@ def test_transfer_keypoints_command(runner, tmp_path):
     assert res.exit_code == 0, all_output(res)
     doc = json.loads(out.read_text())
     assert doc[0]["vertex"] == 5 and doc[0]["label"] == "tip"
+
+
+PLY_ASCII_HEADER = ("ply\nformat ascii 1.0\nelement vertex 3\n"
+                    "property float x\nproperty float y\nproperty float z\n"
+                    "element face 1\n"
+                    "property list uchar int vertex_indices\nend_header\n")
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("bad.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\nx 0 1 2\n", "bad.off:6"),
+    ("short.ply", PLY_ASCII_HEADER + "0 0 0\n1 0\n0 1 0\n3 0 1 2\n",
+     "short.ply:11"),
+    ("quad.ply", PLY_ASCII_HEADER.replace("vertex 3", "vertex 4")
+     + "0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n", "triangle faces"),
+], ids=["off-bad-face-count", "ply-short-vertex-row", "ply-quad"])
+def test_match_malformed_mesh_exits_3(runner, tmp_path, name, text, where):
+    p = tmp_path / name
+    p.write_text(text)
+    res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                               str(p), "-o", str(tmp_path / "o.json")])
+    assert res.exit_code == 3, all_output(res)
+    assert where in all_output(res)
+
+
+@pytest.mark.parametrize("command", ["eval", "transfer-color",
+                                     "transfer-keypoints"])
+def test_missing_map_exits_3(runner, sphere_dataset, tmp_path, command):
+    _, dirs, _ = sphere_dataset
+    mesh = str(dirs[0] / "remeshed.ply")
+    kp_path = tmp_path / "kp.json"
+    kp_path.write_text(json.dumps([{"label": "tip", "vertex": 5}]))
+    args = {"eval": ["--source-instance", str(dirs[0]),
+                     "--target-instance", str(dirs[1])],
+            "transfer-color": ["--source-textured", mesh, "--source", mesh,
+                               "--target", mesh, "-o",
+                               str(tmp_path / "o.ply")],
+            "transfer-keypoints": ["--source", mesh, "--target", mesh,
+                                   "--keypoints", str(kp_path), "-o",
+                                   str(tmp_path / "o.json")]}[command]
+    res = runner.invoke(main, [command, "--map", str(tmp_path / "absent.json"),
+                               *args])
+    assert res.exit_code == 3, all_output(res)
+    assert "absent.json" in all_output(res)

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from meshcorr.errors import ArgumentError, EvaluationError
+from meshcorr.errors import ArgumentError, EvaluationError, FormatError
 from meshcorr.evalbench import (auc, benchmark_category, evaluate_pair,
-                                geodesic_error, load_dataset,
+                                geodesic_error, load_dataset, load_instance,
                                 write_aggregates_json, write_results_csv)
 from meshcorr.funcmap import PointMap
 from meshcorr.geodesics import SemanticGroups, geodesic_matrix
@@ -112,6 +112,17 @@ def test_load_dataset_and_geo_caching(tiny_dataset):
     # second load hits the cache and agrees bit-for-bit
     again = load_dataset(root)
     np.testing.assert_array_equal(again[0].geo.d, instances[0].geo.d)
+
+
+def test_load_instance_needs_but_does_not_parse_mesh_ply(tiny_dataset):
+    # evaluation reads remeshed.ply; mesh.ply is transfer-color's input
+    root, m, _ = tiny_dataset
+    (root / "spheres" / "a" / "mesh.ply").write_text("not a mesh")
+    assert load_instance(root / "spheres" / "a").remeshed.n_vertices \
+        == m.n_vertices
+    (root / "spheres" / "a" / "mesh.ply").unlink()
+    with pytest.raises(FormatError, match="mesh.ply"):
+        load_instance(root / "spheres" / "a")
 
 
 def test_load_dataset_splits(tiny_dataset):

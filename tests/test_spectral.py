@@ -161,3 +161,17 @@ def test_near_degenerate_flags():
     b = basis_of(icosphere(3), 10)
     # the sphere's l=1 and l=2 eigenspaces are (numerically near) degenerate
     assert b.near_degenerate.any()
+
+
+def test_descriptor_defaults_are_run_config():
+    import inspect
+    from meshcorr.pipeline import RunConfig
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    config = RunConfig()
+    assert default(spectral.hks, "num_times") == config.hks_times
+    assert default(spectral.wks, "num_energies") == config.wks_energies
+    assert default(spectral.positional_encoding, "bands") \
+        == config.posenc_bands
