@@ -4,21 +4,19 @@ regularized functional maps on the Laplace-Beltrami spectrum."""
 from .errors import (ArgumentError, DataError, DegenerateGeometryError,
                      DisconnectedMeshError, EmptyMeshError, EvaluationError,
                      FormatError, MeshCorrError, NumericError, ShapeError,
-                     TopologyError, UndefinedLossError)
-from .features import (FeatureBundle, FeatureField, concat_features,
-                       load_features, semantic_loss, unit_normalize,
-                       write_features)
+                     TopologyError)
+from .features import (FeatureField, concat_features, load_features,
+                       unit_normalize, write_features)
 from .funcmap import (FmapProblem, FmapWeights, FunctionalMap, PartialSolution,
                       PointMap, build_problem, fmap_from_pointmap,
                       fmap_objective, multiplication_operator,
                       recover_pointmap, solve_fmap, solve_partial)
 from .geodesics import (GeodesicMatrix, SemanticGroups, geodesic_matrix,
-                        min_cost_assignment, semantic_distance,
-                        semantic_distance_table)
+                        min_cost_assignment, semantic_distance)
 from .mesh import (TriMesh, VertexAreas, cleanup_mesh, cotangent_weights,
                    normalize_mesh, vertex_areas)
 from .meshio import load_mesh, save_mesh
 from .spectral import (SpectralBasis, eigenbasis, hks, positional_encoding,
-                       project, reconstruct, wks)
+                       wks)
 
 __version__ = "0.1.0"

@@ -141,9 +141,10 @@ def cmd_eval(map_path, source_instance, target_instance, max_threshold,
              log_json):
     """Evaluate a stored map against ground-truth semantic groups."""
     src = evalbench.load_instance(source_instance)
-    tgt = evalbench.load_instance(target_instance)
+    # only the source's geodesics are read; the target needs its groups
+    _, tgt_groups = evalbench.load_annotation(target_instance)
     _, pmap, _ = funcmap.load_map(map_path)
-    errors = evalbench.geodesic_error(pmap, src.groups, tgt.groups, src.geo,
+    errors = evalbench.geodesic_error(pmap, src.groups, tgt_groups, src.geo,
                                       src.areas)
     included = errors[~np.isnan(errors)]
     _, area = evalbench.auc(included, max_threshold)
@@ -269,7 +270,7 @@ def cmd_descriptors(mesh_path, hks_times, wks_energies, posenc_bands,
     prep = pipeline.prepare_mesh(mesh, config)
     stack = pipeline.descriptor_stack(prep, config)
     write_features(output, stack)
-    click.echo(f"wrote {output} ({stack.n}x{stack.dim})")
+    click.echo(f"wrote {output} ({stack.n}x{stack.d})")
 
 
 if __name__ == "__main__":

@@ -46,9 +46,5 @@ class NumericError(MeshCorrError):
     """Numerical failure (non-convergence, non-finite objective)."""
 
 
-class UndefinedLossError(NumericError):
-    """Loss is undefined for the given inputs (zero-norm vectors)."""
-
-
 class EvaluationError(MeshCorrError):
     """Evaluation protocol cannot be applied to the given pair."""

@@ -88,7 +88,6 @@ class DatasetInstance:
 @dataclass(frozen=True)
 class EvalResult:
     pair: tuple
-    per_vertex_err: np.ndarray
     err_mean: float
     auc: float
     coverage: float
@@ -121,11 +120,10 @@ def load_dataset(root, split: str | None = None):
     return instances
 
 
-def load_instance(inst_dir, split: str = "test") -> DatasetInstance:
-    """Load one instance directory; its category is its parent's name.
-    Evaluation reads remeshed.ply, groups.json and geo.dgm; mesh.ply, the
-    textured source that transfer-color reads, must exist but is not
-    parsed."""
+def load_annotation(inst_dir):
+    """(remeshed mesh, groups) of one instance directory, checked against
+    each other. mesh.ply, the textured source that transfer-color reads,
+    must exist but is not parsed."""
     inst_dir = Path(inst_dir)
     if not (inst_dir / "mesh.ply").exists():
         raise FormatError(f"mesh file not found: {inst_dir / 'mesh.ply'}")
@@ -135,6 +133,15 @@ def load_instance(inst_dir, split: str = "test") -> DatasetInstance:
         raise DataError(
             f"{inst_dir}: groups.n={groups.n} != remeshed vertices "
             f"{remeshed.n_vertices}")
+    return remeshed, groups
+
+
+def load_instance(inst_dir, split: str = "test") -> DatasetInstance:
+    """Load one instance directory; its category is its parent's name.
+    Evaluation reads remeshed.ply, groups.json and geo.dgm, computing
+    and caching geo.dgm when it is missing."""
+    inst_dir = Path(inst_dir)
+    remeshed, groups = load_annotation(inst_dir)
     geo_path = inst_dir / "geo.dgm"
     if geo_path.exists():
         geo = load_geodesic_matrix(geo_path)
@@ -160,14 +167,12 @@ def evaluate_pair(src: DatasetInstance, tgt: DatasetInstance, matcher,
         included = errors[~np.isnan(errors)]
         _, area = auc(included, max_threshold)
         wall = (time.perf_counter() - start) * 1000.0
-        return EvalResult((src.name, tgt.name), errors,
-                          float(included.mean()), area,
+        return EvalResult((src.name, tgt.name), float(included.mean()), area,
                           float(len(included)) / len(errors), wall)
     except Exception as exc:  # per-pair failures are recorded, not fatal
         wall = (time.perf_counter() - start) * 1000.0
-        return EvalResult((src.name, tgt.name), np.array([]), float("nan"),
-                          float("nan"), 0.0, wall, failed=True,
-                          message=str(exc))
+        return EvalResult((src.name, tgt.name), float("nan"), float("nan"),
+                          0.0, wall, failed=True, message=str(exc))
 
 
 def benchmark_category(instances, category: str, matcher, jobs: int = 1,

@@ -1,5 +1,5 @@
 """Per-vertex feature fields: descriptor stacks and externally computed
-semantic features, plus the cosine-based semantic-distance score.
+semantic features.
 
 External features arrive through the DMF container ("DMF1" magic,
 u32 n, u32 d, f32 little-endian row-major) or a whitespace text matrix
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, FormatError, ShapeError, UndefinedLossError
+from .errors import ArgumentError, DataError, FormatError, ShapeError
 
 _MAGIC = b"DMF1"
 
@@ -22,7 +22,6 @@ _MAGIC = b"DMF1"
 @dataclass(frozen=True)
 class FeatureField:
     values: np.ndarray  # (n, d)
-    semantic: str = "descriptor"
 
     def __post_init__(self):
         v = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
@@ -39,25 +38,7 @@ class FeatureField:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class FeatureBundle:
-    field: FeatureField
-    source: str
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.field.values
-
-    @property
-    def n(self) -> int:
-        return self.field.n
-
-    @property
-    def dim(self) -> int:
-        return self.field.d
-
-
-def load_features(path, expected_n: int | None = None) -> FeatureBundle:
+def load_features(path, expected_n: int | None = None) -> FeatureField:
     path = Path(path)
     if not path.exists():
         raise DataError(f"feature file not found: {path}")
@@ -78,7 +59,7 @@ def load_features(path, expected_n: int | None = None) -> FeatureBundle:
             f"{expected_n}")
     if not np.isfinite(values).all():
         raise DataError(f"{path}: feature matrix contains NaN/Inf")
-    return FeatureBundle(FeatureField(values, "external"), "external-file")
+    return FeatureField(values)
 
 
 def _load_text_matrix(path: Path) -> np.ndarray:
@@ -100,8 +81,8 @@ def _load_text_matrix(path: Path) -> np.ndarray:
     return values
 
 
-def write_features(path, bundle) -> None:
-    values = bundle.values if hasattr(bundle, "values") else np.asarray(bundle)
+def write_features(path, field) -> None:
+    values = field.values if hasattr(field, "values") else np.asarray(field)
     values = np.atleast_2d(values)
     n, d = values.shape
     with open(path, "wb") as fh:
@@ -110,59 +91,24 @@ def write_features(path, bundle) -> None:
         fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
 
 
-def unit_normalize(bundle: FeatureBundle) -> FeatureBundle:
+def unit_normalize(field: FeatureField) -> FeatureField:
     """Scale each nonzero row to unit L2 norm; zero rows stay zero
     (the convention for never-visible vertices)."""
-    values = bundle.values
+    values = field.values
     norms = np.linalg.norm(values, axis=1, keepdims=True)
     out = np.divide(values, norms, out=np.zeros_like(values),
                     where=norms > 0)
-    return FeatureBundle(FeatureField(out, bundle.field.semantic),
-                         bundle.source)
+    return FeatureField(out)
 
 
-def concat_features(bundles) -> FeatureBundle:
-    bundles = list(bundles)
-    if not bundles:
-        raise ArgumentError("concat_features needs at least one bundle")
-    ns = {b.n for b in bundles}
+def concat_features(fields) -> FeatureField:
+    fields = list(fields)
+    if not fields:
+        raise ArgumentError("concat_features needs at least one field")
+    ns = {f.n for f in fields}
     if len(ns) != 1:
-        raise ShapeError(f"bundles disagree on vertex count: {sorted(ns)}")
-    if len(bundles) == 1:
-        return bundles[0]
-    values = np.hstack([b.values for b in bundles])
-    return FeatureBundle(FeatureField(values, "descriptor"), "concat")
+        raise ShapeError(f"fields disagree on vertex count: {sorted(ns)}")
+    if len(fields) == 1:
+        return fields[0]
+    return FeatureField(np.hstack([f.values for f in fields]))
 
-
-def semantic_loss(feat_pairs, dist_pairs) -> float:
-    """Negative cosine similarity between per-pair feature L2 distances
-    and the corresponding semantic distances. -1 means the feature
-    metric is perfectly proportional to the semantic one."""
-    dists = np.asarray(dist_pairs, dtype=np.float64)
-    feat_pairs = list(feat_pairs)
-    if len(feat_pairs) != len(dists):
-        raise ArgumentError("feat_pairs and dist_pairs lengths differ")
-    if len(dists) < 2:
-        raise ArgumentError("need at least 2 pairs")
-    fdist = np.array([np.linalg.norm(np.asarray(a, dtype=np.float64)
-                                     - np.asarray(b, dtype=np.float64))
-                      for a, b in feat_pairs])
-    nf, nd = np.linalg.norm(fdist), np.linalg.norm(dists)
-    if nf == 0.0 or nd == 0.0:
-        raise UndefinedLossError(
-            "cosine undefined: all feature distances or all semantic "
-            "distances are zero")
-    return float(-(fdist @ dists) / (nf * nd))
-
-
-def sample_vertex_pairs(n: int, num_pairs: int, seed: int) -> np.ndarray:
-    """Reproducible uniform vertex-pair sample, (num_pairs, 2)."""
-    if n < 2:
-        raise ArgumentError("need at least 2 vertices to sample pairs")
-    rng = np.random.default_rng(seed)
-    pairs = rng.integers(0, n, size=(num_pairs, 2))
-    same = pairs[:, 0] == pairs[:, 1]
-    while same.any():
-        pairs[same, 1] = rng.integers(0, n, size=int(same.sum()))
-        same = pairs[:, 0] == pairs[:, 1]
-    return pairs

@@ -36,7 +36,6 @@ from .errors import ArgumentError, FormatError, NumericError
 from .spectral import SpectralBasis
 
 EPS_LOG = 1e-12
-MAX_BETA_CHANNELS = 64
 ENTROPY_F32_CUTOFF = 1_000_000  # entries of the dense map matrix
 WHITEN_RIDGE = 1e-10            # relative to the mean diagonal of H
 
@@ -148,7 +147,6 @@ class FunctionalMap:
 class PointMap:
     target_to_source: np.ndarray     # (n_N,) source index per target vertex
     confidence: np.ndarray           # (n_N,) selected clamped Pi entries
-    pi_dense: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -176,12 +174,8 @@ def multiplication_operator(basis: SpectralBasis, channel) -> np.ndarray:
 
 def build_problem(basis_M: SpectralBasis, basis_N: SpectralBasis,
                   f, g, weights: FmapWeights | None = None) -> FmapProblem:
-    """Assemble an FmapProblem from per-vertex features.
-
-    For d > MAX_BETA_CHANNELS the commutativity operators are built on
-    the top principal directions of the stacked features (cost control;
-    the data term always keeps the full dimension).
-    """
+    """Assemble an FmapProblem from per-vertex features, with one pair
+    of commutativity operators per feature channel."""
     f = np.atleast_2d(np.asarray(getattr(f, "values", f), dtype=np.float64))
     g = np.atleast_2d(np.asarray(getattr(g, "values", g), dtype=np.float64))
     if f.shape[0] != basis_M.n:
@@ -194,18 +188,10 @@ def build_problem(basis_M: SpectralBasis, basis_N: SpectralBasis,
 
     F = basis_M.pinv() @ f
     G = basis_N.pinv() @ g
-
-    fr, gr = f, g
-    if f.shape[1] > MAX_BETA_CHANNELS:
-        stacked = np.vstack([f, g])
-        stacked = stacked - stacked.mean(axis=0)
-        _, _, vt = np.linalg.svd(stacked, full_matrices=False)
-        basis_dirs = vt[:MAX_BETA_CHANNELS].T
-        fr, gr = f @ basis_dirs, g @ basis_dirs
-    ops_M = tuple(multiplication_operator(basis_M, fr[:, p])
-                  for p in range(fr.shape[1]))
-    ops_N = tuple(multiplication_operator(basis_N, gr[:, p])
-                  for p in range(gr.shape[1]))
+    ops_M = tuple(multiplication_operator(basis_M, f[:, p])
+                  for p in range(f.shape[1]))
+    ops_N = tuple(multiplication_operator(basis_N, g[:, p])
+                  for p in range(g.shape[1]))
     return FmapProblem(basis_M, basis_N, F, G, ops_M, ops_N, weights)
 
 
@@ -272,6 +258,8 @@ def solve_fmap(problem: FmapProblem, max_iter: int = DEFAULT_MAX_ITER,
     given. ``converged`` is True when scipy reports success (its
     projected-gradient test in y, or a relative decrease <= 1e-12) or
     when the gradient with respect to C has norm <= tol * (1 + |value|).
+    A non-finite final objective raises NumericError; its ``last_valid``
+    is the last k x k C whose objective was finite.
     """
     k = problem.k
     H, b, _ = problem.quadratic
@@ -279,7 +267,8 @@ def solve_fmap(problem: FmapProblem, max_iter: int = DEFAULT_MAX_ITER,
     L = np.linalg.cholesky(H + ridge * np.eye(len(H)))
 
     def to_c(y):
-        return scipy.linalg.solve_triangular(L, y, lower=True, trans="T")
+        return scipy.linalg.solve_triangular(L, y, lower=True, trans="T",
+                                          check_finite=False)
 
     if C0 is None:
         y0 = scipy.linalg.solve_triangular(L, b, lower=True)
@@ -293,7 +282,8 @@ def solve_fmap(problem: FmapProblem, max_iter: int = DEFAULT_MAX_ITER,
         if np.isfinite(value):
             state["last_valid"] = c
         state["y"], state["f"], state["g"] = y.copy(), value, grad.ravel()
-        return value, scipy.linalg.solve_triangular(L, state["g"], lower=True)
+        return value, scipy.linalg.solve_triangular(L, state["g"], lower=True,
+                                                  check_finite=False)
 
     def scale_aware_stop(intermediate_result):
         # stop once the gradient norm with respect to C falls below
@@ -311,16 +301,16 @@ def solve_fmap(problem: FmapProblem, max_iter: int = DEFAULT_MAX_ITER,
         options={"maxiter": max_iter, "maxcor": 30,
                  "gtol": tol, "ftol": 1e-12})
     if not np.isfinite(res.fun):
-        raise NumericError(
-            "objective became non-finite; last valid C available",
-        )
+        exc = NumericError(
+            "objective became non-finite; last valid C available")
+        exc.last_valid = state["last_valid"].reshape(k, k)
+        raise exc
     converged = bool(res.success) or state.get("tol_met", False)
     return FunctionalMap(to_c(res.x).reshape(k, k), converged,
                          float(res.fun), int(res.nit))
 
 
 def recover_pointmap(C, basis_M: SpectralBasis, basis_N: SpectralBasis,
-                     keep_dense: bool = False,
                      method: str = RECOVERY_METHODS[0]) -> PointMap:
     """Dense vertex map from a spectral map.
 
@@ -336,15 +326,14 @@ def recover_pointmap(C, basis_M: SpectralBasis, basis_N: SpectralBasis,
     if method not in RECOVERY_METHODS:
         raise ArgumentError(f"unknown recovery method '{method}'")
     emb_n = basis_N.phi @ C                          # (n_N, k)
-    pi = emb_n @ basis_M.pinv() if keep_dense or method == "argmax" else None
     if method == "nearest":
         match = cKDTree(basis_M.phi).query(emb_n)[1]
     else:
-        match = np.argmax(np.clip(pi, 0.0, 1.0), axis=1)
+        match = np.argmax(np.clip(emb_n @ basis_M.pinv(), 0.0, 1.0), axis=1)
     # Pi[j, i] = (Phi_N C)[j] . Phi_M[i] a_M[i]
     conf = np.einsum("jk,jk->j", emb_n, basis_M.phi[match])
     conf *= basis_M.areas.areas[match]
-    return PointMap(match, np.clip(conf, 0.0, 1.0), pi if keep_dense else None)
+    return PointMap(match, np.clip(conf, 0.0, 1.0))
 
 
 def fmap_from_pointmap(target_to_source, basis_M: SpectralBasis,

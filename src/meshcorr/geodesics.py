@@ -9,7 +9,6 @@ are computed in f64 and stored as f32 on disk ("DGM1" container).
 
 from __future__ import annotations
 
-import itertools
 import json
 import struct
 from dataclasses import dataclass
@@ -147,18 +146,6 @@ def semantic_distance(groups: SemanticGroups, geo: GeodesicMatrix,
     cost = geo.d[np.ix_(ga, gb)]
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()) / min(len(ga), len(gb))
-
-
-def semantic_distance_table(groups: SemanticGroups,
-                            geo: GeodesicMatrix) -> np.ndarray:
-    """Dense table over group ids; entry (a, b) = semantic_distance."""
-    ids = groups.ids()
-    size = int(ids.max()) + 1 if len(ids) else 0
-    table = np.zeros((size, size))
-    for a, b in itertools.combinations(ids.tolist(), 2):
-        d = semantic_distance(groups, geo, a, b)
-        table[a, b] = table[b, a] = d
-    return table
 
 
 # ----------------------------------------------------------------- io

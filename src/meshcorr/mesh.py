@@ -8,7 +8,7 @@ spectral module consumes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,9 +86,6 @@ class VertexAreas:
     @property
     def total(self) -> float:
         return float(self.areas.sum())
-
-    def matrix(self) -> sp.dia_matrix:
-        return sp.diags(self.areas)
 
 
 def triangle_areas(mesh: TriMesh) -> np.ndarray:
@@ -171,33 +168,18 @@ def cleanup_mesh(mesh: TriMesh, merge_tol_fraction: float = 0.01) -> TriMesh:
     tol = merge_tol_fraction * float(np.linalg.norm(hi - lo))
     verts, tris, colors = mesh.vertices, mesh.triangles, mesh.colors
 
-    # vertex merging via union-find over close pairs
+    # merge each connected component of the close-pair graph
     if tol > 0.0:
         pairs = cKDTree(verts).query_pairs(tol, output_type="ndarray")
         if len(pairs):
-            parent = np.arange(len(verts))
-
-            def find(i):
-                root = i
-                while parent[root] != root:
-                    root = parent[root]
-                while parent[i] != root:
-                    parent[i], i = root, parent[i]
-                return root
-
-            for i, j in pairs:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    # lowest index wins
-                    if ri < rj:
-                        parent[rj] = ri
-                    else:
-                        parent[ri] = rj
-            root = np.array([find(i) for i in range(len(verts))])
-            keep = np.flatnonzero(root == np.arange(len(verts)))
-            remap = np.empty(len(verts), dtype=np.int64)
-            remap[keep] = np.arange(len(keep))
-            new_index = remap[root]
+            n = len(verts)
+            close = sp.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(n, n))
+            n_comp, labels = connected_components(close, directed=False)
+            # lowest index per component, in ascending order
+            keep = np.sort(np.unique(labels, return_index=True)[1])
+            rank = np.empty(n_comp, dtype=np.int64)
+            rank[labels[keep]] = np.arange(n_comp)
+            new_index = rank[labels]
             verts = verts[keep]
             if colors is not None:
                 summed = np.zeros((len(keep), 3))

@@ -98,7 +98,9 @@ def _load_off(path: Path) -> TriMesh:
         nv, nf = int(tokens[pos]), int(tokens[pos + 1])
         if nv < 0 or nf < 0:
             raise ValueError("negative count")
-        pos += 3  # skip edge count
+        # the edge count is optional; when present it ends the count line
+        has_edges = pos + 2 < len(tokens) and lines[pos + 2] == lines[pos + 1]
+        pos += 3 if has_edges else 2
     except (ValueError, IndexError):
         raise FormatError(f"{path}:{lines[min(pos, len(lines) - 1)]}: "
                           "bad OFF header counts")

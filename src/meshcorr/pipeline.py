@@ -11,7 +11,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ArgumentError
-from .features import FeatureBundle, FeatureField, concat_features, unit_normalize
+from .features import FeatureField, concat_features, unit_normalize
 from .funcmap import (DEFAULT_MAX_ITER, DEFAULT_TOL, RECOVERY_METHODS,
                       FmapWeights, FunctionalMap, PointMap, build_problem,
                       recover_pointmap, solve_fmap)
@@ -55,8 +55,8 @@ def prepare_mesh(mesh: TriMesh, config: RunConfig) -> PreparedMesh:
     return PreparedMesh(mesh, basis)
 
 
-def descriptor_stack(prep: PreparedMesh, config: RunConfig) -> FeatureBundle:
-    bundles = []
+def descriptor_stack(prep: PreparedMesh, config: RunConfig) -> FeatureField:
+    fields = []
     for name in config.descriptors:
         if name == "hks":
             f = spectral.hks(prep.basis, config.hks_times)
@@ -68,8 +68,8 @@ def descriptor_stack(prep: PreparedMesh, config: RunConfig) -> FeatureBundle:
             raise ArgumentError(
                 f"unknown descriptor '{name}', expected one of "
                 f"{DESCRIPTOR_NAMES}")
-        bundles.append(FeatureBundle(f, name))
-    return concat_features(bundles)
+        fields.append(f)
+    return concat_features(fields)
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ def match_meshes(source: TriMesh, target: TriMesh, config: RunConfig,
         f = _standardize(descriptor_stack(prep_s, config), prep_s.basis)
         g = _standardize(descriptor_stack(prep_t, config), prep_t.basis)
     else:
-        f = unit_normalize(_as_bundle(source_features, prep_s.mesh.n_vertices))
-        g = unit_normalize(_as_bundle(target_features, prep_t.mesh.n_vertices))
+        f = unit_normalize(_as_field(source_features, prep_s.mesh.n_vertices))
+        g = unit_normalize(_as_field(target_features, prep_t.mesh.n_vertices))
 
     basis_s = prep_s.basis.truncate(config.k)
     basis_t = prep_t.basis.truncate(config.k)
@@ -105,7 +105,7 @@ def match_meshes(source: TriMesh, target: TriMesh, config: RunConfig,
     return MatchResult(fmap, pmap, config)
 
 
-def _standardize(bundle: FeatureBundle, basis: spectral.SpectralBasis) -> FeatureBundle:
+def _standardize(stack: FeatureField, basis: spectral.SpectralBasis) -> FeatureField:
     """Column-wise standardization of a descriptor stack under the mesh
     area measure. Raw heat/energy/positional channels differ in scale by
     orders of magnitude; centering and equalizing them keeps the data
@@ -113,25 +113,18 @@ def _standardize(bundle: FeatureBundle, basis: spectral.SpectralBasis) -> Featur
     sqrt(n)/10 so the data term grows with mesh size the same way the
     map-matrix penalties do."""
     a = basis.areas.areas
-    vals = np.asarray(bundle.values, dtype=np.float64)
-    vals = vals - (a @ vals) / a.sum()
+    vals = stack.values - (a @ stack.values) / a.sum()
     norms = np.sqrt(a @ (vals ** 2))
     norms[norms == 0.0] = 1.0
     vals = vals / norms * (np.sqrt(len(a)) / 10.0)
-    return FeatureBundle(FeatureField(vals, bundle.field.semantic),
-                         bundle.source)
+    return FeatureField(vals)
 
 
-def _as_bundle(features, n: int) -> FeatureBundle:
-    if isinstance(features, FeatureBundle):
-        bundle = features
-    elif isinstance(features, FeatureField):
-        bundle = FeatureBundle(features, "external-file")
-    else:
-        bundle = FeatureBundle(FeatureField(np.asarray(features), "external"),
-                               "external-file")
-    if bundle.n != n:
+def _as_field(features, n: int) -> FeatureField:
+    if not isinstance(features, FeatureField):
+        features = FeatureField(features)
+    if features.n != n:
         raise ArgumentError(
-            f"feature rows {bundle.n} != preprocessed mesh vertices {n}; "
+            f"feature rows {features.n} != preprocessed mesh vertices {n}; "
             "did preprocessing change the vertex count?")
-    return bundle
+    return features

@@ -10,7 +10,6 @@ Lanczos.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ArgumentError, FormatError, NumericError
+from .errors import ArgumentError, NumericError
 from .features import FeatureField
 from .mesh import TriMesh, VertexAreas
 
@@ -35,7 +34,6 @@ class SpectralBasis:
     phi: np.ndarray       # (n, k), columns ordered by ascending eigenvalue
     lam: np.ndarray       # (k,), nonnegative
     areas: VertexAreas
-    near_degenerate: np.ndarray | None = None  # flags ambiguous eigenpairs
 
     @property
     def n(self) -> int:
@@ -52,8 +50,7 @@ class SpectralBasis:
     def truncate(self, k: int) -> "SpectralBasis":
         if k > self.k:
             raise ArgumentError(f"cannot truncate basis of size {self.k} to {k}")
-        nd = None if self.near_degenerate is None else self.near_degenerate[:k]
-        return SpectralBasis(self.phi[:, :k], self.lam[:k], self.areas, nd)
+        return SpectralBasis(self.phi[:, :k], self.lam[:k], self.areas)
 
 
 def eigenbasis(W: sp.spmatrix, A: VertexAreas, k: int) -> SpectralBasis:
@@ -98,32 +95,7 @@ def eigenbasis(W: sp.spmatrix, A: VertexAreas, k: int) -> SpectralBasis:
     signs = np.sign(phi[pick, np.arange(k)])
     signs[signs == 0] = 1.0
     phi = phi * signs
-
-    gaps = np.diff(vals)
-    scale = max(vals[-1], 1e-300)
-    near = np.zeros(k, dtype=bool)
-    near[1:] |= gaps < 1e-6 * scale
-    near[:-1] |= gaps < 1e-6 * scale
-    near[0] = False
-    return SpectralBasis(phi, vals, A, near)
-
-
-def project(basis: SpectralBasis, field) -> np.ndarray:
-    """Spectral coefficients Phi^+ x = Phi^T A x, shape (k, d)."""
-    values = field.values if isinstance(field, FeatureField) else np.asarray(field)
-    if values.shape[0] != basis.n:
-        raise ArgumentError(
-            f"field has {values.shape[0]} rows, basis expects {basis.n}")
-    return basis.pinv() @ values
-
-
-def reconstruct(basis: SpectralBasis, coeffs: np.ndarray) -> FeatureField:
-    """Phi @ coeffs; inverse of project on the spanned subspace."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape[0] != basis.k:
-        raise ArgumentError(
-            f"coeffs have {coeffs.shape[0]} rows, basis expects {basis.k}")
-    return FeatureField(basis.phi @ coeffs, "descriptor")
+    return SpectralBasis(phi, vals, A)
 
 
 def _nonzero_spectrum(basis: SpectralBasis):
@@ -158,7 +130,7 @@ def hks(basis: SpectralBasis,
 
     a = basis.areas.areas
     mean = (a @ sig) / basis.areas.total
-    return FeatureField(sig / mean, "descriptor")
+    return FeatureField(sig / mean)
 
 
 def wks(basis: SpectralBasis,
@@ -183,7 +155,7 @@ def wks(basis: SpectralBasis,
                    / (2.0 * sigma ** 2))              # (E, k')
     sig = (phi ** 2) @ coeff.T                        # (n, E)
     norm = coeff.sum(axis=1)
-    return FeatureField(sig / norm, "descriptor")
+    return FeatureField(sig / norm)
 
 
 def positional_encoding(mesh: TriMesh,
@@ -201,31 +173,4 @@ def positional_encoding(mesh: TriMesh,
         arg = (2.0 ** b) * np.pi * xyz
         cols.append(np.sin(arg))
         cols.append(np.cos(arg))
-    return FeatureField(np.hstack(cols), "encoded-position")
-
-
-# ------------------------------------------------------------- cache
-
-_MAGIC = b"DSB1"
-
-
-def save_basis(path, basis: SpectralBasis):
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", basis.n, basis.k))
-        fh.write(basis.lam.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.phi, dtype="<f8").tobytes())
-        fh.write(basis.areas.areas.astype("<f8").tobytes())
-
-
-def load_basis(path) -> SpectralBasis:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise FormatError(f"{path}: bad basis cache magic")
-        n, k = struct.unpack("<II", fh.read(8))
-        lam = np.frombuffer(fh.read(8 * k), dtype="<f8")
-        phi = np.frombuffer(fh.read(8 * n * k), dtype="<f8").reshape(n, k)
-        areas = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        if len(areas) != n:
-            raise FormatError(f"{path}: truncated basis cache")
-    return SpectralBasis(phi.copy(), lam.copy(), VertexAreas(areas.copy()))
+    return FeatureField(np.hstack(cols))

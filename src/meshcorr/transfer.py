@@ -94,8 +94,7 @@ def transfer_keypoints(keypoints: KeypointSet, pmap: PointMap,
     """Transfer template keypoints source -> target through a
     target->source map.
 
-    For each template vertex i the target is the column-argmax of the
-    dense clamped Pi when available; otherwise the highest-confidence
+    For each template vertex i the target is the highest-confidence
     vertex in the preimage {j : match(j) = i}, falling back to the
     spectral-embedding nearest neighbor (confidence 0) when the
     preimage is empty and a basis pair is supplied.
@@ -106,26 +105,21 @@ def transfer_keypoints(keypoints: KeypointSet, pmap: PointMap,
     results = []
     for kp in keypoints.points:
         i = kp.vertex
-        if pmap.pi_dense is not None:
-            col = np.clip(pmap.pi_dense[:, i], 0.0, 1.0)
-            j = int(np.argmax(col))
-            conf = float(col[j])
+        preimage = np.flatnonzero(match == i)
+        if len(preimage):
+            best = preimage[np.argmax(pmap.confidence[preimage])]
+            # ties keep the smallest target index (argmax is first-hit)
+            j = int(best)
+            conf = float(pmap.confidence[best])
+        elif basis_M is not None and basis_N is not None and C is not None:
+            emb_n = basis_N.phi @ np.asarray(C)
+            d = np.linalg.norm(emb_n - basis_M.phi[i], axis=1)
+            j = int(np.argmin(d))
+            conf = 0.0
         else:
-            preimage = np.flatnonzero(match == i)
-            if len(preimage):
-                best = preimage[np.argmax(pmap.confidence[preimage])]
-                # ties keep the smallest target index (argmax is first-hit)
-                j = int(best)
-                conf = float(pmap.confidence[best])
-            elif basis_M is not None and basis_N is not None and C is not None:
-                emb_n = basis_N.phi @ np.asarray(C)
-                d = np.linalg.norm(emb_n - basis_M.phi[i], axis=1)
-                j = int(np.argmin(d))
-                conf = 0.0
-            else:
-                raise ArgumentError(
-                    f"keypoint '{kp.label}': empty preimage and no spectral "
-                    "fallback available")
+            raise ArgumentError(
+                f"keypoint '{kp.label}': empty preimage and no spectral "
+                "fallback available")
         results.append((j, conf, kp.label))
     return results
 

@@ -11,7 +11,7 @@ import pytest
 from meshcorr.errors import ArgumentError
 from meshcorr.evalbench import (auc, benchmark_category, geodesic_error,
                                 load_dataset, write_results_csv)
-from meshcorr.features import FeatureBundle, FeatureField
+from meshcorr.features import FeatureField
 from meshcorr.funcmap import (FmapWeights, build_problem, fmap_from_pointmap,
                               fmap_objective, recover_pointmap, solve_fmap,
                               solve_partial)

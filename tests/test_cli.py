@@ -169,6 +169,24 @@ def test_eval_command(runner, sphere_dataset, tmp_path):
     assert "err 0.0000" in res.output and "auc 1.0000" in res.output
 
 
+def test_eval_reads_only_the_source_geodesics(runner, sphere_dataset,
+                                             tmp_path):
+    root, dirs, m = sphere_dataset
+    n = m.n_vertices
+    map_path = tmp_path / "ident.json"
+    save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
+             PointMap(np.arange(n), np.ones(n)), FmapWeights())
+    args = ["eval", "--map", str(map_path), "--source-instance",
+            str(dirs[0]), "--target-instance", str(dirs[1])]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, all_output(res)
+    assert (dirs[0] / "geo.dgm").exists()
+    assert not (dirs[1] / "geo.dgm").exists()
+    # the target's groups are still checked against its mesh
+    save_groups(dirs[1] / "groups.json", octant_groups(icosphere(0)))
+    assert runner.invoke(main, args).exit_code == 3
+
+
 def test_benchmark_command(runner, sphere_dataset, tmp_path):
     root, dirs, m = sphere_dataset
     csv_path = tmp_path / "results.csv"

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from meshcorr.errors import (ArgumentError, DataError, ShapeError,
-                             UndefinedLossError)
-from meshcorr.features import (FeatureBundle, FeatureField, concat_features,
-                               load_features, sample_vertex_pairs,
-                               semantic_loss, unit_normalize, write_features)
+from meshcorr.errors import ArgumentError, DataError, ShapeError
+from meshcorr.features import (FeatureField, concat_features, load_features,
+                               unit_normalize, write_features)
 
 
-def bundle(values, source="test"):
-    return FeatureBundle(FeatureField(np.asarray(values, float)), source)
+def field(values):
+    return FeatureField(np.asarray(values, float))
 
 
 def test_feature_field_validation():
@@ -19,11 +17,11 @@ def test_feature_field_validation():
 
 def test_dmf_binary_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
-    b = bundle(rng.normal(size=(17, 5)))
+    b = field(rng.normal(size=(17, 5)))
     p = tmp_path / "f.dmf"
     write_features(p, b)
     back = load_features(p)
-    assert back.n == 17 and back.dim == 5
+    assert back.n == 17 and back.d == 5
     # stored as little-endian f32
     np.testing.assert_allclose(back.values, b.values, atol=1e-6)
     assert p.read_bytes()[:4] == b"DMF1"
@@ -38,7 +36,7 @@ def test_text_feature_matrix(tmp_path):
 
 def test_load_features_expected_n(tmp_path):
     p = tmp_path / "f.dmf"
-    write_features(p, bundle(np.ones((4, 2))))
+    write_features(p, field(np.ones((4, 2))))
     with pytest.raises(ShapeError):
         load_features(p, expected_n=9)
 
@@ -49,7 +47,7 @@ def test_load_features_missing(tmp_path):
 
 
 def test_unit_normalize():
-    b = bundle([[3.0, 4.0], [0.0, 0.0], [0.0, 2.0]])
+    b = field([[3.0, 4.0], [0.0, 0.0], [0.0, 2.0]])
     out = unit_normalize(b)
     np.testing.assert_allclose(out.values[0], [0.6, 0.8])
     np.testing.assert_allclose(out.values[1], [0.0, 0.0])  # zero rows stay
@@ -57,37 +55,10 @@ def test_unit_normalize():
 
 
 def test_concat_features():
-    a = bundle(np.ones((5, 2)), "hks")
-    b = bundle(np.zeros((5, 3)), "wks")
+    a = field(np.ones((5, 2)))
+    b = field(np.zeros((5, 3)))
     out = concat_features([a, b])
     assert out.values.shape == (5, 5)
     assert out.values.dtype == np.float64
     with pytest.raises(ArgumentError):
-        concat_features([a, bundle(np.ones((4, 2)))])
-
-
-def test_semantic_loss_perfect_correlation():
-    rng = np.random.default_rng(1)
-    feats = rng.normal(size=(30, 4))
-    idx = rng.integers(0, 30, size=(20, 2))
-    pairs = [(feats[i], feats[j]) for i, j in idx]
-    fd = np.array([np.linalg.norm(a - b) for a, b in pairs])
-    # semantic distances identical to feature distances -> cosine 1 -> -1
-    assert semantic_loss(pairs, fd) == pytest.approx(-1.0)
-    assert semantic_loss(pairs, 3.0 * fd) == pytest.approx(-1.0)
-
-
-def test_semantic_loss_undefined_on_zero_norm():
-    pairs = [(np.ones(3), np.ones(3))] * 5
-    with pytest.raises(UndefinedLossError):
-        semantic_loss(pairs, np.ones(5))
-
-
-def test_sample_vertex_pairs():
-    p1 = sample_vertex_pairs(100, 40, seed=7)
-    p2 = sample_vertex_pairs(100, 40, seed=7)
-    p3 = sample_vertex_pairs(100, 40, seed=8)
-    assert p1.shape == (40, 2)
-    np.testing.assert_array_equal(p1, p2)
-    assert not np.array_equal(p1, p3)
-    assert p1.min() >= 0 and p1.max() < 100
+        concat_features([a, field(np.ones((4, 2)))])

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from meshcorr.errors import ArgumentError
+import meshcorr.funcmap as funcmap
+from meshcorr.errors import ArgumentError, NumericError
 from meshcorr.mesh import cotangent_weights, vertex_areas
 from meshcorr.spectral import eigenbasis
-from meshcorr.funcmap import (MAX_BETA_CHANNELS, FmapProblem, FmapWeights,
-                              build_problem, fmap_from_pointmap,
-                              fmap_objective, load_map,
+from meshcorr.funcmap import (FmapProblem, FmapWeights, build_problem,
+                              fmap_from_pointmap, fmap_objective, load_map,
                               multiplication_operator, recover_pointmap,
                               save_map, solve_fmap, solve_partial)
 
@@ -60,15 +60,6 @@ def test_build_problem_shapes_and_validation():
         build_problem(b, b, f[:-1], f)
     with pytest.raises(ArgumentError):
         build_problem(b, b, f, f[:, :3])
-
-
-def test_build_problem_caps_commutativity_channels():
-    m, b = basis_pair(5)
-    rng = np.random.default_rng(1)
-    f = rng.normal(size=(m.n_vertices, MAX_BETA_CHANNELS + 10))
-    prob = build_problem(b, b, f, f)
-    assert prob.F.shape[1] == MAX_BETA_CHANNELS + 10  # data keeps full d
-    assert len(prob.mult_ops_M) == MAX_BETA_CHANNELS
 
 
 def test_objective_value_oracle():
@@ -128,6 +119,25 @@ def test_solve_identity_self_match():
     assert ident >= 0.95
 
 
+def test_solve_nonfinite_objective_keeps_last_valid_C(monkeypatch):
+    # the objective turns NaN after the first evaluation: the error
+    # carries the one C whose objective was finite
+    prob = random_problem(k=4, d=3, seed=2)
+    evaluated = []
+
+    def nan_after_first(C, problem):
+        evaluated.append(np.array(C))
+        if len(evaluated) == 1:
+            return fmap_objective(C, problem)
+        return np.nan, np.full(C.shape, np.nan)
+
+    monkeypatch.setattr(funcmap, "fmap_objective", nan_after_first)
+    with pytest.raises(NumericError, match="last valid C") as info:
+        solve_fmap(prob)
+    assert info.value.last_valid.shape == (4, 4)
+    np.testing.assert_array_equal(info.value.last_valid, evaluated[0])
+
+
 def test_solve_rank_deficient_quadratic():
     # with only the data and entropy terms and fewer features than basis
     # functions, the quadratic part is singular; the solver must still
@@ -145,17 +155,16 @@ def test_solve_rank_deficient_quadratic():
 def test_recover_pointmap_methods_and_dense():
     m, b = basis_pair(6)
     C = np.eye(6)
-    pa = recover_pointmap(C, b, b, method="argmax", keep_dense=True)
+    pa = recover_pointmap(C, b, b, method="argmax")
     pn = recover_pointmap(C, b, b, method="nearest")
-    assert pa.pi_dense is not None and pa.pi_dense.shape == (m.n_vertices,) * 2
-    assert pn.pi_dense is None
+    pi = np.clip(b.phi @ C @ b.pinv(), 0.0, 1.0)   # clamped dense Pi
     assert pa.n == pn.n == m.n_vertices
     assert (pa.confidence >= 0).all() and (pa.confidence <= 1).all()
     rows = np.arange(pn.n)
-    np.testing.assert_allclose(
-        pn.confidence,
-        np.clip(pa.pi_dense, 0.0, 1.0)[rows, pn.target_to_source],
-        atol=1e-12)
+    np.testing.assert_array_equal(pa.target_to_source, np.argmax(pi, axis=1))
+    np.testing.assert_allclose(pa.confidence, pi.max(axis=1), atol=1e-12)
+    np.testing.assert_allclose(pn.confidence, pi[rows, pn.target_to_source],
+                               atol=1e-12)
     with pytest.raises(ArgumentError):
         recover_pointmap(C, b, b, method="bogus")
     with pytest.raises(ArgumentError):

@@ -8,7 +8,7 @@ from meshcorr.geodesics import (GeodesicMatrix, SemanticGroups,
                                 geodesic_matrix, load_geodesic_matrix,
                                 load_groups, min_cost_assignment,
                                 save_geodesic_matrix, save_groups,
-                                semantic_distance, semantic_distance_table)
+                                semantic_distance)
 from meshcorr.mesh import TriMesh
 
 from conftest import grid_patch, icosphere
@@ -127,16 +127,6 @@ def test_semantic_distance_brute_force_oracle():
         want = brute_force_semantic(geo, np.flatnonzero(labels == 0),
                                     np.flatnonzero(labels == 1))
         assert got == pytest.approx(want)
-
-
-def test_semantic_distance_table():
-    geo, groups = grid_geo_and_groups()
-    table = semantic_distance_table(groups, geo)
-    ids = groups.ids()
-    np.testing.assert_array_equal(table, table.T)
-    np.testing.assert_array_equal(np.diag(table), 0.0)
-    a, b = int(ids[0]), int(ids[1])
-    assert table[a, b] == pytest.approx(semantic_distance(groups, geo, a, b))
 
 
 def test_geodesic_matrix_file_roundtrip(tmp_path):

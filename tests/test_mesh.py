@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 from meshcorr.errors import ArgumentError, DataError, EmptyMeshError
 from meshcorr.mesh import (COT_CLAMP, TriMesh, cleanup_mesh,
@@ -122,6 +125,80 @@ def test_cleanup_merges_duplicates_lowest_index_survives():
     np.testing.assert_array_equal(out.vertices[0], verts[0])
     np.testing.assert_allclose(out.colors[0], [0.5, 0, 0])
     assert out.n_triangles == 2
+
+
+def union_find_merge(mesh, merge_tol_fraction=0.01):
+    """Reference vertex merge: union-find over the pairs within the
+    tolerance, the lowest index of each class survives, colors are
+    averaged, and triangles that collapse are dropped."""
+    lo, hi = mesh.bounding_box()
+    tol = merge_tol_fraction * float(np.linalg.norm(hi - lo))
+    parent = list(range(mesh.n_vertices))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in cKDTree(mesh.vertices).query_pairs(tol):
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    root = np.array([find(i) for i in range(mesh.n_vertices)])
+    keep = np.unique(root)
+    new_index = np.searchsorted(keep, root)
+    tris = new_index[mesh.triangles]
+    tris = tris[(tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
+                & (tris[:, 0] != tris[:, 2])]
+    colors = None
+    if mesh.colors is not None:
+        colors = np.zeros((len(keep), 3))
+        np.add.at(colors, new_index, mesh.colors)
+        colors /= np.bincount(new_index)[:, None]
+    return TriMesh(mesh.vertices[keep], tris, colors)
+
+
+@st.composite
+def clustered_meshes(draw):
+    """Chains of nearby vertices around lattice points of a box whose
+    corners are vertices too, so the merge tolerance is fixed. A chain
+    spaced 0.6 tol merges only transitively (its ends are 1.2 tol apart);
+    one spaced 1.5 tol does not merge."""
+    tol = 0.01 * np.sqrt(3.0) * 10.0
+    points = [(0.0, 0.0, 0.0), (10.0, 10.0, 10.0)]
+    centers = draw(st.lists(st.tuples(*[st.integers(1, 9)] * 3),
+                            min_size=1, max_size=5, unique=True))
+    for c in centers:
+        step = draw(st.sampled_from([0.3, 0.6, 0.9, 1.5])) * tol
+        points += [(c[0] + i * step, c[1], c[2])
+                   for i in range(draw(st.integers(1, 4)))]
+    order = draw(st.permutations(range(len(points))))
+    verts = np.array(points)[order]
+    n = len(verts)
+    tris = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=3,
+                                  max_size=3, unique=True),
+                         min_size=1, max_size=12))
+    colors = draw(st.none() | arrays(np.float64, (n, 3),
+                                     elements=st.floats(0.0, 1.0)))
+    return TriMesh(verts, np.array(tris), colors)
+
+
+@given(mesh=clustered_meshes())
+def test_cleanup_merge_matches_union_find(mesh):
+    # after the reference merge no pair is left within the tolerance, so
+    # cleaning the merged mesh only applies the steps that follow merging
+    try:
+        want = cleanup_mesh(union_find_merge(mesh))
+    except EmptyMeshError:
+        with pytest.raises(EmptyMeshError):
+            cleanup_mesh(mesh)
+        return
+    got = cleanup_mesh(mesh)
+    np.testing.assert_array_equal(got.vertices, want.vertices)
+    np.testing.assert_array_equal(got.triangles, want.triangles)
+    if mesh.colors is None:
+        assert got.colors is None
+    else:
+        np.testing.assert_array_equal(got.colors, want.colors)
 
 
 def test_cleanup_keeps_largest_component_by_area():

@@ -56,10 +56,13 @@ def test_obj_quad_rejected(tmp_path):
 
 def test_off_parsing(tmp_path):
     p = tmp_path / "tri.off"
-    p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-    m = load_mesh(p)
-    assert m.n_vertices == 3
-    np.testing.assert_array_equal(m.triangles, [[0, 1, 2]])
+    # the edge count on the count line is optional
+    for counts in ("3 1 0", "3 1"):
+        p.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        m = load_mesh(p)
+        assert m.n_vertices == 3
+        np.testing.assert_array_equal(m.triangles, [[0, 1, 2]])
+        np.testing.assert_array_equal(m.vertices[1], [1, 0, 0])
 
 
 def test_off_bad_header(tmp_path):

@@ -4,9 +4,8 @@ import pytest
 import meshcorr.spectral as spectral
 from meshcorr.errors import ArgumentError
 from meshcorr.mesh import cotangent_weights, vertex_areas
-from meshcorr.spectral import (SpectralBasis, eigenbasis, hks, load_basis,
-                               positional_encoding, project, reconstruct,
-                               save_basis, wks)
+from meshcorr.spectral import (SpectralBasis, eigenbasis, hks,
+                               positional_encoding, wks)
 
 from conftest import grid_patch, icosphere, torus
 
@@ -82,16 +81,6 @@ def test_truncate(sphere2):
     np.testing.assert_array_equal(t.lam, b.lam[:5])
 
 
-def test_project_reconstruct_roundtrip(sphere2):
-    # a band-limited function reconstructs exactly
-    b = basis_of(sphere2, 12)
-    coeffs = np.linspace(1.0, -1.0, 12)
-    f = b.phi @ coeffs
-    np.testing.assert_allclose(project(b, f).ravel(), coeffs, atol=1e-10)
-    np.testing.assert_allclose(reconstruct(b, project(b, f)).values.ravel(),
-                               f, atol=1e-10)
-
-
 def test_pinv_identity(sphere2):
     b = basis_of(sphere2, 10)
     np.testing.assert_allclose(b.pinv() @ b.phi, np.eye(10), atol=1e-10)
@@ -143,24 +132,6 @@ def test_positional_encoding_shape_and_values():
     np.testing.assert_allclose(out[:, 3:6], np.sin(np.pi * m.vertices))
     np.testing.assert_allclose(out[:, 6:9], np.cos(np.pi * m.vertices))
     np.testing.assert_allclose(out[:, 9:12], np.sin(2 * np.pi * m.vertices))
-
-
-def test_basis_file_roundtrip(tmp_path, sphere2):
-    b = basis_of(sphere2, 10)
-    p = tmp_path / "basis.dsb"
-    save_basis(p, b)
-    back = load_basis(p)
-    assert back.n == b.n and back.k == b.k
-    np.testing.assert_array_equal(back.phi, b.phi)
-    np.testing.assert_array_equal(back.lam, b.lam)
-    np.testing.assert_array_equal(back.areas.areas, b.areas.areas)
-    assert p.read_bytes()[:4] == b"DSB1"
-
-
-def test_near_degenerate_flags():
-    b = basis_of(icosphere(3), 10)
-    # the sphere's l=1 and l=2 eigenspaces are (numerically near) degenerate
-    assert b.near_degenerate.any()
 
 
 def test_descriptor_defaults_are_run_config():

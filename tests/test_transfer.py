@@ -85,17 +85,6 @@ def test_transfer_keypoints_identity():
     assert out == [(2, 1.0, "a"), (11, 1.0, "b")]
 
 
-def test_transfer_keypoints_dense_column_argmax():
-    m = grid_patch(3, 3)
-    n = m.n_vertices
-    pi = np.eye(n)
-    pi[:, 4] = 0.0
-    pi[7, 4] = 0.6  # keypoint at source vertex 4 maps to target 7
-    pmap = PointMap(np.argmax(pi, axis=1), pi.max(axis=1), pi_dense=pi)
-    kps = make_keypoints(m, [{"label": "p", "vertex": 4}])
-    assert transfer_keypoints(kps, pmap) == [(7, 0.6, "p")]
-
-
 def test_transfer_keypoints_preimage_and_fallbacks():
     m = grid_patch(3, 3)
     n = m.n_vertices
