@@ -17,10 +17,10 @@ import click
 import numpy as np
 
 from . import evalbench, funcmap, pipeline, spectral, transfer
-from .errors import ArgumentError, DataError, MeshCorrError, NumericError
+from .errors import ArgumentError, MeshCorrError, NumericError
 from .features import load_features, write_features
 from .funcmap import FmapWeights
-from .mesh import normalize_mesh
+from .mesh import cotangent_weights, normalize_mesh, vertex_areas
 from .meshio import load_mesh, save_mesh
 
 EXIT_ARGUMENT = 2
@@ -36,9 +36,6 @@ def _handle_errors(fn):
         except ArgumentError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_ARGUMENT)
-        except DataError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DATA)
         except NumericError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_NUMERIC)
@@ -235,9 +232,9 @@ def cmd_transfer_keypoints(source, target, keypoints, map_path, output,
     tgt = load_mesh(target)
     kps = transfer.load_keypoints(keypoints, src)
     fmap, pmap, _ = funcmap.load_map(map_path)
-    config = pipeline.RunConfig(k=basis_size, preprocess=False)
-    basis_s = pipeline.prepare_mesh(src, config).basis.truncate(basis_size)
-    basis_t = pipeline.prepare_mesh(tgt, config).basis.truncate(basis_size)
+    basis_s, basis_t = (spectral.eigenbasis(cotangent_weights(m),
+                                            vertex_areas(m), basis_size)
+                        for m in (src, tgt))
     results = transfer.transfer_keypoints(kps, pmap, basis_s, basis_t, fmap.C)
     transfer.save_transferred_keypoints(output, results)
     click.echo(f"wrote {output}")

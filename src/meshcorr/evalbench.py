@@ -25,7 +25,7 @@ from .mesh import TriMesh, VertexAreas, vertex_areas
 from .meshio import load_mesh
 
 DEFAULT_MAX_THRESHOLD = 25.0
-DEFAULT_NUM_THRESHOLDS = 100
+NUM_THRESHOLDS = 100
 
 
 def geodesic_error(target_to_source, src_groups: SemanticGroups,
@@ -56,16 +56,16 @@ def geodesic_error(target_to_source, src_groups: SemanticGroups,
     return errors
 
 
-def auc(errors, max_threshold: float = DEFAULT_MAX_THRESHOLD,
-        num_thresholds: int = DEFAULT_NUM_THRESHOLDS):
-    """Threshold-accuracy curve and its normalized trapezoidal area."""
+def auc(errors, max_threshold: float = DEFAULT_MAX_THRESHOLD):
+    """Threshold-accuracy curve at NUM_THRESHOLDS evenly spaced
+    thresholds and its normalized trapezoidal area."""
     if max_threshold <= 0:
         raise ArgumentError("max_threshold must be > 0")
     errors = np.asarray(errors, dtype=np.float64)
     errors = errors[~np.isnan(errors)]
     if errors.size == 0:
         raise ArgumentError("cannot compute AUC of an empty error list")
-    thresholds = np.linspace(0.0, max_threshold, num_thresholds)
+    thresholds = np.linspace(0.0, max_threshold, NUM_THRESHOLDS)
     accuracy = (errors[None, :] <= thresholds[:, None]).mean(axis=1)
     area = float(np.trapezoid(accuracy, thresholds) / max_threshold)
     return list(zip(thresholds.tolist(), accuracy.tolist())), area

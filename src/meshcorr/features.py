@@ -81,14 +81,11 @@ def _load_text_matrix(path: Path) -> np.ndarray:
     return values
 
 
-def write_features(path, field) -> None:
-    values = field.values if hasattr(field, "values") else np.asarray(field)
-    values = np.atleast_2d(values)
-    n, d = values.shape
+def write_features(path, field: FeatureField) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<II", n, d))
-        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+        fh.write(struct.pack("<II", field.n, field.d))
+        fh.write(np.ascontiguousarray(field.values, dtype="<f4").tobytes())
 
 
 def unit_normalize(field: FeatureField) -> FeatureField:

@@ -23,7 +23,7 @@ y = L^T c, and starts from its minimizer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -44,7 +44,7 @@ DEFAULT_BETA = 1e-4
 DEFAULT_W_ENTROPY = 1e-5
 DEFAULT_W_SUM = 1e-3
 DEFAULT_MAX_ITER = 500
-DEFAULT_TOL = 1e-7
+TOL = 1e-7                      # solve_fmap's gradient stop test
 RECOVERY_METHODS = ("nearest", "argmax")  # the first is the default
 
 
@@ -160,6 +160,7 @@ class PartialSolution:
     matched_area_fraction: float
     objective: float
     rounds: int
+    converged: bool                  # the round-to-round stop test fired
 
 
 def multiplication_operator(basis: SpectralBasis, channel) -> np.ndarray:
@@ -176,8 +177,8 @@ def build_problem(basis_M: SpectralBasis, basis_N: SpectralBasis,
                   f, g, weights: FmapWeights | None = None) -> FmapProblem:
     """Assemble an FmapProblem from per-vertex features, with one pair
     of commutativity operators per feature channel."""
-    f = np.atleast_2d(np.asarray(getattr(f, "values", f), dtype=np.float64))
-    g = np.atleast_2d(np.asarray(getattr(g, "values", g), dtype=np.float64))
+    f = np.atleast_2d(np.asarray(f, dtype=np.float64))
+    g = np.atleast_2d(np.asarray(g, dtype=np.float64))
     if f.shape[0] != basis_M.n:
         raise ArgumentError(f"source features rows {f.shape[0]} != {basis_M.n}")
     if g.shape[0] != basis_N.n:
@@ -245,7 +246,6 @@ def fmap_objective(C, problem: FmapProblem):
 
 
 def solve_fmap(problem: FmapProblem, max_iter: int = DEFAULT_MAX_ITER,
-               tol: float = DEFAULT_TOL,
                C0: np.ndarray | None = None) -> FunctionalMap:
     """Minimize the regularized objective with limited-memory
     quasi-Newton (L-BFGS-B, history 30) in whitened coordinates.
@@ -257,9 +257,9 @@ def solve_fmap(problem: FmapProblem, max_iter: int = DEFAULT_MAX_ITER,
     curvature. It starts from that part's minimizer, or from C0 when
     given. ``converged`` is True when scipy reports success (its
     projected-gradient test in y, or a relative decrease <= 1e-12) or
-    when the gradient with respect to C has norm <= tol * (1 + |value|).
-    A non-finite final objective raises NumericError; its ``last_valid``
-    is the last k x k C whose objective was finite.
+    when the gradient with respect to C has norm <= TOL * (1 + |value|).
+    The first non-finite objective value raises NumericError; its
+    ``last_valid`` is the last k x k C whose objective was finite.
     """
     k = problem.k
     H, b, _ = problem.quadratic
@@ -279,32 +279,31 @@ def solve_fmap(problem: FmapProblem, max_iter: int = DEFAULT_MAX_ITER,
     def fun(y):
         c = to_c(y)
         value, grad = fmap_objective(c.reshape(k, k), problem)
-        if np.isfinite(value):
-            state["last_valid"] = c
+        if not np.isfinite(value):
+            exc = NumericError(
+                "objective became non-finite; last valid C available")
+            exc.last_valid = state["last_valid"].reshape(k, k)
+            raise exc
+        state["last_valid"] = c
         state["y"], state["f"], state["g"] = y.copy(), value, grad.ravel()
         return value, scipy.linalg.solve_triangular(L, state["g"], lower=True,
                                                   check_finite=False)
 
     def scale_aware_stop(intermediate_result):
         # stop once the gradient norm with respect to C falls below
-        # tol * (1 + |value|); the line search ends at the accepted
+        # TOL * (1 + |value|); the line search ends at the accepted
         # point, so the cached gradient normally belongs to this iterate
         if not np.array_equal(intermediate_result.x, state["y"]):
             fun(intermediate_result.x)
         f, g = state["f"], state["g"]
-        if float(np.linalg.norm(g)) <= tol * (1.0 + abs(float(f))):
+        if float(np.linalg.norm(g)) <= TOL * (1.0 + abs(float(f))):
             state["tol_met"] = True
             raise StopIteration
 
     res = scipy.optimize.minimize(
         fun, y0, jac=True, method="L-BFGS-B", callback=scale_aware_stop,
         options={"maxiter": max_iter, "maxcor": 30,
-                 "gtol": tol, "ftol": 1e-12})
-    if not np.isfinite(res.fun):
-        exc = NumericError(
-            "objective became non-finite; last valid C available")
-        exc.last_valid = state["last_valid"].reshape(k, k)
-        raise exc
+                 "gtol": TOL, "ftol": 1e-12})
     converged = bool(res.success) or state.get("tol_met", False)
     return FunctionalMap(to_c(res.x).reshape(k, k), converged,
                          float(res.fun), int(res.nit))
@@ -320,7 +319,7 @@ def recover_pointmap(C, basis_M: SpectralBasis, basis_N: SpectralBasis,
     (ties to the smallest index), which builds the dense n_N x n_M Pi.
     The confidence of j is the clamped Pi entry of its chosen pair.
     """
-    C = np.asarray(getattr(C, "C", C), dtype=np.float64)
+    C = np.asarray(C, dtype=np.float64)
     if C.shape != (basis_M.k, basis_N.k):
         raise ArgumentError("C is not square in the shared basis size")
     if method not in RECOVERY_METHODS:
@@ -351,38 +350,34 @@ def fmap_from_pointmap(target_to_source, basis_M: SpectralBasis,
 
 # ------------------------------------------------------- partial maps
 
-DEFAULT_W_AREA = 1.0
-DEFAULT_W_MS = 1e-2
-DEFAULT_W_ETA = 1e-3
+W_AREA = 1.0          # area preservation
+W_MS = 1e-2           # boundary smoothness
+W_ETA = 1e-3          # mask entropy
+MAX_ROUNDS = 20
+ETA_STEPS = 40        # projected gradient steps on eta per round
+ROUND_TOL = 1e-6      # relative change of the joint objective
 
 
 def solve_partial(problem: FmapProblem, g,
-                  edges: np.ndarray,
-                  w_area: float = DEFAULT_W_AREA,
-                  w_ms: float = DEFAULT_W_MS,
-                  w_eta: float = DEFAULT_W_ETA,
-                  source_area: float | None = None,
-                  max_rounds: int = 20,
-                  eta_steps: int = 40,
-                  tol: float = 1e-6,
-                  solver_opts: dict | None = None) -> PartialSolution:
-    """Partial source vs full target matching.
+                  edges: np.ndarray) -> PartialSolution:
+    """Partial source vs full target matching (Rodola et al., CGF 2017).
 
     Alternates between solving C at fixed mask eta (target features
     replaced by Diag(eta) g) and projected gradient steps on eta for the
     masked data term plus area preservation, boundary smoothness, and
     mask entropy. ``edges`` are the target-mesh edges used by the
-    smoothness term.
+    smoothness term. ``converged`` is True when the joint objective
+    changed by at most ROUND_TOL (relative) within MAX_ROUNDS rounds.
     """
     import warnings
 
-    g = np.atleast_2d(np.asarray(getattr(g, "values", g), dtype=np.float64))
+    g = np.atleast_2d(np.asarray(g, dtype=np.float64))
     bn = problem.basis_N
     if g.shape[0] != bn.n:
         raise ArgumentError("g rows must match the target vertex count")
     a_n = bn.areas.areas
     area_n = bn.areas.total
-    area_m = problem.basis_M.areas.total if source_area is None else source_area
+    area_m = problem.basis_M.areas.total
     if area_m > area_n:
         warnings.warn("source area exceeds target area; mask will saturate")
 
@@ -391,48 +386,42 @@ def solve_partial(problem: FmapProblem, g,
 
     eta = np.full(bn.n, min(1.0, area_m / area_n))
     pinv_n = bn.phi.T * a_n
-    solver_opts = solver_opts or {}
 
     def eta_objective(eta_vec, C):
         G_eta = pinv_n @ (eta_vec[:, None] * g)
         resid = C @ problem.F - G_eta
         data = float((resid ** 2).sum())
-        area_pen = w_area * (float(eta_vec @ a_n) - area_m) ** 2
+        area_pen = W_AREA * (float(eta_vec @ a_n) - area_m) ** 2
         d = eta_vec[edges[:, 0]] - eta_vec[edges[:, 1]]
-        ms = w_ms * float(ew @ (d ** 2))
-        ent = w_eta * float(-(eta_vec * np.log(eta_vec + EPS_LOG)).sum())
+        ms = W_MS * float(ew @ (d ** 2))
+        ent = W_ETA * float(-(eta_vec * np.log(eta_vec + EPS_LOG)).sum())
         return data, area_pen + ms + ent, resid
 
     def eta_gradient(eta_vec, C, resid):
         # d/d eta of |CF - Phi_N^+ Diag(eta) g|^2
         grad = -2.0 * np.einsum("nd,nd->n",
                                 (a_n[:, None] * bn.phi) @ resid, g)
-        grad += 2.0 * w_area * (float(eta_vec @ a_n) - area_m) * a_n
+        grad += 2.0 * W_AREA * (float(eta_vec @ a_n) - area_m) * a_n
         d = eta_vec[edges[:, 0]] - eta_vec[edges[:, 1]]
         lap = np.zeros_like(eta_vec)
-        np.add.at(lap, edges[:, 0], 2.0 * w_ms * ew * d)
-        np.add.at(lap, edges[:, 1], -2.0 * w_ms * ew * d)
+        np.add.at(lap, edges[:, 0], 2.0 * W_MS * ew * d)
+        np.add.at(lap, edges[:, 1], -2.0 * W_MS * ew * d)
         grad += lap
-        grad += -w_eta * (np.log(eta_vec + EPS_LOG)
+        grad += -W_ETA * (np.log(eta_vec + EPS_LOG)
                           + eta_vec / (eta_vec + EPS_LOG))
         return grad
 
-    prev = np.inf
-    C = np.zeros((problem.k, problem.k))
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        masked = FmapProblem(problem.basis_M, problem.basis_N, problem.F,
-                             pinv_n @ (eta[:, None] * g),
-                             problem.mult_ops_M, problem.mult_ops_N,
-                             problem.weights)
-        fm = solve_fmap(masked, C0=C if rounds > 1 else None, **solver_opts)
+    prev, C, converged = np.inf, None, False
+    for rounds in range(1, MAX_ROUNDS + 1):
+        fm = solve_fmap(replace(problem, G=pinv_n @ (eta[:, None] * g)),
+                        C0=C)
         C = fm.C
 
         # projected gradient with backtracking on the joint eta objective
         data, reg, resid = eta_objective(eta, C)
         current = data + reg
         step = 1.0
-        for _ in range(eta_steps):
+        for _ in range(ETA_STEPS):
             grad = eta_gradient(eta, C, resid)
             while step > 1e-12:
                 trial = np.clip(eta - step * grad, 0.0, 1.0)
@@ -446,13 +435,13 @@ def solve_partial(problem: FmapProblem, g,
                 break
 
         total = current + fm.final_objective - data  # avoid double counting
-        if abs(prev - total) <= tol * max(1.0, abs(total)):
-            prev = total
-            break
+        converged = abs(prev - total) <= ROUND_TOL * max(1.0, abs(total))
         prev = total
+        if converged:
+            break
 
     fraction = float(eta @ a_n) / area_n
-    return PartialSolution(C, eta, fraction, float(prev), rounds)
+    return PartialSolution(C, eta, fraction, float(prev), rounds, converged)
 
 
 # ----------------------------------------------------------------- io

@@ -81,12 +81,12 @@ def geodesic_matrix(mesh: TriMesh) -> GeodesicMatrix:
     return GeodesicMatrix(d)
 
 
-def min_cost_assignment(cost, lexicographic: bool = True):
+def min_cost_assignment(cost):
     """Minimum-cost injective matching of size min(m, n).
 
     Returns (pairs, total) where pairs is a list of (row, col) sorted
-    ascending. With ``lexicographic`` the matched index sequence is the
-    lexicographically smallest among all optimal matchings.
+    ascending; the matched index sequence is the lexicographically
+    smallest among all optimal matchings.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
@@ -95,13 +95,10 @@ def min_cost_assignment(cost, lexicographic: bool = True):
         raise ArgumentError("costs must be finite and nonnegative")
     rows, cols = linear_sum_assignment(cost)
     total = float(cost[rows, cols].sum())
-    if not lexicographic:
-        return sorted(zip(rows.tolist(), cols.tolist())), total
-    pairs = _lex_smallest(cost, total)
-    return pairs, total
+    return _lex_smallest(cost, total), total
 
 
-def _lex_smallest(cost, total, tol_scale=1e-9):
+def _lex_smallest(cost, total):
     """Fix pairs one row at a time, keeping overall optimality.
 
     A matched row always precedes a skipped one lexicographically, so a
@@ -110,7 +107,7 @@ def _lex_smallest(cost, total, tol_scale=1e-9):
     """
     m, n = cost.shape
     size = min(m, n)
-    tol = tol_scale * max(1.0, abs(total))
+    tol = 1e-9 * max(1.0, abs(total))  # ties within roundoff of optimal
     free_rows = list(range(m))
     free_cols = list(range(n))
     pairs = []

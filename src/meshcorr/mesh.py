@@ -15,9 +15,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import ArgumentError, DataError, DegenerateGeometryError, EmptyMeshError
+from .errors import DataError, DegenerateGeometryError, EmptyMeshError
 
 COT_CLAMP = 1.0e4  # bounds cotangents of near-degenerate triangles
+TARGET_SIDE = 0.3  # longest bounding-box side after normalize_mesh
+MERGE_TOL_FRACTION = 0.01  # cleanup merge distance / bounding-box diagonal
 
 
 @dataclass(frozen=True)
@@ -138,8 +140,9 @@ def cotangent_weights(mesh: TriMesh) -> sp.csr_matrix:
     return W.tocsr()
 
 
-def normalize_mesh(mesh: TriMesh, target_side: float = 0.3) -> TriMesh:
-    """Center the bounding box at the origin and scale its longest side."""
+def normalize_mesh(mesh: TriMesh) -> TriMesh:
+    """Center the bounding box at the origin and scale its longest side
+    to TARGET_SIDE."""
     if mesh.n_vertices == 0:
         raise EmptyMeshError("cannot normalize an empty mesh")
     lo, hi = mesh.bounding_box()
@@ -147,25 +150,22 @@ def normalize_mesh(mesh: TriMesh, target_side: float = 0.3) -> TriMesh:
     if extent <= 0.0:
         raise DegenerateGeometryError("all vertices coincide")
     center = (lo + hi) / 2.0
-    verts = (mesh.vertices - center) * (target_side / extent)
+    verts = (mesh.vertices - center) * (TARGET_SIDE / extent)
     return TriMesh(verts, mesh.triangles, mesh.colors)
 
 
-def cleanup_mesh(mesh: TriMesh, merge_tol_fraction: float = 0.01) -> TriMesh:
+def cleanup_mesh(mesh: TriMesh) -> TriMesh:
     """Merge near-coincident vertices, keep the largest connected
     component (by area), and drop unreferenced vertices.
 
-    merge_tol_fraction scales the bounding-box diagonal; the lowest
-    vertex index survives a merge and colors are averaged.
+    Vertices within MERGE_TOL_FRACTION of the bounding-box diagonal
+    merge; the lowest vertex index survives and colors are averaged.
     """
-    if not (0.0 < merge_tol_fraction <= 0.1):
-        raise ArgumentError(
-            f"merge_tol_fraction must be in (0, 0.1], got {merge_tol_fraction}")
     if mesh.n_vertices == 0:
         raise EmptyMeshError("empty input mesh")
 
     lo, hi = mesh.bounding_box()
-    tol = merge_tol_fraction * float(np.linalg.norm(hi - lo))
+    tol = MERGE_TOL_FRACTION * float(np.linalg.norm(hi - lo))
     verts, tris, colors = mesh.vertices, mesh.triangles, mesh.colors
 
     # merge each connected component of the close-pair graph

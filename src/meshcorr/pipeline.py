@@ -12,8 +12,8 @@ import numpy as np
 from . import spectral
 from .errors import ArgumentError
 from .features import FeatureField, concat_features, unit_normalize
-from .funcmap import (DEFAULT_MAX_ITER, DEFAULT_TOL, RECOVERY_METHODS,
-                      FmapWeights, FunctionalMap, PointMap, build_problem,
+from .funcmap import (DEFAULT_MAX_ITER, RECOVERY_METHODS, FmapWeights,
+                      FunctionalMap, PointMap, build_problem,
                       recover_pointmap, solve_fmap)
 from .mesh import TriMesh, cleanup_mesh, cotangent_weights, normalize_mesh, vertex_areas
 
@@ -31,7 +31,6 @@ class RunConfig:
     wks_energies: int = spectral.DEFAULT_WKS_ENERGIES
     posenc_bands: int = spectral.DEFAULT_POSENC_BANDS
     max_iter: int = DEFAULT_MAX_ITER
-    tol: float = DEFAULT_TOL
     recovery: str = RECOVERY_METHODS[0]
     preprocess: bool = True
 
@@ -76,11 +75,11 @@ def descriptor_stack(prep: PreparedMesh, config: RunConfig) -> FeatureField:
 class MatchResult:
     fmap: FunctionalMap
     pmap: PointMap
-    config: RunConfig
 
 
 def match_meshes(source: TriMesh, target: TriMesh, config: RunConfig,
-                 source_features=None, target_features=None) -> MatchResult:
+                 source_features: FeatureField | None = None,
+                 target_features: FeatureField | None = None) -> MatchResult:
     """Match two meshes; features default to the configured descriptor
     stack when not supplied externally."""
     prep_s = prepare_mesh(source, config)
@@ -92,17 +91,17 @@ def match_meshes(source: TriMesh, target: TriMesh, config: RunConfig,
         f = _standardize(descriptor_stack(prep_s, config), prep_s.basis)
         g = _standardize(descriptor_stack(prep_t, config), prep_t.basis)
     else:
-        f = unit_normalize(_as_field(source_features, prep_s.mesh.n_vertices))
-        g = unit_normalize(_as_field(target_features, prep_t.mesh.n_vertices))
+        f = unit_normalize(_check_rows(source_features, prep_s.mesh.n_vertices))
+        g = unit_normalize(_check_rows(target_features, prep_t.mesh.n_vertices))
 
     basis_s = prep_s.basis.truncate(config.k)
     basis_t = prep_t.basis.truncate(config.k)
     problem = build_problem(basis_s, basis_t, f.values, g.values,
                             config.weights)
-    fmap = solve_fmap(problem, max_iter=config.max_iter, tol=config.tol)
+    fmap = solve_fmap(problem, max_iter=config.max_iter)
     pmap = recover_pointmap(fmap.C, basis_s, basis_t,
                             method=config.recovery)
-    return MatchResult(fmap, pmap, config)
+    return MatchResult(fmap, pmap)
 
 
 def _standardize(stack: FeatureField, basis: spectral.SpectralBasis) -> FeatureField:
@@ -120,9 +119,7 @@ def _standardize(stack: FeatureField, basis: spectral.SpectralBasis) -> FeatureF
     return FeatureField(vals)
 
 
-def _as_field(features, n: int) -> FeatureField:
-    if not isinstance(features, FeatureField):
-        features = FeatureField(features)
+def _check_rows(features: FeatureField, n: int) -> FeatureField:
     if features.n != n:
         raise ArgumentError(
             f"feature rows {features.n} != preprocessed mesh vertices {n}; "

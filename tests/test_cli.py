@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from meshcorr import spectral
 from meshcorr.cli import main
 from meshcorr.funcmap import FmapWeights, FunctionalMap, PointMap, save_map
 from meshcorr.geodesics import save_groups
@@ -258,7 +259,7 @@ def test_transfer_color_malformed_map_exits_3(runner, tmp_path, text):
     assert "map.json" in all_output(res)
 
 
-def test_transfer_keypoints_command(runner, tmp_path):
+def test_transfer_keypoints_command(runner, tmp_path, monkeypatch):
     m = strong_bump_grid(8)
     n = m.n_vertices
     p = tmp_path / "m.ply"
@@ -269,13 +270,23 @@ def test_transfer_keypoints_command(runner, tmp_path):
     save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
              PointMap(np.arange(n), np.ones(n)), FmapWeights())
     out = tmp_path / "kp_out.json"
-    res = runner.invoke(main, ["transfer-keypoints", "--source", str(p),
-                               "--target", str(p), "--keypoints",
-                               str(kp_path), "--map", str(map_path),
-                               "-o", str(out)])
+    asked, eigenbasis = [], spectral.eigenbasis
+
+    def spy(W, A, k):
+        asked.append(k)
+        return eigenbasis(W, A, k)
+
+    monkeypatch.setattr(spectral, "eigenbasis", spy)
+    args = ["transfer-keypoints", "--source", str(p), "--target", str(p),
+            "--keypoints", str(kp_path), "--map", str(map_path),
+            "-o", str(out)]
+    res = runner.invoke(main, args)
     assert res.exit_code == 0, all_output(res)
     doc = json.loads(out.read_text())
     assert doc[0]["vertex"] == 5 and doc[0]["label"] == "tip"
+    assert asked == [10, 10]  # only the basis the map lives in
+    res = runner.invoke(main, args + ["-k", str(n + 1)])
+    assert res.exit_code == 2, all_output(res)
 
 
 PLY_ASCII_HEADER = ("ply\nformat ascii 1.0\nelement vertex 3\n"

@@ -120,8 +120,9 @@ def test_solve_identity_self_match():
 
 
 def test_solve_nonfinite_objective_keeps_last_valid_C(monkeypatch):
-    # the objective turns NaN after the first evaluation: the error
-    # carries the one C whose objective was finite
+    # the objective turns NaN after the first evaluation: the solver
+    # stops there, and the error carries the one C whose objective was
+    # finite
     prob = random_problem(k=4, d=3, seed=2)
     evaluated = []
 
@@ -134,6 +135,7 @@ def test_solve_nonfinite_objective_keeps_last_valid_C(monkeypatch):
     monkeypatch.setattr(funcmap, "fmap_objective", nan_after_first)
     with pytest.raises(NumericError, match="last valid C") as info:
         solve_fmap(prob)
+    assert len(evaluated) == 2
     assert info.value.last_valid.shape == (4, 4)
     np.testing.assert_array_equal(info.value.last_valid, evaluated[0])
 
@@ -200,15 +202,20 @@ def test_save_load_map_roundtrip(tmp_path):
     assert w["alpha"] == 0.5
 
 
-def test_solve_partial_full_overlap():
+def test_solve_partial_full_overlap(monkeypatch):
     # with the full target visible the mask should stay close to one
     m, b = basis_pair(6)
     rng = np.random.default_rng(11)
     f = b.phi @ rng.normal(size=(6, 8))
     prob = build_problem(b, b, f, f)
-    sol = solve_partial(prob, f, m.edges(), max_rounds=4,
-                        solver_opts={"max_iter": 80})
+    sol = solve_partial(prob, f, m.edges())
     assert sol.eta.shape == (m.n_vertices,)
     assert (sol.eta >= 0).all() and (sol.eta <= 1).all()
     assert sol.matched_area_fraction > 0.8
     assert sol.rounds >= 1
+    assert sol.converged is True
+    # a single round cannot meet the round-to-round stop test
+    monkeypatch.setattr(funcmap, "MAX_ROUNDS", 1)
+    sol = solve_partial(prob, f, m.edges())
+    assert sol.rounds == 1
+    assert sol.converged is False

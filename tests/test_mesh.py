@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
-from meshcorr.errors import ArgumentError, DataError, EmptyMeshError
+from meshcorr.errors import DataError, EmptyMeshError
 from meshcorr.mesh import (COT_CLAMP, TriMesh, cleanup_mesh,
                            cotangent_weights, normalize_mesh,
                            triangle_areas, vertex_areas)
@@ -223,11 +223,3 @@ def test_cleanup_idempotent():
     twice = cleanup_mesh(once)
     np.testing.assert_array_equal(once.vertices, twice.vertices)
     np.testing.assert_array_equal(once.triangles, twice.triangles)
-
-
-def test_cleanup_tolerance_validation():
-    m = icosphere(1)
-    with pytest.raises(ArgumentError):
-        cleanup_mesh(m, merge_tol_fraction=0.0)
-    with pytest.raises(ArgumentError):
-        cleanup_mesh(m, merge_tol_fraction=0.2)
