@@ -138,7 +138,7 @@ def cmd_eval(map_path, source_instance, target_instance, max_threshold,
              log_json):
     """Evaluate a stored map against ground-truth semantic groups."""
     src = evalbench.load_instance(source_instance)
-    # only the source's geodesics are read; the target needs its groups
+    # only the source's geodesics are computed; the target needs its groups
     _, tgt_groups = evalbench.load_annotation(target_instance)
     _, pmap, _ = funcmap.load_map(map_path)
     errors = evalbench.geodesic_error(pmap, src.groups, tgt_groups, src.geo,

@@ -9,6 +9,7 @@ normalized by sqrt(source surface area) and reported x100.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,8 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError, DataError, EvaluationError, FormatError
 from .geodesics import (GeodesicMatrix, SemanticGroups, geodesic_matrix,
-                        load_geodesic_matrix, load_groups,
-                        save_geodesic_matrix)
+                        load_groups)
 from .mesh import TriMesh, VertexAreas, vertex_areas
 from .meshio import load_mesh
 
@@ -48,8 +48,7 @@ def geodesic_error(target_to_source, src_groups: SemanticGroups,
         if int(gid) not in src_ids:
             continue
         members = src_groups.members(int(gid))
-        d = src_geo.d[np.ix_(match[sel], members)].min(axis=1)
-        errors[sel] = d * norm
+        errors[sel] = src_geo.distance_to(members)[match[sel]] * norm
     if np.isnan(errors).all():
         raise EvaluationError(
             "no target group has a counterpart on the source mesh")
@@ -80,7 +79,7 @@ class DatasetInstance:
     groups: SemanticGroups
     geo: GeodesicMatrix
 
-    @property
+    @functools.cached_property
     def areas(self) -> VertexAreas:
         return vertex_areas(self.remeshed)
 
@@ -98,10 +97,9 @@ class EvalResult:
 
 def load_dataset(root, split: str | None = None):
     """Load instances from root/<category>/<instance>/{mesh.ply,
-    remeshed.ply, groups.json, geo.dgm}. A missing geodesic matrix is
-    computed and cached next to the meshes. An optional splits.json at
-    the root maps "<category>/<instance>" to a split name (default
-    "test")."""
+    remeshed.ply, groups.json}; nothing is written into the tree. An
+    optional splits.json at the root maps "<category>/<instance>" to a
+    split name (default "test")."""
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"dataset root not found: {root}")
@@ -138,23 +136,12 @@ def load_annotation(inst_dir):
 
 def load_instance(inst_dir, split: str = "test") -> DatasetInstance:
     """Load one instance directory; its category is its parent's name.
-    Evaluation reads remeshed.ply, groups.json and geo.dgm, computing
-    and caching geo.dgm when it is missing."""
+    Evaluation reads remeshed.ply and groups.json and builds the edge
+    graph that its geodesics run on."""
     inst_dir = Path(inst_dir)
     remeshed, groups = load_annotation(inst_dir)
-    geo_path = inst_dir / "geo.dgm"
-    if geo_path.exists():
-        geo = load_geodesic_matrix(geo_path)
-    else:
-        geo = geodesic_matrix(remeshed)
-        save_geodesic_matrix(geo_path, geo)
-        geo = load_geodesic_matrix(geo_path)  # keep the f32 round-trip
-    if geo.n != remeshed.n_vertices:
-        raise DataError(
-            f"{inst_dir}: geodesic matrix n={geo.n} != remeshed vertices "
-            f"{remeshed.n_vertices}")
     return DatasetInstance(inst_dir.name, inst_dir.parent.name, split,
-                           remeshed, groups, geo)
+                           remeshed, groups, geodesic_matrix(remeshed))
 
 
 def evaluate_pair(src: DatasetInstance, tgt: DatasetInstance, matcher,
@@ -172,7 +159,8 @@ def evaluate_pair(src: DatasetInstance, tgt: DatasetInstance, matcher,
     except Exception as exc:  # per-pair failures are recorded, not fatal
         wall = (time.perf_counter() - start) * 1000.0
         return EvalResult((src.name, tgt.name), float("nan"), float("nan"),
-                          0.0, wall, failed=True, message=str(exc))
+                          0.0, wall, failed=True,
+                          message=f"{type(exc).__name__}: {exc}")
 
 
 def benchmark_category(instances, category: str, matcher, jobs: int = 1,
@@ -209,13 +197,13 @@ def write_results_csv(path, results):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source", "target", "err", "auc", "coverage",
-                         "failed", "wall_ms"])
+                         "failed", "error", "wall_ms"])
         for r in results:
             writer.writerow([r.pair[0], r.pair[1],
                              "" if np.isnan(r.err_mean) else f"{r.err_mean:.6f}",
                              "" if np.isnan(r.auc) else f"{r.auc:.6f}",
                              f"{r.coverage:.6f}",
-                             int(r.failed), f"{r.wall_ms:.3f}"])
+                             int(r.failed), r.message, f"{r.wall_ms:.3f}"])
 
 
 def write_aggregates_json(path, aggregates_by_category):

@@ -1,36 +1,46 @@
 """Graph geodesics, semantic vertex groups, and the assignment-based
 semantic distance between groups.
 
-Geodesics are all-pairs shortest paths over the edge graph with
-Euclidean edge lengths; at the ~2000-vertex dataset regime the
-edge-graph error is well inside every evaluation tolerance. Distances
-are computed in f64 and stored as f32 on disk ("DGM1" container).
+Geodesics are shortest paths over the edge graph with Euclidean edge
+lengths; at the ~2000-vertex dataset regime the edge-graph error is well
+inside every evaluation tolerance. Evaluation needs only one distance
+field per group, a multi-source Dijkstra in f64, so nothing of size
+n x n is built or stored.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import ArgumentError, DataError, DisconnectedMeshError, FormatError
 from .mesh import TriMesh
 
-_MAGIC = b"DGM1"
-
 
 @dataclass(frozen=True)
 class GeodesicMatrix:
-    d: np.ndarray  # (n, n) nonnegative, symmetric, zero diagonal
+    """A mesh's edge graph; distances are computed from it on demand.
+    ``d``, all n x n pairs, is the reference the tests compare against."""
+    graph: sp.csr_matrix  # (n, n) symmetric Euclidean edge lengths
 
-    @property
-    def n(self) -> int:
-        return self.d.shape[0]
+    def distance_to(self, members) -> np.ndarray:
+        """(n,) distance from every vertex to its nearest member."""
+        return dijkstra(self.graph, directed=False, indices=members,
+                        min_only=True)
+
+    @functools.cached_property
+    def d(self) -> np.ndarray:
+        """(n, n) all-pairs distances, symmetric with zero diagonal."""
+        d = dijkstra(self.graph, directed=False)
+        d = 0.5 * (d + d.T)  # exact symmetry despite float round-off
+        np.fill_diagonal(d, 0.0)
+        return d
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,7 @@ class SemanticGroups:
 
 
 def geodesic_matrix(mesh: TriMesh) -> GeodesicMatrix:
-    """All-pairs edge-graph shortest paths with Euclidean edge lengths."""
+    """Edge graph with Euclidean edge lengths of a connected mesh."""
     e = mesh.edges()
     n = mesh.n_vertices
     lengths = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]],
@@ -75,10 +85,7 @@ def geodesic_matrix(mesh: TriMesh) -> GeodesicMatrix:
         sizes = np.bincount(labels)
         raise DisconnectedMeshError(
             f"mesh has {n_comp} components with sizes {sizes.tolist()}")
-    d = shortest_path(graph, method="D", directed=False)
-    d = 0.5 * (d + d.T)  # exact symmetry despite float round-off
-    np.fill_diagonal(d, 0.0)
-    return GeodesicMatrix(d)
+    return GeodesicMatrix(graph)
 
 
 def min_cost_assignment(cost):
@@ -140,31 +147,12 @@ def semantic_distance(groups: SemanticGroups, geo: GeodesicMatrix,
     ga, gb = groups.members(a), groups.members(b)
     if a == b:
         return 0.0
-    cost = geo.d[np.ix_(ga, gb)]
+    cost = dijkstra(geo.graph, directed=False, indices=ga)[:, gb]
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()) / min(len(ga), len(gb))
 
 
 # ----------------------------------------------------------------- io
-
-def save_geodesic_matrix(path, geo: GeodesicMatrix):
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", geo.n))
-        fh.write(np.ascontiguousarray(geo.d, dtype="<f4").tobytes())
-
-
-def load_geodesic_matrix(path) -> GeodesicMatrix:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise FormatError(f"{path}: bad geodesic matrix magic")
-        (n,) = struct.unpack("<I", fh.read(4))
-        payload = fh.read(4 * n * n)
-        if len(payload) != 4 * n * n:
-            raise FormatError(f"{path}: truncated geodesic matrix")
-        d = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return GeodesicMatrix(d.reshape(n, n))
-
 
 def save_groups(path, groups: SemanticGroups):
     doc = {"n": groups.n, "group_of": groups.group_of.tolist()}

@@ -74,7 +74,8 @@ class TriMesh:
         t = self.triangles
         e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         e.sort(axis=1)
-        return np.unique(e, axis=0)
+        n = self.n_vertices  # one int64 key per edge sorts faster than rows
+        return np.column_stack(np.divmod(np.unique(e[:, 0] * n + e[:, 1]), n))
 
     def with_colors(self, colors) -> "TriMesh":
         return TriMesh(self.vertices, self.triangles, colors)

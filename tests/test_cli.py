@@ -181,8 +181,7 @@ def test_eval_reads_only_the_source_geodesics(runner, sphere_dataset,
             str(dirs[0]), "--target-instance", str(dirs[1])]
     res = runner.invoke(main, args)
     assert res.exit_code == 0, all_output(res)
-    assert (dirs[0] / "geo.dgm").exists()
-    assert not (dirs[1] / "geo.dgm").exists()
+    assert not any((d / "geo.dgm").exists() for d in dirs)
     # the target's groups are still checked against its mesh
     save_groups(dirs[1] / "groups.json", octant_groups(icosphere(0)))
     assert runner.invoke(main, args).exit_code == 3

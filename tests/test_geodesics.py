@@ -5,13 +5,12 @@ import pytest
 
 from meshcorr.errors import ArgumentError, DataError, DisconnectedMeshError
 from meshcorr.geodesics import (GeodesicMatrix, SemanticGroups,
-                                geodesic_matrix, load_geodesic_matrix,
-                                load_groups, min_cost_assignment,
-                                save_geodesic_matrix, save_groups,
+                                geodesic_matrix, load_groups,
+                                min_cost_assignment, save_groups,
                                 semantic_distance)
 from meshcorr.mesh import TriMesh
 
-from conftest import grid_patch, icosphere
+from conftest import grid_patch
 
 
 def brute_force_assignment(cost):
@@ -109,6 +108,7 @@ def test_semantic_distance_zero_and_symmetric():
         dab = semantic_distance(groups, geo, a, b)
         dba = semantic_distance(groups, geo, b, a)
         assert abs(dab - dba) <= 1e-12
+    assert "d" not in vars(geo)  # only the groups' rows were computed
 
 
 def test_semantic_distance_brute_force_oracle():
@@ -127,16 +127,6 @@ def test_semantic_distance_brute_force_oracle():
         want = brute_force_semantic(geo, np.flatnonzero(labels == 0),
                                     np.flatnonzero(labels == 1))
         assert got == pytest.approx(want)
-
-
-def test_geodesic_matrix_file_roundtrip(tmp_path):
-    geo = geodesic_matrix(icosphere(1))
-    p = tmp_path / "geo.dgm"
-    save_geodesic_matrix(p, geo)
-    back = load_geodesic_matrix(p)
-    assert back.n == geo.n
-    np.testing.assert_allclose(back.d, geo.d, atol=1e-6)  # f32 storage
-    assert p.read_bytes()[:4] == b"DGM1"
 
 
 def test_groups_file_roundtrip(tmp_path):

@@ -36,6 +36,7 @@ def test_edges_unique_and_sorted():
     e = m.edges()
     assert (e[:, 0] < e[:, 1]).all()
     assert len(np.unique(e, axis=0)) == len(e)
+    assert np.array_equal(e, np.unique(e, axis=0))
 
 
 def test_triangle_areas_right_triangle():
