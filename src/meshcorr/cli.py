@@ -14,7 +14,6 @@ import sys
 import time
 
 import click
-import numpy as np
 
 from . import evalbench, funcmap, pipeline, spectral, transfer
 from .errors import ArgumentError, MeshCorrError, NumericError
@@ -138,17 +137,11 @@ def cmd_eval(map_path, source_instance, target_instance, max_threshold,
              log_json):
     """Evaluate a stored map against ground-truth semantic groups."""
     src = evalbench.load_instance(source_instance)
-    # only the source's geodesics are computed; the target needs its groups
-    _, tgt_groups = evalbench.load_annotation(target_instance)
+    tgt = evalbench.load_instance(target_instance)
     _, pmap, _ = funcmap.load_map(map_path)
-    errors = evalbench.geodesic_error(pmap, src.groups, tgt_groups, src.geo,
-                                      src.areas)
-    included = errors[~np.isnan(errors)]
-    _, area = evalbench.auc(included, max_threshold)
-    click.echo(f"err {included.mean():.4f}  auc {area:.4f}  "
-               f"coverage {len(included) / len(errors):.3f}")
-    _log(log_json, command="eval", err=float(included.mean()),
-         auc=area, coverage=len(included) / len(errors))
+    err, area, coverage = evalbench.score_map(pmap, src, tgt, max_threshold)
+    click.echo(f"err {err:.4f}  auc {area:.4f}  coverage {coverage:.3f}")
+    _log(log_json, command="eval", err=err, auc=area, coverage=coverage)
 
 
 @main.command("benchmark")
@@ -222,18 +215,16 @@ def cmd_transfer_color(source_textured, source, target, map_path, output):
 @click.option("--keypoints", required=True, type=click.Path())
 @click.option("--map", "map_path", required=True, type=click.Path())
 @click.option("-o", "--output", required=True, type=click.Path())
-@click.option("-k", "--basis-size", type=int, default=pipeline.RunConfig.k,
-              show_default=True)
 @_handle_errors
-def cmd_transfer_keypoints(source, target, keypoints, map_path, output,
-                           basis_size):
-    """Transfer template keypoints through a stored map."""
+def cmd_transfer_keypoints(source, target, keypoints, map_path, output):
+    """Transfer template keypoints through a stored map; the fallback
+    bases have the size of the map's C."""
     src = load_mesh(source)
     tgt = load_mesh(target)
     kps = transfer.load_keypoints(keypoints, src)
     fmap, pmap, _ = funcmap.load_map(map_path)
     basis_s, basis_t = (spectral.eigenbasis(cotangent_weights(m),
-                                            vertex_areas(m), basis_size)
+                                            vertex_areas(m), len(fmap.C))
                         for m in (src, tgt))
     results = transfer.transfer_keypoints(kps, pmap, basis_s, basis_t, fmap.C)
     transfer.save_transferred_keypoints(output, results)

@@ -74,10 +74,12 @@ def auc(errors, max_threshold: float = DEFAULT_MAX_THRESHOLD):
 class DatasetInstance:
     name: str
     category: str
-    split: str
     remeshed: TriMesh
     groups: SemanticGroups
-    geo: GeodesicMatrix
+
+    @functools.cached_property
+    def geo(self) -> GeodesicMatrix:
+        return geodesic_matrix(self.remeshed)
 
     @functools.cached_property
     def areas(self) -> VertexAreas:
@@ -99,29 +101,34 @@ def load_dataset(root, split: str | None = None):
     """Load instances from root/<category>/<instance>/{mesh.ply,
     remeshed.ply, groups.json}; nothing is written into the tree. An
     optional splits.json at the root maps "<category>/<instance>" to a
-    split name (default "test")."""
+    split name (default "test"); with a split given, only its instances
+    are loaded."""
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"dataset root not found: {root}")
     splits = {}
     split_file = root / "splits.json"
     if split_file.exists():
-        splits = json.loads(split_file.read_text())
+        try:
+            splits = json.loads(split_file.read_text())
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise FormatError(f"{split_file}: bad splits JSON: {exc}")
+        if not isinstance(splits, dict):
+            raise FormatError(f"{split_file}: splits JSON is not an object")
     instances = []
     for cat_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         for inst_dir in sorted(p for p in cat_dir.iterdir() if p.is_dir()):
             key = f"{cat_dir.name}/{inst_dir.name}"
-            inst_split = splits.get(key, "test")
-            if split is not None and inst_split != split:
-                continue
-            instances.append(load_instance(inst_dir, inst_split))
+            if split is None or splits.get(key, "test") == split:
+                instances.append(load_instance(inst_dir))
     return instances
 
 
-def load_annotation(inst_dir):
-    """(remeshed mesh, groups) of one instance directory, checked against
-    each other. mesh.ply, the textured source that transfer-color reads,
-    must exist but is not parsed."""
+def load_instance(inst_dir) -> DatasetInstance:
+    """Load one instance directory; its category is its parent's name.
+    Evaluation reads remeshed.ply and groups.json, checked against each
+    other; mesh.ply, the textured source that transfer-color reads, must
+    exist but is not parsed. Geodesics are built on first use."""
     inst_dir = Path(inst_dir)
     if not (inst_dir / "mesh.ply").exists():
         raise FormatError(f"mesh file not found: {inst_dir / 'mesh.ply'}")
@@ -131,31 +138,27 @@ def load_annotation(inst_dir):
         raise DataError(
             f"{inst_dir}: groups.n={groups.n} != remeshed vertices "
             f"{remeshed.n_vertices}")
-    return remeshed, groups
+    return DatasetInstance(inst_dir.name, inst_dir.parent.name, remeshed,
+                           groups)
 
 
-def load_instance(inst_dir, split: str = "test") -> DatasetInstance:
-    """Load one instance directory; its category is its parent's name.
-    Evaluation reads remeshed.ply and groups.json and builds the edge
-    graph that its geodesics run on."""
-    inst_dir = Path(inst_dir)
-    remeshed, groups = load_annotation(inst_dir)
-    return DatasetInstance(inst_dir.name, inst_dir.parent.name, split,
-                           remeshed, groups, geodesic_matrix(remeshed))
+def score_map(pmap, src: DatasetInstance, tgt: DatasetInstance,
+              max_threshold: float = DEFAULT_MAX_THRESHOLD):
+    """(mean error, AUC, coverage) of a target->source map; coverage is
+    the fraction of target vertices whose group exists on the source."""
+    errors = geodesic_error(pmap, src.groups, tgt.groups, src.geo, src.areas)
+    included = errors[~np.isnan(errors)]
+    _, area = auc(included, max_threshold)
+    return float(included.mean()), area, len(included) / len(errors)
 
 
 def evaluate_pair(src: DatasetInstance, tgt: DatasetInstance, matcher,
                   max_threshold: float = DEFAULT_MAX_THRESHOLD) -> EvalResult:
     start = time.perf_counter()
     try:
-        pmap = matcher(src, tgt)
-        errors = geodesic_error(pmap, src.groups, tgt.groups, src.geo,
-                                src.areas)
-        included = errors[~np.isnan(errors)]
-        _, area = auc(included, max_threshold)
+        scores = score_map(matcher(src, tgt), src, tgt, max_threshold)
         wall = (time.perf_counter() - start) * 1000.0
-        return EvalResult((src.name, tgt.name), float(included.mean()), area,
-                          float(len(included)) / len(errors), wall)
+        return EvalResult((src.name, tgt.name), *scores, wall)
     except Exception as exc:  # per-pair failures are recorded, not fatal
         wall = (time.perf_counter() - start) * 1000.0
         return EvalResult((src.name, tgt.name), float("nan"), float("nan"),
@@ -170,18 +173,16 @@ def benchmark_category(instances, category: str, matcher, jobs: int = 1,
     Returns (results, aggregates); results follow the deterministic
     (source, target) instance order regardless of worker completion.
     """
+    if jobs < 1:
+        raise ArgumentError(f"jobs must be >= 1, got {jobs}")
     chosen = [i for i in instances if i.category == category]
     if not chosen:
         raise ArgumentError(f"no instances in category '{category}'")
     pairs = [(s, t) for s in chosen for t in chosen]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda st: evaluate_pair(st[0], st[1], matcher, max_threshold),
-                pairs))
-    else:
-        results = [evaluate_pair(s, t, matcher, max_threshold)
-                   for s, t in pairs]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(
+            lambda st: evaluate_pair(st[0], st[1], matcher, max_threshold),
+            pairs))
     ok = [r for r in results if not r.failed]
     aggregates = {
         "category": category,

@@ -464,8 +464,8 @@ def save_map(path, fmap: FunctionalMap, pmap: PointMap,
 
 
 def load_map(path):
-    """Read a map written by ``save_map``; a missing or malformed file
-    raises FormatError."""
+    """Read a map written by ``save_map``; a missing or malformed file,
+    or a C that is not a square matrix, raises FormatError."""
     if not Path(path).exists():
         raise FormatError(f"map file not found: {path}")
     with open(path, "r") as fh:
@@ -480,4 +480,7 @@ def load_map(path):
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed map file "
                               f"({type(exc).__name__}: {exc})") from exc
+    if fmap.C.ndim != 2 or fmap.C.shape[0] != fmap.C.shape[1]:
+        raise FormatError(f"{path}: C is not a square matrix "
+                          f"(shape {fmap.C.shape})")
     return fmap, pmap, doc.get("weights", {})

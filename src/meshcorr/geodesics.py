@@ -46,7 +46,6 @@ class GeodesicMatrix:
 @dataclass(frozen=True)
 class SemanticGroups:
     group_of: np.ndarray           # (n,) int labels >= 0
-    names: dict | None = None      # optional id -> string
 
     def __post_init__(self):
         g = np.asarray(self.group_of, dtype=np.int64)
@@ -156,18 +155,18 @@ def semantic_distance(groups: SemanticGroups, geo: GeodesicMatrix,
 
 def save_groups(path, groups: SemanticGroups):
     doc = {"n": groups.n, "group_of": groups.group_of.tolist()}
-    if groups.names:
-        doc["names"] = {str(k): v for k, v in groups.names.items()}
     with open(path, "w") as fh:
         json.dump(doc, fh)
 
 
 def load_groups(path) -> SemanticGroups:
-    with open(path, "r") as fh:
-        try:
+    """Read a groups file; keys other than n and group_of are ignored,
+    and a missing or malformed file raises FormatError."""
+    try:
+        with open(path, "r") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: bad groups JSON: {exc}")
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"{path}: bad groups JSON: {exc}")
     try:
         n = int(doc["n"])
         group_of = np.asarray(doc["group_of"], dtype=np.int64)
@@ -175,7 +174,4 @@ def load_groups(path) -> SemanticGroups:
         raise FormatError(f"{path}: groups JSON missing n/group_of: {exc}")
     if len(group_of) != n:
         raise DataError(f"{path}: group_of length {len(group_of)} != n={n}")
-    names = doc.get("names")
-    if names is not None:
-        names = {int(k): str(v) for k, v in names.items()}
-    return SemanticGroups(group_of, names)
+    return SemanticGroups(group_of)

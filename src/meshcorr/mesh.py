@@ -19,7 +19,7 @@ from .errors import DataError, DegenerateGeometryError, EmptyMeshError
 
 COT_CLAMP = 1.0e4  # bounds cotangents of near-degenerate triangles
 TARGET_SIDE = 0.3  # longest bounding-box side after normalize_mesh
-MERGE_TOL_FRACTION = 0.01  # cleanup merge distance / bounding-box diagonal
+MERGE_TOL_FRACTION = 1e-5  # cleanup weld distance / bounding-box diagonal
 
 
 @dataclass(frozen=True)
@@ -156,11 +156,12 @@ def normalize_mesh(mesh: TriMesh) -> TriMesh:
 
 
 def cleanup_mesh(mesh: TriMesh) -> TriMesh:
-    """Merge near-coincident vertices, keep the largest connected
-    component (by area), and drop unreferenced vertices.
+    """Weld coincident vertices, keep the largest connected component
+    (by area), and drop unreferenced vertices.
 
     Vertices within MERGE_TOL_FRACTION of the bounding-box diagonal
-    merge; the lowest vertex index survives and colors are averaged.
+    merge, so only duplicates weld and no edge of a dense mesh
+    collapses; the lowest vertex index survives and colors are averaged.
     """
     if mesh.n_vertices == 0:
         raise EmptyMeshError("empty input mesh")

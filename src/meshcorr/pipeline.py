@@ -42,6 +42,8 @@ class PreparedMesh:
 
 
 def prepare_mesh(mesh: TriMesh, config: RunConfig) -> PreparedMesh:
+    if min(config.k, config.descriptor_k) < 1:
+        raise ArgumentError("basis sizes k and descriptor_k must be >= 1")
     if config.preprocess:
         mesh = normalize_mesh(cleanup_mesh(mesh))
     k = min(config.descriptor_k, mesh.n_vertices)

@@ -1,34 +1,21 @@
 """Apply recovered point maps: vertex-color transfer between meshes and
 keypoint transfer from a template (source) mesh to a target mesh.
+
+A keypoint is a (label, vertex) pair on the template mesh.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ArgumentError, DataError
+from .errors import ArgumentError, FormatError, MeshCorrError
 from .funcmap import PointMap
 from .mesh import TriMesh
 
 SNAP_FRACTION = 0.05  # of the bounding-box diagonal
-
-
-@dataclass(frozen=True)
-class Keypoint:
-    label: str
-    vertex: int
-
-
-@dataclass(frozen=True)
-class KeypointSet:
-    points: tuple
-
-    def __len__(self):
-        return len(self.points)
 
 
 def snap_to_vertex(mesh: TriMesh, xyz) -> int:
@@ -45,9 +32,9 @@ def snap_to_vertex(mesh: TriMesh, xyz) -> int:
     return best
 
 
-def make_keypoints(mesh: TriMesh, entries) -> KeypointSet:
-    """Build a KeypointSet from {"label", "vertex"|"xyz"} entries."""
-    points = []
+def make_keypoints(mesh: TriMesh, entries) -> list:
+    """(label, vertex) pairs from {"label", "vertex"|"xyz"} entries."""
+    keypoints = []
     for e in entries:
         label = str(e["label"])
         if "vertex" in e:
@@ -58,17 +45,25 @@ def make_keypoints(mesh: TriMesh, entries) -> KeypointSet:
             v = snap_to_vertex(mesh, e["xyz"])
         else:
             raise ArgumentError(f"keypoint '{label}' needs 'vertex' or 'xyz'")
-        points.append(Keypoint(label, v))
-    return KeypointSet(tuple(points))
+        keypoints.append((label, v))
+    return keypoints
 
 
-def load_keypoints(path, mesh: TriMesh) -> KeypointSet:
-    with open(path, "r") as fh:
-        try:
+def load_keypoints(path, mesh: TriMesh) -> list:
+    """(label, vertex) pairs from a JSON list of keypoint entries. A
+    missing or malformed file raises FormatError; an entry that does not
+    fit the mesh raises ArgumentError."""
+    try:
+        with open(path, "r") as fh:
             entries = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: bad keypoints JSON: {exc}")
-    return make_keypoints(mesh, entries)
+        if not isinstance(entries, list):
+            raise FormatError(f"{path}: keypoints file is not a JSON list")
+        return make_keypoints(mesh, entries)
+    except MeshCorrError:
+        raise  # ArgumentError is also a ValueError
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad keypoints file "
+                          f"({type(exc).__name__}: {exc})") from exc
 
 
 def transfer_colors(source_textured: TriMesh, source_simplified: TriMesh,
@@ -89,38 +84,31 @@ def transfer_colors(source_textured: TriMesh, source_simplified: TriMesh,
         simplified_colors[pmap.target_to_source])
 
 
-def transfer_keypoints(keypoints: KeypointSet, pmap: PointMap,
-                       basis_M=None, basis_N=None, C=None):
-    """Transfer template keypoints source -> target through a
-    target->source map.
+def transfer_keypoints(keypoints, pmap: PointMap, basis_M, basis_N, C):
+    """Transfer (label, vertex) keypoints source -> target through a
+    target->source map, as (vertex, confidence, label) triples.
 
-    For each template vertex i the target is the highest-confidence
-    vertex in the preimage {j : match(j) = i}, falling back to the
-    spectral-embedding nearest neighbor (confidence 0) when the
-    preimage is empty and a basis pair is supplied.
-    """
+    Keypoint vertex i goes to the highest-confidence vertex of its
+    preimage {j : match(j) = i}. An empty preimage falls back, with
+    confidence 0, to the target row of basis_N.phi @ C nearest to
+    basis_M.phi[i]."""
     if len(keypoints) == 0:
         raise ArgumentError("empty keypoint set")
+    if pmap.n != basis_N.n:
+        raise ArgumentError("point map length != target vertex count")
     match = pmap.target_to_source
+    emb_n = basis_N.phi @ np.asarray(C)
     results = []
-    for kp in keypoints.points:
-        i = kp.vertex
+    for label, i in keypoints:
         preimage = np.flatnonzero(match == i)
         if len(preimage):
-            best = preimage[np.argmax(pmap.confidence[preimage])]
             # ties keep the smallest target index (argmax is first-hit)
-            j = int(best)
-            conf = float(pmap.confidence[best])
-        elif basis_M is not None and basis_N is not None and C is not None:
-            emb_n = basis_N.phi @ np.asarray(C)
-            d = np.linalg.norm(emb_n - basis_M.phi[i], axis=1)
-            j = int(np.argmin(d))
-            conf = 0.0
+            j = int(preimage[np.argmax(pmap.confidence[preimage])])
+            conf = float(pmap.confidence[j])
         else:
-            raise ArgumentError(
-                f"keypoint '{kp.label}': empty preimage and no spectral "
-                "fallback available")
-        results.append((j, conf, kp.label))
+            j = int(np.argmin(np.linalg.norm(emb_n - basis_M.phi[i], axis=1)))
+            conf = 0.0
+        results.append((j, conf, label))
     return results
 
 

@@ -187,6 +187,40 @@ def test_eval_reads_only_the_source_geodesics(runner, sphere_dataset,
     assert runner.invoke(main, args).exit_code == 3
 
 
+@pytest.mark.parametrize("names", [["head", "arm"], {"x": "head"}],
+                         ids=["list", "non-integer-key"])
+def test_eval_ignores_group_names(runner, sphere_dataset, tmp_path, names):
+    root, dirs, m = sphere_dataset
+    n = m.n_vertices
+    doc = json.loads((dirs[1] / "groups.json").read_text())
+    (dirs[1] / "groups.json").write_text(json.dumps({**doc, "names": names}))
+    map_path = tmp_path / "ident.json"
+    save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
+             PointMap(np.arange(n), np.ones(n)), FmapWeights())
+    args = ["eval", "--map", str(map_path), "--source-instance",
+            str(dirs[0]), "--target-instance", str(dirs[1])]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, all_output(res)
+    assert "err 0.0000" in res.output
+    (dirs[1] / "groups.json").unlink()
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3, all_output(res)
+    assert "groups.json" in all_output(res)
+
+
+@pytest.mark.parametrize("text", ["{not json", '["spheres/a"]'],
+                         ids=["not-json", "not-an-object"])
+def test_benchmark_bad_splits_exits_3(runner, sphere_dataset, tmp_path,
+                                      text):
+    root, _, _ = sphere_dataset
+    (root / "splits.json").write_text(text)
+    res = runner.invoke(main, ["benchmark", "--dataset", str(root), "--csv",
+                               str(tmp_path / "r.csv"), "--json",
+                               str(tmp_path / "agg.json")])
+    assert res.exit_code == 3, all_output(res)
+    assert "splits.json" in all_output(res)
+
+
 def test_benchmark_command(runner, sphere_dataset, tmp_path):
     root, dirs, m = sphere_dataset
     csv_path = tmp_path / "results.csv"
@@ -243,7 +277,12 @@ def test_transfer_color_command(runner, tmp_path):
     '"objective": 0.0, "iterations": 0}',
     '{"C": [[1.0]], "target_to_source": [0], "confidence": [1.0], '
     '"objective": 0.0, "converged": true}',
-], ids=["bad-json", "no-target_to_source", "no-converged", "no-iterations"])
+    '{"C": [[1.0, 0.0]], "target_to_source": [0], "confidence": [1.0], '
+    '"objective": 0.0, "converged": true, "iterations": 0}',
+    '{"C": [1.0], "target_to_source": [0], "confidence": [1.0], '
+    '"objective": 0.0, "converged": true, "iterations": 0}',
+], ids=["bad-json", "no-target_to_source", "no-converged", "no-iterations",
+        "C-not-square", "C-not-2-D"])
 def test_transfer_color_malformed_map_exits_3(runner, tmp_path, text):
     m = strong_bump_grid(6)
     tex_path = tmp_path / "tex.ply"
@@ -284,8 +323,65 @@ def test_transfer_keypoints_command(runner, tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     assert doc[0]["vertex"] == 5 and doc[0]["label"] == "tip"
     assert asked == [10, 10]  # only the basis the map lives in
-    res = runner.invoke(main, args + ["-k", str(n + 1)])
+    # the basis size is the map's k, which must fit the mesh
+    save_map(map_path, FunctionalMap(np.eye(n + 1), True, 0.0, 0),
+             PointMap(np.arange(n), np.ones(n)), FmapWeights())
+    asked.clear()
+    res = runner.invoke(main, args)
     assert res.exit_code == 2, all_output(res)
+    assert asked == [n + 1]
+    res = runner.invoke(main, ["transfer-keypoints", "--help"])
+    assert "--basis-size" not in res.output
+
+
+@pytest.mark.parametrize("text, code", [
+    (None, 3), ('[{"vertex": 5}]', 3), ('[{"label": "a", "vertex": "x"}]', 3),
+    ('{"label": "a", "vertex": 5}', 3), ('["a"]', 3),
+    ('[{"label": "a", "xyz": "up"}]', 3),
+    ('[{"label": "a", "vertex": 999}]', 2), ('[{"label": "a"}]', 2),
+    ('[{"label": "a", "xyz": [9, 9, 9]}]', 2), ("[]", 2),
+], ids=["missing", "no-label", "vertex-not-int", "not-a-list",
+        "entry-not-an-object", "xyz-not-a-point", "vertex-out-of-range",
+        "no-vertex-or-xyz", "xyz-beyond-snap", "empty"])
+def test_transfer_keypoints_bad_keypoints_exit_code(runner, tmp_path, text,
+                                                    code):
+    m = strong_bump_grid(6)
+    n = m.n_vertices
+    p = tmp_path / "m.ply"
+    save_mesh(p, m)
+    kp_path = tmp_path / "kp.json"
+    if text is not None:
+        kp_path.write_text(text)
+    map_path = tmp_path / "map.json"
+    save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
+             PointMap(np.arange(n), np.ones(n)), FmapWeights())
+    res = runner.invoke(main, ["transfer-keypoints", "--source", str(p),
+                               "--target", str(p), "--keypoints",
+                               str(kp_path), "--map", str(map_path),
+                               "-o", str(tmp_path / "o.json")])
+    assert res.exit_code == code, all_output(res)
+    if code == 3:
+        assert "kp.json" in all_output(res)
+
+
+@pytest.mark.parametrize("command, args", [
+    ("match", ["-k", "0"]),
+    ("descriptors", ["--hks", "4", "-k", "0"]),
+    ("benchmark", ["--jobs", "0"]),
+    ("benchmark", ["--jobs", "-3"]),
+], ids=["match-k", "descriptors-k", "benchmark-jobs-0", "benchmark-jobs-neg"])
+def test_sizes_below_one_exit_2(runner, sphere_dataset, tmp_path, command,
+                                args):
+    root, dirs, _ = sphere_dataset
+    mesh = str(dirs[0] / "remeshed.ply")
+    out = tmp_path / "out"
+    inputs = {"match": ["--source", mesh, "--target", mesh, "-o", str(out)],
+              "descriptors": ["--mesh", mesh, "-o", str(out)],
+              "benchmark": ["--dataset", str(root), "--csv", str(out),
+                            "--json", str(tmp_path / "agg.json")]}[command]
+    res = runner.invoke(main, [command, *inputs, *args])
+    assert res.exit_code == 2, all_output(res)
+    assert not out.exists()
 
 
 PLY_ASCII_HEADER = ("ply\nformat ascii 1.0\nelement vertex 3\n"

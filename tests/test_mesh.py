@@ -5,8 +5,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from meshcorr.errors import DataError, EmptyMeshError
-from meshcorr.mesh import (COT_CLAMP, TriMesh, cleanup_mesh,
-                           cotangent_weights, normalize_mesh,
+from meshcorr.mesh import (COT_CLAMP, MERGE_TOL_FRACTION, TriMesh,
+                           cleanup_mesh, cotangent_weights, normalize_mesh,
                            triangle_areas, vertex_areas)
 
 from conftest import grid_patch, icosphere, torus
@@ -128,12 +128,12 @@ def test_cleanup_merges_duplicates_lowest_index_survives():
     assert out.n_triangles == 2
 
 
-def union_find_merge(mesh, merge_tol_fraction=0.01):
+def union_find_merge(mesh):
     """Reference vertex merge: union-find over the pairs within the
     tolerance, the lowest index of each class survives, colors are
     averaged, and triangles that collapse are dropped."""
     lo, hi = mesh.bounding_box()
-    tol = merge_tol_fraction * float(np.linalg.norm(hi - lo))
+    tol = MERGE_TOL_FRACTION * float(np.linalg.norm(hi - lo))
     parent = list(range(mesh.n_vertices))
 
     def find(i):
@@ -164,7 +164,7 @@ def clustered_meshes(draw):
     corners are vertices too, so the merge tolerance is fixed. A chain
     spaced 0.6 tol merges only transitively (its ends are 1.2 tol apart);
     one spaced 1.5 tol does not merge."""
-    tol = 0.01 * np.sqrt(3.0) * 10.0
+    tol = MERGE_TOL_FRACTION * np.sqrt(3.0) * 10.0
     points = [(0.0, 0.0, 0.0), (10.0, 10.0, 10.0)]
     centers = draw(st.lists(st.tuples(*[st.integers(1, 9)] * 3),
                             min_size=1, max_size=5, unique=True))
@@ -200,6 +200,15 @@ def test_cleanup_merge_matches_union_find(mesh):
         assert got.colors is None
     else:
         np.testing.assert_array_equal(got.colors, want.colors)
+
+
+@pytest.mark.parametrize("mesh", [grid_patch(72, 72), torus(120, 60),
+                                  icosphere(5)],
+                         ids=["grid72", "torus7200", "sphere10242"])
+def test_cleanup_keeps_every_vertex_of_a_dense_mesh(mesh):
+    out = cleanup_mesh(mesh)
+    np.testing.assert_array_equal(out.vertices, mesh.vertices)
+    np.testing.assert_array_equal(out.triangles, mesh.triangles)
 
 
 def test_cleanup_keeps_largest_component_by_area():

@@ -5,7 +5,8 @@ import pytest
 
 from meshcorr.errors import ArgumentError, DataError
 from meshcorr.funcmap import PointMap
-from meshcorr.mesh import TriMesh
+from meshcorr.mesh import TriMesh, cotangent_weights, vertex_areas
+from meshcorr.spectral import eigenbasis
 from meshcorr.transfer import (load_keypoints, make_keypoints, snap_to_vertex,
                                save_transferred_keypoints, transfer_colors,
                                transfer_keypoints)
@@ -27,18 +28,22 @@ def test_snap_to_vertex():
         snap_to_vertex(m, m.vertices[7] + 10.0)
 
 
+def basis(m, k=6):
+    return eigenbasis(cotangent_weights(m), vertex_areas(m), k)
+
+
 def test_make_and_load_keypoints(tmp_path):
     m = grid_patch(4, 4)
     kps = make_keypoints(m, [{"label": "a", "vertex": 3},
                              {"label": "b", "xyz": m.vertices[9].tolist()}])
-    assert [(k.label, k.vertex) for k in kps.points] == [("a", 3), ("b", 9)]
+    assert kps == [("a", 3), ("b", 9)]
     with pytest.raises(ArgumentError):
         make_keypoints(m, [{"label": "x", "vertex": 99}])
     with pytest.raises(ArgumentError):
         make_keypoints(m, [{"label": "x"}])
     p = tmp_path / "kp.json"
     p.write_text(json.dumps([{"label": "a", "vertex": 3}]))
-    assert load_keypoints(p, m).points[0].vertex == 3
+    assert load_keypoints(p, m) == [("a", 3)]
     p.write_text("{not json")
     with pytest.raises(DataError):
         load_keypoints(p, m)
@@ -81,7 +86,8 @@ def test_transfer_keypoints_identity():
     kps = make_keypoints(m, [{"label": "a", "vertex": 2},
                              {"label": "b", "vertex": 11}])
     pmap = PointMap(np.arange(n), np.ones(n))
-    out = transfer_keypoints(kps, pmap)
+    b = basis(m)
+    out = transfer_keypoints(kps, pmap, b, b, np.eye(6))
     assert out == [(2, 1.0, "a"), (11, 1.0, "b")]
 
 
@@ -91,28 +97,24 @@ def test_transfer_keypoints_preimage_and_fallbacks():
     match = np.zeros(n, dtype=int)  # everything maps to source vertex 0
     conf = np.linspace(0.1, 0.9, n)
     pmap = PointMap(match, conf)
+    b = basis(m)
     kps0 = make_keypoints(m, [{"label": "o", "vertex": 0}])
-    out = transfer_keypoints(kps0, pmap)
+    out = transfer_keypoints(kps0, pmap, b, b, np.eye(6))
     assert out[0][0] == n - 1  # highest-confidence preimage vertex
-    # empty preimage with no spectral fallback
-    kps5 = make_keypoints(m, [{"label": "q", "vertex": 5}])
-    with pytest.raises(ArgumentError):
-        transfer_keypoints(kps5, pmap)
-    # empty keypoint set
-    from meshcorr.transfer import KeypointSet
-    with pytest.raises(ArgumentError):
-        transfer_keypoints(KeypointSet(()), pmap)
+    with pytest.raises(ArgumentError):  # empty keypoint set
+        transfer_keypoints([], pmap, b, b, np.eye(6))
+    with pytest.raises(ArgumentError):  # map of another target
+        transfer_keypoints(kps0, PointMap(match[1:], conf[1:]), b, b,
+                           np.eye(6))
 
 
 def test_transfer_keypoints_spectral_fallback():
-    from meshcorr.mesh import cotangent_weights, vertex_areas
-    from meshcorr.spectral import eigenbasis
     m = grid_patch(4, 4)
     n = m.n_vertices
-    b = eigenbasis(cotangent_weights(m), vertex_areas(m), 6)
+    b = basis(m)
     pmap = PointMap(np.zeros(n, dtype=int), np.ones(n))
     kps = make_keypoints(m, [{"label": "f", "vertex": 9}])
-    out = transfer_keypoints(kps, pmap, basis_M=b, basis_N=b, C=np.eye(6))
+    out = transfer_keypoints(kps, pmap, b, b, np.eye(6))
     j, conf, label = out[0]
     assert conf == 0.0 and label == "f"
     assert j == 9  # identity C: nearest embedding row is the vertex itself
