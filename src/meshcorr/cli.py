@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import sys
+import threading
 import time
 
 import click
@@ -144,6 +145,44 @@ def cmd_eval(map_path, source_instance, target_instance, max_threshold,
     _log(log_json, command="eval", err=err, auc=area, coverage=coverage)
 
 
+class _BenchmarkMatcher:
+    """Matcher of the all-pairs benchmark. It prepares each dataset
+    instance at most once, on first use, from any worker thread:
+    concurrent callers for one instance wait for the first, and a failed
+    preparation is re-raised to every caller, so it fails only the pairs
+    that use the instance."""
+
+    def __init__(self, config):
+        self.config = config
+        self._lock = threading.Lock()
+        self._instance_locks = {}
+        self._outcomes = {}  # key -> (MatchInput, None) or (None, exception)
+
+    def prepared(self, inst):
+        key = (inst.category, inst.name)
+        with self._lock:
+            instance_lock = self._instance_locks.setdefault(key,
+                                                            threading.Lock())
+        with instance_lock:
+            if key not in self._outcomes:
+                try:
+                    # dataset vertex order carries the annotation; only
+                    # rescale
+                    self._outcomes[key] = (pipeline.prepare_for_matching(
+                        normalize_mesh(inst.remeshed), self.config), None)
+                except Exception as exc:  # recorded for each pair it fails
+                    self._outcomes[key] = (None, exc)
+        prepared, exc = self._outcomes[key]
+        if exc is not None:
+            raise exc
+        return prepared
+
+    def __call__(self, src_inst, tgt_inst):
+        return pipeline.match_prepared(self.prepared(src_inst),
+                                       self.prepared(tgt_inst),
+                                       self.config).pmap
+
+
 @main.command("benchmark")
 @click.option("--dataset", "dataset_root", required=True, type=click.Path())
 @click.option("--category", default=None,
@@ -161,12 +200,6 @@ def cmd_benchmark(dataset_root, category, split, jobs, csv_path, json_path,
     """Run the all-pairs protocol over dataset categories."""
     config = _make_config(options, preprocess=False)
 
-    def matcher(src_inst, tgt_inst):
-        # dataset vertex order carries the annotation; only rescale
-        s = normalize_mesh(src_inst.remeshed)
-        t = normalize_mesh(tgt_inst.remeshed)
-        return pipeline.match_meshes(s, t, config).pmap
-
     instances = evalbench.load_dataset(dataset_root, split=split)
     categories = sorted({i.category for i in instances})
     if category is not None:
@@ -177,8 +210,10 @@ def cmd_benchmark(dataset_root, category, split, jobs, csv_path, json_path,
     all_results = []
     aggregates = {}
     for cat in categories:
+        # a matcher per category holds one category's preparations at a time
         results, agg = evalbench.benchmark_category(
-            instances, cat, matcher, jobs=jobs, max_threshold=max_threshold)
+            instances, cat, _BenchmarkMatcher(config), jobs=jobs,
+            max_threshold=max_threshold)
         all_results.extend(results)
         aggregates[cat] = agg
         _log(log_json, command="benchmark", category=cat, **{

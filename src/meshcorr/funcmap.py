@@ -134,6 +134,22 @@ class FmapProblem:
             const += w.w_sum * (self.n_N + r * r * self.n_M)
         return H, b, const
 
+    @cached_property
+    def entropy_operands(self):
+        """(Phi_N, Phi_M^T A_M), the (n_N, k) and (k, n_M) factors of Pi,
+        in the entropy block's precision.
+
+        The dense map matrix has n_N * n_M entries; above a size cutoff
+        single precision keeps this block fast without hurting the
+        solver (its gradient contribution is orders of magnitude above
+        float32 roundoff). Small problems stay in double precision.
+        """
+        dt = np.float32 if self.n_N * self.n_M > ENTROPY_F32_CUTOFF \
+            else np.float64
+        bm = self.basis_M
+        return (self.basis_N.phi.astype(dt, copy=False),
+                (bm.phi.T * bm.areas.areas).astype(dt, copy=False))
+
 
 @dataclass(frozen=True)
 class FunctionalMap:
@@ -201,20 +217,12 @@ def _entropy_term(C, problem):
     to C. The dense Pi is only materialized when the entropy weight is
     active."""
     w = problem.weights
-    bm, bn = problem.basis_M, problem.basis_N
-    a_m = bm.areas.areas
     value = 0.0
     grad_pi_proj = np.zeros((problem.k, problem.k))
 
     if w.w_entropy > 0.0:
-        # The dense map matrix has n_N * n_M entries; above a size cutoff
-        # single precision keeps this block fast without hurting the
-        # solver (its gradient contribution is orders of magnitude above
-        # float32 roundoff). Small problems stay in double precision.
-        dt = np.float32 if problem.n_N * problem.n_M > ENTROPY_F32_CUTOFF \
-            else np.float64
-        phi_n = bn.phi.astype(dt, copy=False)
-        pinv_m = (bm.phi.T * a_m).astype(dt, copy=False)  # (k, n_M)
+        phi_n, pinv_m = problem.entropy_operands
+        dt = pinv_m.dtype.type
         pi = (phi_n @ C.astype(dt, copy=False)) @ pinv_m  # (n_N, n_M)
         interior = (pi > 0.0) & (pi < 1.0)
         np.clip(pi, 0.0, 1.0, out=pi)

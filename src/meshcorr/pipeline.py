@@ -1,6 +1,11 @@
 """End-to-end matching pipeline: preprocess meshes, build descriptor
 stacks or ingest external features, solve the functional map, and
 recover the dense point map.
+
+Preparing a mesh depends on that mesh alone, so a caller matching one
+mesh against many prepares it once (``prepare_for_matching``) and
+matches the prepared meshes pairwise (``match_prepared``);
+``match_meshes`` is the two steps for a single pair.
 """
 
 from __future__ import annotations
@@ -74,9 +79,42 @@ def descriptor_stack(prep: PreparedMesh, config: RunConfig) -> FeatureField:
 
 
 @dataclass(frozen=True)
+class MatchInput:
+    """What matching needs of one mesh, independent of the other mesh."""
+    basis: spectral.SpectralBasis    # the k-sized basis C lives in
+    features: FeatureField           # per-vertex features of the data term
+
+
+@dataclass(frozen=True)
 class MatchResult:
     fmap: FunctionalMap
     pmap: PointMap
+
+
+def prepare_for_matching(mesh: TriMesh, config: RunConfig,
+                         features: FeatureField | None = None) -> MatchInput:
+    """Preprocess one mesh and compute its basis and features; features
+    default to the standardized descriptor stack, and external ones are
+    unit-normalized per row."""
+    prep = prepare_mesh(mesh, config)
+    if features is None:
+        features = _standardize(descriptor_stack(prep, config), prep.basis)
+    else:
+        features = unit_normalize(_check_rows(features, prep.mesh.n_vertices))
+    return MatchInput(prep.basis.truncate(config.k), features)
+
+
+def match_prepared(source: MatchInput, target: MatchInput,
+                   config: RunConfig) -> MatchResult:
+    """Solve the functional map between two prepared meshes and recover
+    the dense point map."""
+    problem = build_problem(source.basis, target.basis,
+                            source.features.values, target.features.values,
+                            config.weights)
+    fmap = solve_fmap(problem, max_iter=config.max_iter)
+    pmap = recover_pointmap(fmap.C, source.basis, target.basis,
+                            method=config.recovery)
+    return MatchResult(fmap, pmap)
 
 
 def match_meshes(source: TriMesh, target: TriMesh, config: RunConfig,
@@ -84,26 +122,11 @@ def match_meshes(source: TriMesh, target: TriMesh, config: RunConfig,
                  target_features: FeatureField | None = None) -> MatchResult:
     """Match two meshes; features default to the configured descriptor
     stack when not supplied externally."""
-    prep_s = prepare_mesh(source, config)
-    prep_t = prepare_mesh(target, config)
-
     if (source_features is None) != (target_features is None):
         raise ArgumentError("provide features for both meshes or neither")
-    if source_features is None:
-        f = _standardize(descriptor_stack(prep_s, config), prep_s.basis)
-        g = _standardize(descriptor_stack(prep_t, config), prep_t.basis)
-    else:
-        f = unit_normalize(_check_rows(source_features, prep_s.mesh.n_vertices))
-        g = unit_normalize(_check_rows(target_features, prep_t.mesh.n_vertices))
-
-    basis_s = prep_s.basis.truncate(config.k)
-    basis_t = prep_t.basis.truncate(config.k)
-    problem = build_problem(basis_s, basis_t, f.values, g.values,
-                            config.weights)
-    fmap = solve_fmap(problem, max_iter=config.max_iter)
-    pmap = recover_pointmap(fmap.C, basis_s, basis_t,
-                            method=config.recovery)
-    return MatchResult(fmap, pmap)
+    return match_prepared(
+        prepare_for_matching(source, config, source_features),
+        prepare_for_matching(target, config, target_features), config)
 
 
 def _standardize(stack: FeatureField, basis: spectral.SpectralBasis) -> FeatureField:

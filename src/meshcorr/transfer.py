@@ -7,6 +7,7 @@ A keypoint is a (label, vertex) pair on the template mesh.
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -33,19 +34,24 @@ def snap_to_vertex(mesh: TriMesh, xyz) -> int:
 
 
 def make_keypoints(mesh: TriMesh, entries) -> list:
-    """(label, vertex) pairs from {"label", "vertex"|"xyz"} entries."""
+    """(label, vertex) pairs from {"label", "vertex"|"xyz"} entries; a
+    vertex that is not an integer (a bool, a float, a string) raises
+    TypeError."""
     keypoints = []
     for e in entries:
         label = str(e["label"])
         if "vertex" in e:
-            v = int(e["vertex"])
+            v = e["vertex"]
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise TypeError(f"keypoint '{label}': vertex {v!r} is not "
+                                "an integer")
             if not (0 <= v < mesh.n_vertices):
                 raise ArgumentError(f"keypoint '{label}': vertex {v} out of range")
         elif "xyz" in e:
             v = snap_to_vertex(mesh, e["xyz"])
         else:
             raise ArgumentError(f"keypoint '{label}' needs 'vertex' or 'xyz'")
-        keypoints.append((label, v))
+        keypoints.append((label, int(v)))
     return keypoints
 
 

@@ -21,8 +21,7 @@ from meshcorr.geodesics import (SemanticGroups, geodesic_matrix,
 from meshcorr.mesh import TriMesh, cotangent_weights, vertex_areas
 from meshcorr.meshio import save_mesh
 from meshcorr.funcmap import PointMap
-from meshcorr.pipeline import (RunConfig, _standardize, descriptor_stack,
-                               match_meshes, prepare_mesh)
+from meshcorr.pipeline import RunConfig, match_meshes, prepare_for_matching
 from meshcorr.spectral import eigenbasis, positional_encoding
 from meshcorr.transfer import transfer_colors
 
@@ -194,10 +193,10 @@ def test_criterion_06_regularizer_reduces_entropy():
     config_off = RunConfig(weights=FmapWeights(w_entropy=0.0, w_sum=0.0))
     vals = {}
     for tag, config in (("on", config_on), ("off", config_off)):
-        prep_s, prep_t = prepare_mesh(src, config), prepare_mesh(tgt, config)
-        f = _standardize(descriptor_stack(prep_s, config), prep_s.basis)
-        g = _standardize(descriptor_stack(prep_t, config), prep_t.basis)
-        bs, bt = prep_s.basis.truncate(config.k), prep_t.basis.truncate(config.k)
+        prep_s = prepare_for_matching(src, config)
+        prep_t = prepare_for_matching(tgt, config)
+        f, g = prep_s.features, prep_t.features
+        bs, bt = prep_s.basis, prep_t.basis
         prob = build_problem(bs, bt, f.values, g.values, config.weights)
         fm = solve_fmap(prob)
         vals[tag] = clamped_entropy(fm.C, bs, bt)
@@ -271,10 +270,10 @@ def test_criterion_09_auc_calibration():
 
 def _timed_solve(mesh):
     config = RunConfig(descriptors=("hks", "posenc"))
-    prep = prepare_mesh(mesh, config)
-    f = _standardize(descriptor_stack(prep, config), prep.basis)
+    prep = prepare_for_matching(mesh, config)
+    f = prep.features
     assert f.values.shape[1] <= 64
-    b = prep.basis.truncate(config.k)
+    b = prep.basis
     prob = build_problem(b, b, f.values, f.values, config.weights)
     start = time.perf_counter()
     fm = solve_fmap(prob)

@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from click.testing import CliRunner
 
 from meshcorr import spectral
 from meshcorr.cli import main
+from meshcorr.evalbench import (benchmark_category, load_dataset,
+                                write_results_csv)
 from meshcorr.funcmap import FmapWeights, FunctionalMap, PointMap, save_map
 from meshcorr.geodesics import save_groups
+from meshcorr.mesh import normalize_mesh
 from meshcorr.meshio import load_mesh, save_mesh
 from meshcorr.pipeline import RunConfig, match_meshes
 
@@ -245,6 +249,83 @@ def test_benchmark_command(runner, sphere_dataset, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.fixture()
+def grid_dataset(tmp_path):
+    """One category of three distinct 10x10 height fields."""
+    heights = [lambda x, y: 0.25 * np.sin(3 * x + 0.7) * np.cos(2 * y - 0.4),
+               lambda x, y: 0.3 * np.sin(4 * x + 1) * np.cos(3 * y),
+               lambda x, y: 0.2 * np.cos(5 * x) * np.sin(2 * y + 0.3)]
+    root = tmp_path / "data"
+    for name, z_fn in zip("abc", heights):
+        m = grid_patch(10, 10, z_fn=z_fn)
+        make_instance(root, "grids", name, m, octant_groups(m))
+    return root
+
+
+def benchmark_rows(path):
+    """The results CSV as dicts, without the timing column."""
+    with open(path, newline="") as fh:
+        return [{key: value for key, value in row.items() if key != "wall_ms"}
+                for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 8])
+def test_benchmark_prepares_each_instance_once(runner, grid_dataset,
+                                               tmp_path, monkeypatch, jobs):
+    calls = []
+    eigenbasis = spectral.eigenbasis
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigenbasis(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigenbasis", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches, more chances to race
+    try:
+        res = runner.invoke(main, [
+            "benchmark", "--dataset", str(grid_dataset), "--csv",
+            str(tmp_path / "r.csv"), "--json", str(tmp_path / "a.json"),
+            "--jobs", str(jobs)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert res.exit_code == 0, all_output(res)
+    assert len(calls) == 3
+
+    # the same rows as matching every pair from scratch
+    config = RunConfig(preprocess=False)
+
+    def per_pair(src, tgt):
+        return match_meshes(normalize_mesh(src.remeshed),
+                            normalize_mesh(tgt.remeshed), config).pmap
+
+    results, _ = benchmark_category(load_dataset(grid_dataset), "grids",
+                                    per_pair, jobs=jobs)
+    write_results_csv(tmp_path / "ref.csv", results)
+    rows = benchmark_rows(tmp_path / "r.csv")
+    assert len(rows) == 9 and all(r["failed"] == "0" for r in rows)
+    assert rows == benchmark_rows(tmp_path / "ref.csv")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_benchmark_failed_preparation_fails_only_its_pairs(
+        runner, grid_dataset, tmp_path, jobs):
+    tiny = grid_patch(3, 3)  # fewer vertices than -k
+    make_instance(grid_dataset, "grids", "tiny", tiny, octant_groups(tiny))
+    res = runner.invoke(main, [
+        "benchmark", "--dataset", str(grid_dataset), "--csv",
+        str(tmp_path / "r.csv"), "--json", str(tmp_path / "a.json"),
+        "-k", "12", "--jobs", str(jobs)])
+    assert res.exit_code == 0, all_output(res)
+    rows = benchmark_rows(tmp_path / "r.csv")
+    assert len(rows) == 16
+    failed = [r for r in rows if r["failed"] == "1"]
+    assert len(failed) == 2 * 4 - 1
+    assert all("tiny" in (r["source"], r["target"]) for r in failed)
+    assert all(r["error"].startswith("ArgumentError: ") for r in failed)
+    assert all(r["err"] and not r["error"] for r in rows if r not in failed)
+
+
 def test_transfer_color_command(runner, tmp_path):
     m = strong_bump_grid(6)
     rng = np.random.default_rng(0)
@@ -340,9 +421,13 @@ def test_transfer_keypoints_command(runner, tmp_path, monkeypatch):
     ('[{"label": "a", "xyz": "up"}]', 3),
     ('[{"label": "a", "vertex": 999}]', 2), ('[{"label": "a"}]', 2),
     ('[{"label": "a", "xyz": [9, 9, 9]}]', 2), ("[]", 2),
+    ('[{"label": "a", "vertex": 2.7}]', 3),
+    ('[{"label": "a", "vertex": true}]', 3),
+    ('[{"label": "a", "vertex": "3"}]', 3),
 ], ids=["missing", "no-label", "vertex-not-int", "not-a-list",
         "entry-not-an-object", "xyz-not-a-point", "vertex-out-of-range",
-        "no-vertex-or-xyz", "xyz-beyond-snap", "empty"])
+        "no-vertex-or-xyz", "xyz-beyond-snap", "empty", "vertex-fractional",
+        "vertex-bool", "vertex-numeric-string"])
 def test_transfer_keypoints_bad_keypoints_exit_code(runner, tmp_path, text,
                                                     code):
     m = strong_bump_grid(6)
