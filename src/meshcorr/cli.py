@@ -20,7 +20,7 @@ from . import evalbench, funcmap, pipeline, spectral, transfer
 from .errors import ArgumentError, MeshCorrError, NumericError
 from .features import load_features, write_features
 from .funcmap import FmapWeights
-from .mesh import cotangent_weights, normalize_mesh, vertex_areas
+from .mesh import normalize_mesh
 from .meshio import load_mesh, save_mesh
 
 EXIT_ARGUMENT = 2
@@ -252,16 +252,15 @@ def cmd_transfer_color(source_textured, source, target, map_path, output):
 @click.option("-o", "--output", required=True, type=click.Path())
 @_handle_errors
 def cmd_transfer_keypoints(source, target, keypoints, map_path, output):
-    """Transfer template keypoints through a stored map; the fallback
-    bases have the size of the map's C."""
+    """Transfer template keypoints through a stored map's point map; the
+    target mesh is read only to check that the map fits it."""
     src = load_mesh(source)
     tgt = load_mesh(target)
     kps = transfer.load_keypoints(keypoints, src)
-    fmap, pmap, _ = funcmap.load_map(map_path)
-    basis_s, basis_t = (spectral.eigenbasis(cotangent_weights(m),
-                                            vertex_areas(m), len(fmap.C))
-                        for m in (src, tgt))
-    results = transfer.transfer_keypoints(kps, pmap, basis_s, basis_t, fmap.C)
+    _, pmap, _ = funcmap.load_map(map_path)
+    funcmap.check_map_fits(pmap.target_to_source, src.n_vertices,
+                           tgt.n_vertices)
+    results = transfer.transfer_keypoints(kps, pmap, src)
     transfer.save_transferred_keypoints(output, results)
     click.echo(f"wrote {output}")
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, DataError, EvaluationError, FormatError
+from .funcmap import check_map_fits
 from .geodesics import (GeodesicMatrix, SemanticGroups, geodesic_matrix,
                         load_groups)
 from .mesh import TriMesh, VertexAreas, vertex_areas
@@ -38,8 +39,7 @@ def geodesic_error(target_to_source, src_groups: SemanticGroups,
     """
     match = np.asarray(getattr(target_to_source, "target_to_source",
                                target_to_source), dtype=np.int64)
-    if len(match) != tgt_groups.n:
-        raise ArgumentError("map length does not match target groups")
+    check_map_fits(match, src_groups.n, tgt_groups.n)
     norm = 100.0 / np.sqrt(src_areas.total)
     src_ids = set(src_groups.ids().tolist())
     errors = np.full(len(match), np.nan)

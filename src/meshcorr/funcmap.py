@@ -169,6 +169,20 @@ class PointMap:
         return len(self.target_to_source)
 
 
+def check_map_fits(target_to_source, n_source: int, n_target=None):
+    """Raise ArgumentError unless the map is 1-D, sends every target
+    vertex to a source vertex in range(n_source) and, when n_target is
+    given, has one entry per target vertex."""
+    match = np.asarray(target_to_source)
+    if match.ndim != 1 or n_target not in (None, len(match)):
+        raise ArgumentError(f"point map of shape {match.shape} does not "
+                            f"fit the target vertex count {n_target}")
+    if match.size and (match.min() < 0 or match.max() >= n_source):
+        raise ArgumentError(
+            f"point map indices {match.min()}..{match.max()} lie outside "
+            f"the {n_source} source vertices")
+
+
 @dataclass(frozen=True)
 class PartialSolution:
     C: np.ndarray
@@ -347,11 +361,7 @@ def fmap_from_pointmap(target_to_source, basis_M: SpectralBasis,
                        basis_N: SpectralBasis) -> np.ndarray:
     """Spectral map of a dense vertex map: C = Phi_N^+ Pi Phi_M."""
     idx = np.asarray(target_to_source, dtype=np.int64)
-    if idx.shape != (basis_N.n,):
-        raise ArgumentError(
-            f"map length {idx.shape} != target vertex count {basis_N.n}")
-    if idx.size and (idx.min() < 0 or idx.max() >= basis_M.n):
-        raise ArgumentError("map index out of source range")
+    check_map_fits(idx, basis_M.n, basis_N.n)
     # Pi is the binary matrix with Pi[j, match(j)] = 1
     return (basis_N.phi.T * basis_N.areas.areas) @ basis_M.phi[idx]
 
@@ -472,15 +482,17 @@ def save_map(path, fmap: FunctionalMap, pmap: PointMap,
 
 
 def load_map(path):
-    """Read a map written by ``save_map``; a missing or malformed file,
-    or a C that is not a square matrix, raises FormatError."""
+    """Read a map written by ``save_map``; a missing or malformed file, a
+    C that is not a square matrix, a target_to_source that is not a list
+    of integers, or a confidence of another length raises FormatError.
+    Whether the map fits a pair of meshes is ``check_map_fits``'s job."""
     if not Path(path).exists():
         raise FormatError(f"map file not found: {path}")
     with open(path, "r") as fh:
         try:
             doc = json.load(fh)
-            pmap = PointMap(np.asarray(doc["target_to_source"], np.int64),
-                            np.asarray(doc["confidence"], np.float64))
+            match = np.asarray(doc["target_to_source"])
+            confidence = np.asarray(doc["confidence"], np.float64)
             fmap = FunctionalMap(np.asarray(doc["C"], np.float64),
                                  bool(doc["converged"]),
                                  float(doc["objective"]),
@@ -491,4 +503,11 @@ def load_map(path):
     if fmap.C.ndim != 2 or fmap.C.shape[0] != fmap.C.shape[1]:
         raise FormatError(f"{path}: C is not a square matrix "
                           f"(shape {fmap.C.shape})")
+    if match.ndim != 1 or match.dtype.kind not in "iu":
+        raise FormatError(f"{path}: target_to_source is not a list of "
+                          "integers")
+    if confidence.shape != match.shape:
+        raise FormatError(f"{path}: confidence has {confidence.size} "
+                          f"entries, target_to_source {match.size}")
+    pmap = PointMap(match.astype(np.int64), confidence)
     return fmap, pmap, doc.get("weights", {})

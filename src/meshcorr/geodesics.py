@@ -68,17 +68,17 @@ class SemanticGroups:
         return idx
 
 
+def edge_graph(mesh: TriMesh) -> sp.csr_matrix:
+    """(n, n) symmetric graph of the mesh edges with Euclidean lengths."""
+    i, j = mesh.edges().T
+    w = np.linalg.norm(mesh.vertices[i] - mesh.vertices[j], axis=1)
+    return sp.csr_matrix((np.r_[w, w], (np.r_[i, j], np.r_[j, i])),
+                         shape=(mesh.n_vertices,) * 2)
+
+
 def geodesic_matrix(mesh: TriMesh) -> GeodesicMatrix:
-    """Edge graph with Euclidean edge lengths of a connected mesh."""
-    e = mesh.edges()
-    n = mesh.n_vertices
-    lengths = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]],
-                             axis=1)
-    graph = sp.csr_matrix(
-        (np.concatenate([lengths, lengths]),
-         (np.concatenate([e[:, 0], e[:, 1]]),
-          np.concatenate([e[:, 1], e[:, 0]]))),
-        shape=(n, n))
+    """Edge graph of a connected mesh."""
+    graph = edge_graph(mesh)
     n_comp, labels = connected_components(graph, directed=False)
     if n_comp > 1:
         sizes = np.bincount(labels)

@@ -46,19 +46,24 @@ class PreparedMesh:
     basis: spectral.SpectralBasis  # descriptor-sized basis
 
 
-def prepare_mesh(mesh: TriMesh, config: RunConfig) -> PreparedMesh:
+def _preprocess(mesh: TriMesh, config: RunConfig) -> TriMesh:
     if min(config.k, config.descriptor_k) < 1:
         raise ArgumentError("basis sizes k and descriptor_k must be >= 1")
     if config.preprocess:
         mesh = normalize_mesh(cleanup_mesh(mesh))
-    k = min(config.descriptor_k, mesh.n_vertices)
-    k = max(k, config.k)
     if config.k > mesh.n_vertices:
         raise ArgumentError(
             f"k={config.k} exceeds mesh vertex count {mesh.n_vertices}")
-    basis = spectral.eigenbasis(cotangent_weights(mesh),
-                                vertex_areas(mesh), k)
-    return PreparedMesh(mesh, basis)
+    return mesh
+
+
+def prepare_mesh(mesh: TriMesh, config: RunConfig) -> PreparedMesh:
+    """Preprocessed mesh and a basis large enough for the descriptor
+    stack and for C."""
+    mesh = _preprocess(mesh, config)
+    k = max(min(config.descriptor_k, mesh.n_vertices), config.k)
+    return PreparedMesh(mesh, spectral.eigenbasis(
+        cotangent_weights(mesh), vertex_areas(mesh), k))
 
 
 def descriptor_stack(prep: PreparedMesh, config: RunConfig) -> FeatureField:
@@ -95,12 +100,15 @@ def prepare_for_matching(mesh: TriMesh, config: RunConfig,
                          features: FeatureField | None = None) -> MatchInput:
     """Preprocess one mesh and compute its basis and features; features
     default to the standardized descriptor stack, and external ones are
-    unit-normalized per row."""
+    unit-normalized per row. With external features nothing reads more
+    than the k eigenpairs C lives in, so only those are solved."""
+    if features is not None:
+        mesh = _preprocess(mesh, config)
+        features = unit_normalize(_check_rows(features, mesh.n_vertices))
+        return MatchInput(spectral.eigenbasis(
+            cotangent_weights(mesh), vertex_areas(mesh), config.k), features)
     prep = prepare_mesh(mesh, config)
-    if features is None:
-        features = _standardize(descriptor_stack(prep, config), prep.basis)
-    else:
-        features = unit_normalize(_check_rows(features, prep.mesh.n_vertices))
+    features = _standardize(descriptor_stack(prep, config), prep.basis)
     return MatchInput(prep.basis.truncate(config.k), features)
 
 

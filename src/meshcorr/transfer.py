@@ -1,7 +1,11 @@
 """Apply recovered point maps: vertex-color transfer between meshes and
 keypoint transfer from a template (source) mesh to a target mesh.
 
-A keypoint is a (label, vertex) pair on the template mesh.
+Both read only the point map (target -> source vertex indices and their
+confidences), never the functional map C or a spectral basis. A keypoint
+is a (label, vertex) pair on the template mesh; one whose vertex no target
+vertex maps to is carried by the nearest vertex on the template that one
+does map to.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ArgumentError, FormatError, MeshCorrError
-from .funcmap import PointMap
+from .funcmap import PointMap, check_map_fits
+from .geodesics import GeodesicMatrix, edge_graph
 from .mesh import TriMesh
 
 SNAP_FRACTION = 0.05  # of the bounding-box diagonal
@@ -81,8 +86,8 @@ def transfer_colors(source_textured: TriMesh, source_simplified: TriMesh,
     """
     if source_textured.colors is None:
         raise ArgumentError("source textured mesh has no vertex colors")
-    if pmap.n != target_simplified.n_vertices:
-        raise ArgumentError("point map length != target vertex count")
+    check_map_fits(pmap.target_to_source, source_simplified.n_vertices,
+                   target_simplified.n_vertices)
     nearest = cKDTree(source_textured.vertices).query(
         source_simplified.vertices)[1]
     simplified_colors = source_textured.colors[nearest]
@@ -90,31 +95,32 @@ def transfer_colors(source_textured: TriMesh, source_simplified: TriMesh,
         simplified_colors[pmap.target_to_source])
 
 
-def transfer_keypoints(keypoints, pmap: PointMap, basis_M, basis_N, C):
+def transfer_keypoints(keypoints, pmap: PointMap, source: TriMesh):
     """Transfer (label, vertex) keypoints source -> target through a
     target->source map, as (vertex, confidence, label) triples.
 
     Keypoint vertex i goes to the highest-confidence vertex of its
-    preimage {j : match(j) = i}. An empty preimage falls back, with
-    confidence 0, to the target row of basis_N.phi @ C nearest to
-    basis_M.phi[i]."""
-    if len(keypoints) == 0:
-        raise ArgumentError("empty keypoint set")
-    if pmap.n != basis_N.n:
-        raise ArgumentError("point map length != target vertex count")
+    preimage {j : match(j) = i}. An empty preimage first replaces i, with
+    confidence 0, by the nearest source vertex that some target vertex
+    maps to: along the source edges or, if none is reachable, in space.
+    Ties go to the smallest index (argmin and argmax are first-hit)."""
+    if len(keypoints) == 0 or pmap.n == 0:
+        raise ArgumentError("empty keypoint set or point map")
     match = pmap.target_to_source
-    emb_n = basis_N.phi @ np.asarray(C)
+    check_map_fits(match, source.n_vertices)
+    covered = np.bincount(match, minlength=source.n_vertices) > 0
     results = []
     for label, i in keypoints:
+        conf = pmap.confidence
+        if not covered[i]:
+            d = GeodesicMatrix(edge_graph(source)).distance_to(i)
+            if np.isinf(d[covered]).all():  # i's part has no covered vertex
+                d = np.linalg.norm(source.vertices - source.vertices[i], axis=1)
+            i = np.flatnonzero(covered)[np.argmin(d[covered])]
+            conf = np.zeros(pmap.n)
         preimage = np.flatnonzero(match == i)
-        if len(preimage):
-            # ties keep the smallest target index (argmax is first-hit)
-            j = int(preimage[np.argmax(pmap.confidence[preimage])])
-            conf = float(pmap.confidence[j])
-        else:
-            j = int(np.argmin(np.linalg.norm(emb_n - basis_M.phi[i], axis=1)))
-            conf = 0.0
-        results.append((j, conf, label))
+        j = int(preimage[np.argmax(pmap.confidence[preimage])])
+        results.append((j, float(conf[j]), label))
     return results
 
 

@@ -10,6 +10,7 @@ from meshcorr import spectral
 from meshcorr.cli import main
 from meshcorr.evalbench import (benchmark_category, load_dataset,
                                 write_results_csv)
+from meshcorr.features import FeatureField, write_features
 from meshcorr.funcmap import FmapWeights, FunctionalMap, PointMap, save_map
 from meshcorr.geodesics import save_groups
 from meshcorr.mesh import normalize_mesh
@@ -403,14 +404,13 @@ def test_transfer_keypoints_command(runner, tmp_path, monkeypatch):
     assert res.exit_code == 0, all_output(res)
     doc = json.loads(out.read_text())
     assert doc[0]["vertex"] == 5 and doc[0]["label"] == "tip"
-    assert asked == [10, 10]  # only the basis the map lives in
-    # the basis size is the map's k, which must fit the mesh
+    # only the point map is read, so the size of C plays no part
     save_map(map_path, FunctionalMap(np.eye(n + 1), True, 0.0, 0),
              PointMap(np.arange(n), np.ones(n)), FmapWeights())
-    asked.clear()
     res = runner.invoke(main, args)
-    assert res.exit_code == 2, all_output(res)
-    assert asked == [n + 1]
+    assert res.exit_code == 0, all_output(res)
+    assert json.loads(out.read_text()) == doc
+    assert asked == []  # no eigensolve
     res = runner.invoke(main, ["transfer-keypoints", "--help"])
     assert "--basis-size" not in res.output
 
@@ -447,6 +447,68 @@ def test_transfer_keypoints_bad_keypoints_exit_code(runner, tmp_path, text,
     assert res.exit_code == code, all_output(res)
     if code == 3:
         assert "kp.json" in all_output(res)
+
+
+@pytest.mark.parametrize("command", ["eval", "transfer-color",
+                                     "transfer-keypoints"])
+@pytest.mark.parametrize("case, code", [
+    ("negative", 2), ("beyond-source", 2), ("short-map", 2),
+    ("fractional", 3), ("short-confidence", 3)])
+def test_map_that_does_not_fit_exits(runner, sphere_dataset, tmp_path,
+                                     command, case, code):
+    _, dirs, m = sphere_dataset
+    n = m.n_vertices
+    mesh = str(dirs[0] / "remeshed.ply")
+    textured = tmp_path / "tex.ply"
+    save_mesh(textured, m.with_colors(np.ones((n, 3))))
+    kp_path = tmp_path / "kp.json"
+    kp_path.write_text(json.dumps([{"label": "tip", "vertex": 5}]))
+    map_path = tmp_path / "map.json"
+    save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
+             PointMap(np.arange(n), np.ones(n)), FmapWeights())
+    doc = json.loads(map_path.read_text())
+    if case.startswith("short"):
+        doc["confidence"].pop()
+        if case == "short-map":
+            doc["target_to_source"].pop()
+    else:
+        doc["target_to_source"][3] = {"negative": -1, "beyond-source": n + 5,
+                                      "fractional": 2.7}[case]
+    map_path.write_text(json.dumps(doc))
+    args = {"eval": ["--source-instance", str(dirs[0]),
+                     "--target-instance", str(dirs[1])],
+            "transfer-color": ["--source-textured", str(textured),
+                               "--source", mesh, "--target", mesh, "-o",
+                               str(tmp_path / "o.ply")],
+            "transfer-keypoints": ["--source", mesh, "--target", mesh,
+                                   "--keypoints", str(kp_path), "-o",
+                                   str(tmp_path / "o.json")]}[command]
+    res = runner.invoke(main, [command, "--map", str(map_path), *args])
+    assert res.exit_code == code, all_output(res)
+    assert not (tmp_path / "o.ply").exists()
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_match_external_features_solve_k_eigenpairs(runner, tmp_path,
+                                                    monkeypatch):
+    m = strong_bump_grid(10)
+    p = tmp_path / "m.ply"
+    save_mesh(p, m)
+    feat = tmp_path / "m.dmf"
+    write_features(feat, FeatureField(m.vertices.copy()))
+    asked, eigenbasis = [], spectral.eigenbasis
+
+    def spy(W, A, k):
+        asked.append(k)
+        return eigenbasis(W, A, k)
+
+    monkeypatch.setattr(spectral, "eigenbasis", spy)
+    res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                               str(p), "--source-features", str(feat),
+                               "--target-features", str(feat), "-k", "6",
+                               "-o", str(tmp_path / "map.json")])
+    assert res.exit_code == 0, all_output(res)
+    assert asked == [6, 6]
 
 
 @pytest.mark.parametrize("command, args", [

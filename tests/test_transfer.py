@@ -5,8 +5,7 @@ import pytest
 
 from meshcorr.errors import ArgumentError, DataError
 from meshcorr.funcmap import PointMap
-from meshcorr.mesh import TriMesh, cotangent_weights, vertex_areas
-from meshcorr.spectral import eigenbasis
+from meshcorr.mesh import TriMesh
 from meshcorr.transfer import (load_keypoints, make_keypoints, snap_to_vertex,
                                save_transferred_keypoints, transfer_colors,
                                transfer_keypoints)
@@ -26,10 +25,6 @@ def test_snap_to_vertex():
     assert snap_to_vertex(m, m.vertices[7] + 1e-4) == 7
     with pytest.raises(ArgumentError):
         snap_to_vertex(m, m.vertices[7] + 10.0)
-
-
-def basis(m, k=6):
-    return eigenbasis(cotangent_weights(m), vertex_areas(m), k)
 
 
 def test_make_and_load_keypoints(tmp_path):
@@ -86,8 +81,7 @@ def test_transfer_keypoints_identity():
     kps = make_keypoints(m, [{"label": "a", "vertex": 2},
                              {"label": "b", "vertex": 11}])
     pmap = PointMap(np.arange(n), np.ones(n))
-    b = basis(m)
-    out = transfer_keypoints(kps, pmap, b, b, np.eye(6))
+    out = transfer_keypoints(kps, pmap, m)
     assert out == [(2, 1.0, "a"), (11, 1.0, "b")]
 
 
@@ -97,27 +91,59 @@ def test_transfer_keypoints_preimage_and_fallbacks():
     match = np.zeros(n, dtype=int)  # everything maps to source vertex 0
     conf = np.linspace(0.1, 0.9, n)
     pmap = PointMap(match, conf)
-    b = basis(m)
     kps0 = make_keypoints(m, [{"label": "o", "vertex": 0}])
-    out = transfer_keypoints(kps0, pmap, b, b, np.eye(6))
+    out = transfer_keypoints(kps0, pmap, m)
     assert out[0][0] == n - 1  # highest-confidence preimage vertex
     with pytest.raises(ArgumentError):  # empty keypoint set
-        transfer_keypoints([], pmap, b, b, np.eye(6))
-    with pytest.raises(ArgumentError):  # map of another target
-        transfer_keypoints(kps0, PointMap(match[1:], conf[1:]), b, b,
-                           np.eye(6))
+        transfer_keypoints([], pmap, m)
+    for bad in (-1, n):  # a map into another source
+        with pytest.raises(ArgumentError):
+            transfer_keypoints(kps0, PointMap(np.full(n, bad), conf), m)
 
 
-def test_transfer_keypoints_spectral_fallback():
-    m = grid_patch(4, 4)
+def test_transfer_keypoints_preimage_rule():
+    """A keypoint with a preimage goes to its highest-confidence vertex,
+    ties to the smallest target index."""
+    m = grid_patch(6, 6)
     n = m.n_vertices
-    b = basis(m)
-    pmap = PointMap(np.zeros(n, dtype=int), np.ones(n))
-    kps = make_keypoints(m, [{"label": "f", "vertex": 9}])
-    out = transfer_keypoints(kps, pmap, b, b, np.eye(6))
-    j, conf, label = out[0]
-    assert conf == 0.0 and label == "f"
-    assert j == 9  # identity C: nearest embedding row is the vertex itself
+    rng = np.random.default_rng(3)
+    match = rng.integers(0, n // 2, size=n)
+    conf = rng.integers(0, 4, size=n) / 4.0  # many confidence ties
+    kps = [(f"k{i}", int(i)) for i in np.unique(match)]
+    out = transfer_keypoints(kps, PointMap(match, conf), m)
+    expected = []
+    for label, i in kps:
+        j = min(np.flatnonzero(match == i), key=lambda t: (-conf[t], t))
+        expected.append((int(j), float(conf[j]), label))
+    assert out == expected
+
+
+def test_transfer_keypoints_nearest_covered_vertex_on_the_graph():
+    m = grid_patch(5, 5)
+    n = m.n_vertices
+    match = np.arange(n)
+    match[12] = 13  # the centre vertex is left uncovered
+    conf = np.full(n, 0.5)
+    conf[12] = 0.9
+    out = transfer_keypoints([("c", 12), ("e", 13)], PointMap(match, conf), m)
+    # 7, 11, 13 and 17 are one grid step from 12; the smallest index wins
+    assert out == [(7, 0.0, "c"), (12, 0.9, "e")]
+    # with only 6 and 16 covered, both equally far from 12 in space, the
+    # edge 12-16 beats the two-edge path 12-7-6
+    match = np.where(np.arange(n) % 2, 6, 16)
+    out = transfer_keypoints([("c", 12)], PointMap(match, np.ones(n)), m)
+    assert out == [(0, 0.0, "c")]  # 16's preimage is the even targets
+
+
+def test_transfer_keypoints_euclidean_fallback_across_parts():
+    part = grid_patch(3, 3)
+    far = part.vertices + [5.0, 0.0, 0.0]
+    source = TriMesh(np.vstack([part.vertices, far]),
+                     np.vstack([part.triangles, part.triangles + 9]))
+    pmap = PointMap(np.arange(9), np.ones(9))  # only the first part covered
+    out = transfer_keypoints([("a", 9), ("b", 17), ("c", 4)], pmap, source)
+    # (5, 0) and (6, 1) are nearest to the covered corners (1, 0) and (1, 1)
+    assert out == [(6, 0.0, "a"), (8, 0.0, "b"), (4, 1.0, "c")]
 
 
 def test_save_transferred_keypoints(tmp_path):
