@@ -18,13 +18,19 @@ C.ravel()): c^T H c - 2 b^T c + const, with a k^2 x k^2 matrix H built
 once per problem (``FmapProblem.quadratic``). The solver whitens with the
 Cholesky factor H = L L^T, so the smooth part has unit curvature in
 y = L^T c, and starts from its minimizer.
+
+``solve_partial`` matches a partial source: over C and a target mask
+eta in [0, 1]^n_N it minimizes J(C, eta) = the objective above with
+G = Phi_N^+ Diag(eta) g, + W_AREA (a_N^T eta - area_M)^2 + W_MS sum_e
+w_e (eta_i - eta_j)^2 - W_ETA sum_i eta_i log eta_i.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+import warnings
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -56,13 +62,12 @@ class FmapWeights:
     w_sum: float = DEFAULT_W_SUM
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "w_entropy", "w_sum"):
-            if getattr(self, name) < 0:
-                raise ArgumentError(f"{name} must be >= 0")
+        for name, value in self.as_dict().items():
+            if not 0.0 <= value < np.inf:
+                raise ArgumentError(f"{name} must be finite and >= 0")
 
     def as_dict(self):
-        return {"alpha": self.alpha, "beta": self.beta,
-                "w_entropy": self.w_entropy, "w_sum": self.w_sum}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -188,9 +193,15 @@ class PartialSolution:
     C: np.ndarray
     eta: np.ndarray                  # (n_N,) membership mask in [0, 1]
     matched_area_fraction: float
-    objective: float
-    rounds: int
-    converged: bool                  # the round-to-round stop test fired
+    objective: float                 # J(C, eta), see solve_partial
+    iterations: int
+    converged: bool                  # scipy's success flag
+    reason: str                      # scipy's termination message
+
+    @property
+    def rounds(self) -> int:
+        """1, the one joint solve; only the benchmark tracer reads it."""
+        return 1
 
 
 def multiplication_operator(basis: SpectralBasis, channel) -> np.ndarray:
@@ -231,25 +242,21 @@ def _entropy_term(C, problem):
     to C. The dense Pi is only materialized when the entropy weight is
     active."""
     w = problem.weights
-    value = 0.0
-    grad_pi_proj = np.zeros((problem.k, problem.k))
-
-    if w.w_entropy > 0.0:
-        phi_n, pinv_m = problem.entropy_operands
-        dt = pinv_m.dtype.type
-        pi = (phi_n @ C.astype(dt, copy=False)) @ pinv_m  # (n_N, n_M)
-        interior = (pi > 0.0) & (pi < 1.0)
-        np.clip(pi, 0.0, 1.0, out=pi)
-        logc = np.log(pi + dt(EPS_LOG))
-        value += w.w_entropy * float(-np.dot(pi.ravel(), logc.ravel()))
-        # d/dPi of -(p log(p+eps)) with zero subgradient outside (0, 1)
-        quot = np.divide(pi, pi + dt(EPS_LOG), out=pi)
-        logc += quot
-        np.negative(logc, out=logc)
-        logc *= interior
-        grad_pi_proj += w.w_entropy * (phi_n.T @ logc @ pinv_m.T)
-
-    return value, grad_pi_proj
+    if w.w_entropy == 0.0:
+        return 0.0, np.zeros((problem.k, problem.k))
+    phi_n, pinv_m = problem.entropy_operands
+    dt = pinv_m.dtype.type
+    pi = (phi_n @ C.astype(dt, copy=False)) @ pinv_m  # (n_N, n_M)
+    interior = (pi > 0.0) & (pi < 1.0)
+    np.clip(pi, 0.0, 1.0, out=pi)
+    logc = np.log(pi + dt(EPS_LOG))
+    value = w.w_entropy * float(-np.dot(pi.ravel(), logc.ravel()))
+    # d/dPi of -(p log(p+eps)) with zero subgradient outside (0, 1)
+    quot = np.divide(pi, pi + dt(EPS_LOG), out=pi)
+    logc += quot
+    np.negative(logc, out=logc)
+    logc *= interior
+    return value, w.w_entropy * (phi_n.T @ logc @ pinv_m.T)
 
 
 def fmap_objective(C, problem: FmapProblem):
@@ -267,49 +274,63 @@ def fmap_objective(C, problem: FmapProblem):
     return value + ev, grad + eg
 
 
-def solve_fmap(problem: FmapProblem, max_iter: int = DEFAULT_MAX_ITER,
-               C0: np.ndarray | None = None) -> FunctionalMap:
-    """Minimize the regularized objective with limited-memory
-    quasi-Newton (L-BFGS-B, history 30) in whitened coordinates.
-
-    With H = L L^T the Cholesky factor of the quadratic part (plus a
-    ridge of WHITEN_RIDGE times its mean diagonal, so a rank-deficient
-    H still factors; the objective itself is unchanged), the optimizer
-    runs on y = L^T vec(C), where the quadratic part has unit
-    curvature. It starts from that part's minimizer, or from C0 when
-    given. ``converged`` is True when scipy reports success (its
-    projected-gradient test in y, or a relative decrease <= 1e-12) or
-    when the gradient with respect to C has norm <= TOL * (1 + |value|).
-    The first non-finite objective value raises NumericError; its
-    ``last_valid`` is the last k x k C whose objective was finite.
-    """
-    k = problem.k
-    H, b, _ = problem.quadratic
+def _whitening(problem: FmapProblem):
+    """(to_C, lower) for H + ridge = L L^T, H the quadratic part's matrix
+    and the ridge WHITEN_RIDGE times its mean diagonal (so a singular H
+    factors). In y = L^T vec(C) the quadratic part has unit curvature:
+    to_C(y) is that C, and lower(v) = L^-1 v maps a gradient in vec(C) to
+    one in y, and b to the quadratic part's minimizer in y."""
+    H, k = problem.quadratic[0], problem.k
     ridge = WHITEN_RIDGE * (np.trace(H) / len(H) or 1.0)
     L = np.linalg.cholesky(H + ridge * np.eye(len(H)))
+    lower = partial(scipy.linalg.solve_triangular, L, lower=True,
+                    check_finite=False)
+    return (lambda y: lower(y, trans="T").reshape(k, k)), lower
 
-    def to_c(y):
-        return scipy.linalg.solve_triangular(L, y, lower=True, trans="T",
-                                          check_finite=False)
 
-    if C0 is None:
-        y0 = scipy.linalg.solve_triangular(L, b, lower=True)
-    else:
-        y0 = L.T @ np.asarray(C0, float).ravel()
-    state = {"last_valid": to_c(y0), "y": None, "f": None, "g": None}
+def _minimize(fun, x0, to_C, max_iter, **kwargs):
+    """L-BFGS-B (history 30) on fun(x) -> (value, gradient). The first
+    non-finite value raises NumericError; its ``last_valid`` is to_C of
+    the last x whose value was finite (x0 until one was)."""
+    last_valid = [x0]
 
-    def fun(y):
-        c = to_c(y)
-        value, grad = fmap_objective(c.reshape(k, k), problem)
+    def checked(x):
+        value, grad = fun(x)
         if not np.isfinite(value):
             exc = NumericError(
                 "objective became non-finite; last valid C available")
-            exc.last_valid = state["last_valid"].reshape(k, k)
+            exc.last_valid = to_C(last_valid[0])
             raise exc
-        state["last_valid"] = c
-        state["y"], state["f"], state["g"] = y.copy(), value, grad.ravel()
-        return value, scipy.linalg.solve_triangular(L, state["g"], lower=True,
-                                                  check_finite=False)
+        last_valid[0] = x.copy()
+        return value, grad
+
+    return scipy.optimize.minimize(
+        checked, x0, jac=True, method="L-BFGS-B", options={
+            "maxiter": max_iter, "maxcor": 30, "gtol": TOL, "ftol": 1e-12},
+        **kwargs)
+
+
+def solve_fmap(problem: FmapProblem,
+               max_iter: int = DEFAULT_MAX_ITER) -> FunctionalMap:
+    """Minimize the regularized objective with limited-memory
+    quasi-Newton (L-BFGS-B, history 30) in whitened coordinates.
+
+    It runs on y = L^T vec(C) (``_whitening``) from the quadratic part's
+    minimizer. ``converged`` is True when scipy reports success (its
+    projected-gradient test in y, or a relative decrease <= 1e-12) or
+    when the gradient with respect to C has norm <= TOL * (1 + |value|).
+    A max_iter below 1 raises ArgumentError; a non-finite objective
+    raises NumericError (``_minimize``).
+    """
+    if max_iter < 1:
+        raise ArgumentError(f"max_iter must be >= 1, got {max_iter}")
+    to_C, lower = _whitening(problem)
+    state = {}
+
+    def fun(y):
+        value, grad = fmap_objective(to_C(y), problem)
+        state.update(y=y.copy(), f=value, g=grad.ravel())
+        return value, lower(state["g"])
 
     def scale_aware_stop(intermediate_result):
         # stop once the gradient norm with respect to C falls below
@@ -317,18 +338,14 @@ def solve_fmap(problem: FmapProblem, max_iter: int = DEFAULT_MAX_ITER,
         # point, so the cached gradient normally belongs to this iterate
         if not np.array_equal(intermediate_result.x, state["y"]):
             fun(intermediate_result.x)
-        f, g = state["f"], state["g"]
-        if float(np.linalg.norm(g)) <= TOL * (1.0 + abs(float(f))):
+        if float(np.linalg.norm(state["g"])) <= TOL * (1.0 + abs(state["f"])):
             state["tol_met"] = True
             raise StopIteration
 
-    res = scipy.optimize.minimize(
-        fun, y0, jac=True, method="L-BFGS-B", callback=scale_aware_stop,
-        options={"maxiter": max_iter, "maxcor": 30,
-                 "gtol": TOL, "ftol": 1e-12})
+    res = _minimize(fun, lower(problem.quadratic[1]), to_C, max_iter,
+                    callback=scale_aware_stop)
     converged = bool(res.success) or state.get("tol_met", False)
-    return FunctionalMap(to_c(res.x).reshape(k, k), converged,
-                         float(res.fun), int(res.nit))
+    return FunctionalMap(to_C(res.x), converged, float(res.fun), int(res.nit))
 
 
 def recover_pointmap(C, basis_M: SpectralBasis, basis_N: SpectralBasis,
@@ -371,95 +388,75 @@ def fmap_from_pointmap(target_to_source, basis_M: SpectralBasis,
 W_AREA = 1.0          # area preservation
 W_MS = 1e-2           # boundary smoothness
 W_ETA = 1e-3          # mask entropy
-MAX_ROUNDS = 20
-ETA_STEPS = 40        # projected gradient steps on eta per round
-ROUND_TOL = 1e-6      # relative change of the joint objective
 
 
 def solve_partial(problem: FmapProblem, g,
                   edges: np.ndarray) -> PartialSolution:
     """Partial source vs full target matching (Rodola et al., CGF 2017).
 
-    Alternates between solving C at fixed mask eta (target features
-    replaced by Diag(eta) g) and projected gradient steps on eta for the
-    masked data term plus area preservation, boundary smoothness, and
-    mask entropy. ``edges`` are the target-mesh edges used by the
-    smoothness term. ``converged`` is True when the joint objective
-    changed by at most ROUND_TOL (relative) within MAX_ROUNDS rounds.
-    """
-    import warnings
+    Minimizes over C and a target mask eta in [0, 1]^n_N
 
+        J(C, eta) = E(C; G(eta)) + W_AREA (a^T eta - area_M)^2
+                    + W_MS sum_e w_e (eta_i - eta_j)^2 - W_ETA sum eta log eta
+
+    with E = fmap_objective, G(eta) = Phi_N^+ Diag(eta) g, a the target
+    vertex areas and w_e the mean area at the ends of each of ``edges``.
+    One L-BFGS-B solve (Byrd et al., SISC 1995) runs on x = [L^T vec(C),
+    sqrt(D) eta] from the quadratic part's minimizer at eta = min(1,
+    area_M / area_N): L whitens C as in ``solve_fmap``, and D is the
+    diagonal of J's quadratic Hessian in eta. ``converged`` and
+    ``reason`` are scipy's.
+    """
     g = np.atleast_2d(np.asarray(g, dtype=np.float64))
-    bn = problem.basis_N
+    bn, k, F = problem.basis_N, problem.k, problem.F
     if g.shape[0] != bn.n:
         raise ArgumentError("g rows must match the target vertex count")
-    a_n = bn.areas.areas
-    area_n = bn.areas.total
+    a_n, area_n = bn.areas.areas, bn.areas.total
     area_m = problem.basis_M.areas.total
     if area_m > area_n:
         warnings.warn("source area exceeds target area; mask will saturate")
 
     edges = np.asarray(edges, dtype=np.int64)
     ew = 0.5 * (a_n[edges[:, 0]] + a_n[edges[:, 1]])  # area-weighted edges
+    phi_a = bn.phi * a_n[:, None]                     # Phi_N^+ = phi_a^T
+    # E(C; G) = E(C; 0) - 2 <CF, G> + |G|^2: only the last two see eta
+    unmasked = replace(problem, G=np.zeros_like(problem.G))
+    to_C, lower = _whitening(unmasked)
+    degree = np.bincount(edges.ravel(), np.repeat(ew, 2), minlength=bn.n)
+    root_d = np.sqrt(2.0 * a_n ** 2 * ((bn.phi ** 2).sum(axis=1)
+                                       * (g ** 2).sum(axis=1) + W_AREA)
+                     + 2.0 * W_MS * degree)
 
-    eta = np.full(bn.n, min(1.0, area_m / area_n))
-    pinv_n = bn.phi.T * a_n
+    def split(x):   # x <= root_d gives eta <= 1 exactly
+        return to_C(x[:k * k]), x[k * k:] / root_d
 
-    def eta_objective(eta_vec, C):
-        G_eta = pinv_n @ (eta_vec[:, None] * g)
-        resid = C @ problem.F - G_eta
-        data = float((resid ** 2).sum())
-        area_pen = W_AREA * (float(eta_vec @ a_n) - area_m) ** 2
-        d = eta_vec[edges[:, 0]] - eta_vec[edges[:, 1]]
-        ms = W_MS * float(ew @ (d ** 2))
-        ent = W_ETA * float(-(eta_vec * np.log(eta_vec + EPS_LOG)).sum())
-        return data, area_pen + ms + ent, resid
+    def fun(x):
+        C, eta = split(x)
+        G, CF = phi_a.T @ (eta[:, None] * g), C @ F
+        value, grad_C = fmap_objective(C, unmasked)
+        grad_C -= 2.0 * G @ F.T
+        grad_eta = -2.0 * np.einsum("nd,nd->n", phi_a @ (CF - G), g)
+        excess = float(eta @ a_n) - area_m
+        d = eta[edges[:, 0]] - eta[edges[:, 1]]
+        log_eta = np.log(eta + EPS_LOG)
+        value += (float((G * (G - 2.0 * CF)).sum()) + W_AREA * excess ** 2
+                  + W_MS * float(ew @ d ** 2) - W_ETA * float(eta @ log_eta))
+        wd = 2.0 * W_MS * ew * d
+        grad_eta += (2.0 * W_AREA * excess * a_n
+                     + np.bincount(edges[:, 0], wd, minlength=bn.n)
+                     - np.bincount(edges[:, 1], wd, minlength=bn.n)
+                     - W_ETA * (log_eta + eta / (eta + EPS_LOG)))
+        return value, np.r_[lower(grad_C.ravel()), grad_eta / root_d]
 
-    def eta_gradient(eta_vec, C, resid):
-        # d/d eta of |CF - Phi_N^+ Diag(eta) g|^2
-        grad = -2.0 * np.einsum("nd,nd->n",
-                                (a_n[:, None] * bn.phi) @ resid, g)
-        grad += 2.0 * W_AREA * (float(eta_vec @ a_n) - area_m) * a_n
-        d = eta_vec[edges[:, 0]] - eta_vec[edges[:, 1]]
-        lap = np.zeros_like(eta_vec)
-        np.add.at(lap, edges[:, 0], 2.0 * W_MS * ew * d)
-        np.add.at(lap, edges[:, 1], -2.0 * W_MS * ew * d)
-        grad += lap
-        grad += -W_ETA * (np.log(eta_vec + EPS_LOG)
-                          + eta_vec / (eta_vec + EPS_LOG))
-        return grad
-
-    prev, C, converged = np.inf, None, False
-    for rounds in range(1, MAX_ROUNDS + 1):
-        fm = solve_fmap(replace(problem, G=pinv_n @ (eta[:, None] * g)),
-                        C0=C)
-        C = fm.C
-
-        # projected gradient with backtracking on the joint eta objective
-        data, reg, resid = eta_objective(eta, C)
-        current = data + reg
-        step = 1.0
-        for _ in range(ETA_STEPS):
-            grad = eta_gradient(eta, C, resid)
-            while step > 1e-12:
-                trial = np.clip(eta - step * grad, 0.0, 1.0)
-                d2, r2, resid2 = eta_objective(trial, C)
-                if d2 + r2 < current:
-                    eta, current, resid = trial, d2 + r2, resid2
-                    step *= 1.5
-                    break
-                step *= 0.5
-            else:
-                break
-
-        total = current + fm.final_objective - data  # avoid double counting
-        converged = abs(prev - total) <= ROUND_TOL * max(1.0, abs(total))
-        prev = total
-        if converged:
-            break
-
-    fraction = float(eta @ a_n) / area_n
-    return PartialSolution(C, eta, fraction, float(prev), rounds, converged)
+    eta0 = np.full(bn.n, min(1.0, area_m / area_n))
+    y0 = lower(unmasked.quadratic[1]
+               + (phi_a.T @ (eta0[:, None] * g) @ F.T).ravel())
+    res = _minimize(fun, np.r_[y0, root_d * eta0],
+                    lambda x: split(x)[0], DEFAULT_MAX_ITER,
+                    bounds=[(None, None)] * k ** 2 + [(0, r) for r in root_d])
+    C, eta = split(res.x)
+    return PartialSolution(C, eta, float(eta @ a_n) / area_n, float(res.fun),
+                           int(res.nit), bool(res.success), str(res.message))
 
 
 # ----------------------------------------------------------------- io

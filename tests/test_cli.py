@@ -107,6 +107,21 @@ def test_match_bad_weight_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--alpha", "nan"), ("--w-entropy", "nan"), ("--beta", "inf"),
+    ("--w-sum", "-inf"),
+])
+def test_match_non_finite_weight_exits_2(runner, tmp_path, option, value):
+    p = tmp_path / "m.ply"
+    save_mesh(p, strong_bump_grid(6))
+    out = tmp_path / "o.json"
+    res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                               str(p), "-o", str(out), option, value])
+    assert res.exit_code == 2, all_output(res)
+    assert "must be finite" in all_output(res)
+    assert not out.exists()
+
+
 def test_descriptors_command_and_external_features(runner, tmp_path):
     m = strong_bump_grid(10)
     p = tmp_path / "m.ply"
@@ -516,7 +531,10 @@ def test_match_external_features_solve_k_eigenpairs(runner, tmp_path,
     ("descriptors", ["--hks", "4", "-k", "0"]),
     ("benchmark", ["--jobs", "0"]),
     ("benchmark", ["--jobs", "-3"]),
-], ids=["match-k", "descriptors-k", "benchmark-jobs-0", "benchmark-jobs-neg"])
+    ("match", ["--max-iter", "0"]),
+    ("match", ["--max-iter", "-3"]),
+], ids=["match-k", "descriptors-k", "benchmark-jobs-0", "benchmark-jobs-neg",
+        "match-max-iter-0", "match-max-iter-neg"])
 def test_sizes_below_one_exit_2(runner, sphere_dataset, tmp_path, command,
                                 args):
     root, dirs, _ = sphere_dataset

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import meshcorr.funcmap as funcmap
 from meshcorr.errors import ArgumentError, NumericError
-from meshcorr.mesh import cotangent_weights, vertex_areas
+from meshcorr.mesh import TriMesh, cotangent_weights, vertex_areas
 from meshcorr.spectral import eigenbasis
 from meshcorr.funcmap import (FmapProblem, FmapWeights, build_problem,
                               fmap_from_pointmap, fmap_objective, load_map,
@@ -13,8 +15,12 @@ from meshcorr.funcmap import (FmapProblem, FmapWeights, build_problem,
 from conftest import grid_patch, icosphere
 
 
+def wavy(x, y):
+    return 0.3 * np.sin(3 * x) * np.cos(2 * y)
+
+
 def basis_pair(k=8):
-    m = grid_patch(8, 8, z_fn=lambda x, y: 0.3 * np.sin(3 * x) * np.cos(2 * y))
+    m = grid_patch(8, 8, z_fn=wavy)
     b = eigenbasis(cotangent_weights(m), vertex_areas(m), k)
     return m, b
 
@@ -202,7 +208,7 @@ def test_save_load_map_roundtrip(tmp_path):
     assert w["alpha"] == 0.5
 
 
-def test_solve_partial_full_overlap(monkeypatch):
+def test_solve_partial_full_overlap():
     # with the full target visible the mask should stay close to one
     m, b = basis_pair(6)
     rng = np.random.default_rng(11)
@@ -212,10 +218,65 @@ def test_solve_partial_full_overlap(monkeypatch):
     assert sol.eta.shape == (m.n_vertices,)
     assert (sol.eta >= 0).all() and (sol.eta <= 1).all()
     assert sol.matched_area_fraction > 0.8
-    assert sol.rounds >= 1
     assert sol.converged is True
-    # a single round cannot meet the round-to-round stop test
-    monkeypatch.setattr(funcmap, "MAX_ROUNDS", 1)
-    sol = solve_partial(prob, f, m.edges())
-    assert sol.rounds == 1
-    assert sol.converged is False
+
+
+def smooth_features(mesh):
+    x, y, _ = mesh.vertices.T
+    return np.column_stack([np.sin(3 * x), np.cos(2 * y), x * y, x - y])
+
+
+def corner_cut():
+    """A problem whose source is the lower-left quarter of its target
+    grid (the same vertices, spacing and height field), with the target
+    features and edges that solve_partial takes."""
+    full = grid_patch(9, 9, z_fn=wavy)
+    part = grid_patch(5, 5, scale=0.5, z_fn=wavy)
+    bases = [eigenbasis(cotangent_weights(m), vertex_areas(m), 6)
+             for m in (part, full)]
+    g = smooth_features(full)
+    return build_problem(*bases, smooth_features(part), g), g, full.edges()
+
+
+def partial_objective(prob, g, edges, C, eta):
+    """J(C, eta) from its definition in solve_partial's docstring."""
+    bn = prob.basis_N
+    masked = replace(prob, G=bn.pinv() @ (eta[:, None] * g))
+    a = bn.areas.areas
+    i, j = edges.T
+    return (fmap_objective(C, masked)[0]
+            + funcmap.W_AREA * (eta @ a - prob.basis_M.areas.total) ** 2
+            + funcmap.W_MS * (0.5 * (a[i] + a[j]) * (eta[i] - eta[j]) ** 2).sum()
+            - funcmap.W_ETA * (eta * np.log(eta + 1e-12)).sum())
+
+
+def test_solve_partial_objective_is_J():
+    prob, g, edges = corner_cut()
+    sol = solve_partial(prob, g, edges)
+    assert sol.converged is True and sol.reason
+    assert sol.iterations >= 1 and sol.rounds == 1
+    assert sol.objective == pytest.approx(
+        partial_objective(prob, g, edges, sol.C, sol.eta), rel=1e-12)
+    ratio = prob.basis_M.areas.total / prob.basis_N.areas.total
+    assert sol.matched_area_fraction == pytest.approx(ratio, abs=0.15)
+
+    # the start point: the uniform mask at the area ratio, and the
+    # minimizer of the quadratic part of the objective under that mask
+    eta0 = np.full(prob.n_N, ratio)
+    masked = replace(prob, G=prob.basis_N.pinv() @ (eta0[:, None] * g))
+    H, b, _ = masked.quadratic
+    C0 = np.linalg.solve(H, b).reshape(prob.k, prob.k)
+    assert sol.objective <= partial_objective(prob, g, edges, C0, eta0)
+
+
+def test_solve_partial_larger_source_saturates():
+    # a source with more area than the target: every target vertex is
+    # matched
+    m, b = basis_pair(6)
+    big = TriMesh(1.2 * m.vertices, m.triangles)
+    bb = eigenbasis(cotangent_weights(big), vertex_areas(big), 6)
+    prob = build_problem(bb, b, smooth_features(big), smooth_features(m))
+    with pytest.warns(UserWarning, match="mask will saturate"):
+        sol = solve_partial(prob, smooth_features(m), m.edges())
+    assert sol.eta.min() == 1.0
+    assert sol.matched_area_fraction == pytest.approx(1.0)
