@@ -55,11 +55,17 @@ def geodesic_error(target_to_source, src_groups: SemanticGroups,
     return errors
 
 
+def _check_max_threshold(max_threshold):
+    if not 0.0 < max_threshold < np.inf:
+        raise ArgumentError(
+            f"max_threshold must be finite and > 0, got {max_threshold}")
+
+
 def auc(errors, max_threshold: float = DEFAULT_MAX_THRESHOLD):
     """Threshold-accuracy curve at NUM_THRESHOLDS evenly spaced
-    thresholds and its normalized trapezoidal area."""
-    if max_threshold <= 0:
-        raise ArgumentError("max_threshold must be > 0")
+    thresholds and its normalized trapezoidal area; max_threshold must
+    be finite and > 0."""
+    _check_max_threshold(max_threshold)
     errors = np.asarray(errors, dtype=np.float64)
     errors = errors[~np.isnan(errors)]
     if errors.size == 0:
@@ -175,6 +181,7 @@ def benchmark_category(instances, category: str, matcher, jobs: int = 1,
     """
     if jobs < 1:
         raise ArgumentError(f"jobs must be >= 1, got {jobs}")
+    _check_max_threshold(max_threshold)
     chosen = [i for i in instances if i.category == category]
     if not chosen:
         raise ArgumentError(f"no instances in category '{category}'")

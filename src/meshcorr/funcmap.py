@@ -11,13 +11,15 @@ The spectral map C (k x k) is found by minimizing
 with Pi = Phi_N C Phi_M^+ (rows index target vertices, columns source
 vertices; match(j) is the row of Phi_M nearest to row j of Phi_N C, or
 the row-argmax of Pi). All gradients are analytic; the clamp contributes
-zero gradient outside (0, 1).
+zero gradient outside (0, 1). The entropy is computed in float64 over
+blocks of whole target rows of Pi, about ENTROPY_BLOCK entries each, so
+no n_N x n_M buffer is built.
 
 Every term but the entropy is a fixed quadratic in c = vec(C) (row-major
 C.ravel()): c^T H c - 2 b^T c + const, with a k^2 x k^2 matrix H built
 once per problem (``FmapProblem.quadratic``). The solver whitens with the
 Cholesky factor H = L L^T, so the smooth part has unit curvature in
-y = L^T c, and starts from its minimizer.
+y = L^T c, starts from its minimizer and stops on L-BFGS-B's own test.
 
 ``solve_partial`` matches a partial source: over C and a target mask
 eta in [0, 1]^n_N it minimizes J(C, eta) = the objective above with
@@ -42,7 +44,7 @@ from .errors import ArgumentError, FormatError, NumericError
 from .spectral import SpectralBasis
 
 EPS_LOG = 1e-12
-ENTROPY_F32_CUTOFF = 1_000_000  # entries of the dense map matrix
+ENTROPY_BLOCK = 32_768          # entries of Pi per entropy block (256 KiB)
 WHITEN_RIDGE = 1e-10            # relative to the mean diagonal of H
 
 DEFAULT_ALPHA = 1e-2
@@ -50,7 +52,7 @@ DEFAULT_BETA = 1e-4
 DEFAULT_W_ENTROPY = 1e-5
 DEFAULT_W_SUM = 1e-3
 DEFAULT_MAX_ITER = 500
-TOL = 1e-7                      # solve_fmap's gradient stop test
+TOL = 1e-7                      # L-BFGS-B's projected-gradient gtol
 RECOVERY_METHODS = ("nearest", "argmax")  # the first is the default
 
 
@@ -139,22 +141,6 @@ class FmapProblem:
             const += w.w_sum * (self.n_N + r * r * self.n_M)
         return H, b, const
 
-    @cached_property
-    def entropy_operands(self):
-        """(Phi_N, Phi_M^T A_M), the (n_N, k) and (k, n_M) factors of Pi,
-        in the entropy block's precision.
-
-        The dense map matrix has n_N * n_M entries; above a size cutoff
-        single precision keeps this block fast without hurting the
-        solver (its gradient contribution is orders of magnitude above
-        float32 roundoff). Small problems stay in double precision.
-        """
-        dt = np.float32 if self.n_N * self.n_M > ENTROPY_F32_CUTOFF \
-            else np.float64
-        bm = self.basis_M
-        return (self.basis_N.phi.astype(dt, copy=False),
-                (bm.phi.T * bm.areas.areas).astype(dt, copy=False))
-
 
 @dataclass(frozen=True)
 class FunctionalMap:
@@ -239,24 +225,29 @@ def build_problem(basis_M: SpectralBasis, basis_N: SpectralBasis,
 
 def _entropy_term(C, problem):
     """Entropy penalty of the clamped Pi plus its gradient with respect
-    to C. The dense Pi is only materialized when the entropy weight is
-    active."""
+    to C, in float64 over blocks of whole target rows of Pi, about
+    ENTROPY_BLOCK entries each (a block's buffers then stay in cache).
+    The gradient is Phi_N^T (dE/dPi) (Phi_M^+)^T; its left product is
+    summed block by block."""
     w = problem.weights
     if w.w_entropy == 0.0:
         return 0.0, np.zeros((problem.k, problem.k))
-    phi_n, pinv_m = problem.entropy_operands
-    dt = pinv_m.dtype.type
-    pi = (phi_n @ C.astype(dt, copy=False)) @ pinv_m  # (n_N, n_M)
-    interior = (pi > 0.0) & (pi < 1.0)
-    np.clip(pi, 0.0, 1.0, out=pi)
-    logc = np.log(pi + dt(EPS_LOG))
-    value = w.w_entropy * float(-np.dot(pi.ravel(), logc.ravel()))
-    # d/dPi of -(p log(p+eps)) with zero subgradient outside (0, 1)
-    quot = np.divide(pi, pi + dt(EPS_LOG), out=pi)
-    logc += quot
-    np.negative(logc, out=logc)
-    logc *= interior
-    return value, w.w_entropy * (phi_n.T @ logc @ pinv_m.T)
+    phi_n, pinv_m = problem.basis_N.phi, problem.basis_M.pinv()
+    emb = phi_n @ C                                  # (n_N, k)
+    value, left = 0.0, np.zeros_like(pinv_m)         # left: (k, n_M)
+    step = max(1, ENTROPY_BLOCK // problem.n_M)      # target rows per block
+    for start in range(0, problem.n_N, step):
+        rows = slice(start, start + step)
+        pi = emb[rows] @ pinv_m
+        interior = (pi > 0.0) & (pi < 1.0)
+        np.clip(pi, 0.0, 1.0, out=pi)
+        logc = np.log(pi + EPS_LOG)
+        value -= float(np.dot(pi.ravel(), logc.ravel()))
+        # d/dPi of -(p log(p+eps)) with zero subgradient outside (0, 1)
+        logc += np.divide(pi, pi + EPS_LOG, out=pi)
+        logc *= interior
+        left -= phi_n[rows].T @ logc
+    return w.w_entropy * value, w.w_entropy * (left @ pinv_m.T)
 
 
 def fmap_objective(C, problem: FmapProblem):
@@ -316,36 +307,24 @@ def solve_fmap(problem: FmapProblem,
     quasi-Newton (L-BFGS-B, history 30) in whitened coordinates.
 
     It runs on y = L^T vec(C) (``_whitening``) from the quadratic part's
-    minimizer. ``converged`` is True when scipy reports success (its
-    projected-gradient test in y, or a relative decrease <= 1e-12) or
-    when the gradient with respect to C has norm <= TOL * (1 + |value|).
-    A max_iter below 1 raises ArgumentError; a non-finite objective
-    raises NumericError (``_minimize``).
+    minimizer. There is one stop test, L-BFGS-B's own: ``converged`` is
+    scipy's success flag, set when the projected gradient in y has norm
+    <= TOL or the relative decrease falls to 1e-12; max_iter iterations
+    or a failed line search leave it False. A max_iter below 1 raises
+    ArgumentError; a non-finite objective raises NumericError
+    (``_minimize``).
     """
     if max_iter < 1:
         raise ArgumentError(f"max_iter must be >= 1, got {max_iter}")
     to_C, lower = _whitening(problem)
-    state = {}
 
     def fun(y):
         value, grad = fmap_objective(to_C(y), problem)
-        state.update(y=y.copy(), f=value, g=grad.ravel())
-        return value, lower(state["g"])
+        return value, lower(grad.ravel())
 
-    def scale_aware_stop(intermediate_result):
-        # stop once the gradient norm with respect to C falls below
-        # TOL * (1 + |value|); the line search ends at the accepted
-        # point, so the cached gradient normally belongs to this iterate
-        if not np.array_equal(intermediate_result.x, state["y"]):
-            fun(intermediate_result.x)
-        if float(np.linalg.norm(state["g"])) <= TOL * (1.0 + abs(state["f"])):
-            state["tol_met"] = True
-            raise StopIteration
-
-    res = _minimize(fun, lower(problem.quadratic[1]), to_C, max_iter,
-                    callback=scale_aware_stop)
-    converged = bool(res.success) or state.get("tol_met", False)
-    return FunctionalMap(to_C(res.x), converged, float(res.fun), int(res.nit))
+    res = _minimize(fun, lower(problem.quadratic[1]), to_C, max_iter)
+    return FunctionalMap(to_C(res.x), bool(res.success), float(res.fun),
+                         int(res.nit))
 
 
 def recover_pointmap(C, basis_M: SpectralBasis, basis_N: SpectralBasis,

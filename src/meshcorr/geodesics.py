@@ -10,7 +10,6 @@ n x n is built or stored.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -25,22 +24,13 @@ from .mesh import TriMesh
 
 @dataclass(frozen=True)
 class GeodesicMatrix:
-    """A mesh's edge graph; distances are computed from it on demand.
-    ``d``, all n x n pairs, is the reference the tests compare against."""
+    """A mesh's edge graph; distances are computed from it on demand."""
     graph: sp.csr_matrix  # (n, n) symmetric Euclidean edge lengths
 
     def distance_to(self, members) -> np.ndarray:
         """(n,) distance from every vertex to its nearest member."""
         return dijkstra(self.graph, directed=False, indices=members,
                         min_only=True)
-
-    @functools.cached_property
-    def d(self) -> np.ndarray:
-        """(n, n) all-pairs distances, symmetric with zero diagonal."""
-        d = dijkstra(self.graph, directed=False)
-        d = 0.5 * (d + d.T)  # exact symmetry despite float round-off
-        np.fill_diagonal(d, 0.0)
-        return d
 
 
 @dataclass(frozen=True)

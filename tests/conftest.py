@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.sparse.csgraph import dijkstra
 
 from meshcorr.mesh import TriMesh
 
@@ -88,6 +89,16 @@ def torus(n_major=24, n_minor=12, R=1.0, r=0.35):
             faces.append([a, b, a2])
             faces.append([b, b2, a2])
     return TriMesh(np.array(verts), np.array(faces, dtype=np.int64))
+
+
+def all_pairs_geodesics(geo):
+    """(n, n) all-pairs distances over a GeodesicMatrix's edge graph,
+    symmetric with zero diagonal: the reference the per-group distance
+    fields are checked against."""
+    d = dijkstra(geo.graph, directed=False)
+    d = 0.5 * (d + d.T)  # exact symmetry despite float round-off
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def rotation_matrix(axis, angle):

@@ -265,6 +265,32 @@ def test_benchmark_command(runner, sphere_dataset, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["eval", "benchmark"])
+def test_bad_max_threshold_exits_2(runner, sphere_dataset, tmp_path,
+                                   monkeypatch, command, value):
+    root, dirs, m = sphere_dataset
+    n = m.n_vertices
+    map_path = tmp_path / "ident.json"
+    save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
+             PointMap(np.arange(n), np.ones(n)), FmapWeights())
+    calls = []
+    monkeypatch.setattr(spectral, "eigenbasis",
+                        lambda *args, **kwargs: calls.append(1))
+    csv_path, json_path = tmp_path / "r.csv", tmp_path / "agg.json"
+    args = {"eval": ["--map", str(map_path), "--source-instance",
+                     str(dirs[0]), "--target-instance", str(dirs[1]),
+                     "--log-json"],
+            "benchmark": ["--dataset", str(root), "--csv", str(csv_path),
+                          "--json", str(json_path)]}[command]
+    res = runner.invoke(main, [command, *args, "--max-threshold", value])
+    assert res.exit_code == 2, all_output(res)
+    assert "max_threshold" in all_output(res)
+    assert '"command"' not in res.output  # no --log-json line
+    assert not csv_path.exists() and not json_path.exists()
+    assert not calls  # no pair was matched
+
+
 @pytest.fixture()
 def grid_dataset(tmp_path):
     """One category of three distinct 10x10 height fields."""

@@ -13,7 +13,8 @@ from meshcorr.geodesics import SemanticGroups, geodesic_matrix
 from meshcorr.meshio import save_mesh
 from meshcorr.mesh import vertex_areas
 
-from conftest import grid_patch, icosphere, octant_groups
+from conftest import (all_pairs_geodesics, grid_patch, icosphere,
+                      octant_groups)
 
 
 def grid_setup(n=6):
@@ -39,9 +40,10 @@ def test_geodesic_error_oracle():
     rng = np.random.default_rng(1)
     match = rng.integers(0, m.n_vertices, size=m.n_vertices)
     err = geodesic_error(match, groups, groups, geo, areas)
+    d = all_pairs_geodesics(geo)
     for j in range(m.n_vertices):
         members = np.flatnonzero(groups.group_of == groups.group_of[j])
-        want = geo.d[match[j], members].min() * 100.0 / np.sqrt(areas.total)
+        want = d[match[j], members].min() * 100.0 / np.sqrt(areas.total)
         assert err[j] == pytest.approx(want)
 
 
@@ -76,8 +78,9 @@ def test_auc_perfect_and_uniform():
     assert area == pytest.approx(0.5, abs=0.02)
     with pytest.raises(ArgumentError):
         auc([])
-    with pytest.raises(ArgumentError):
-        auc([1.0], max_threshold=0.0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ArgumentError):
+            auc([1.0], max_threshold=bad)
 
 
 def write_instance(root, category, name, mesh, groups):
@@ -107,7 +110,8 @@ def test_load_dataset_and_geo_caching(tiny_dataset):
     assert "geo" not in vars(instances[0])  # built on first use
     # geodesics are computed in memory; nothing is written into the tree
     assert not (root / "spheres" / "a" / "geo.dgm").exists()
-    np.testing.assert_array_equal(instances[0].geo.d, geodesic_matrix(m).d)
+    np.testing.assert_array_equal(all_pairs_geodesics(instances[0].geo),
+                                  all_pairs_geodesics(geodesic_matrix(m)))
 
 
 def test_load_instance_needs_but_does_not_parse_mesh_ply(tiny_dataset):
@@ -142,7 +146,6 @@ def test_evaluate_pair_and_failure_capture(tiny_dataset):
     assert res.err_mean == pytest.approx(0.0)
     assert res.auc == pytest.approx(1.0)
     assert res.coverage == 1.0
-    assert "d" not in vars(a.geo)  # no all-pairs matrix was built
 
     def broken(src, tgt):
         raise RuntimeError("boom")

@@ -19,14 +19,14 @@ def wavy(x, y):
     return 0.3 * np.sin(3 * x) * np.cos(2 * y)
 
 
-def basis_pair(k=8):
-    m = grid_patch(8, 8, z_fn=wavy)
+def basis_pair(k=8, mesh=None):
+    m = grid_patch(8, 8, z_fn=wavy) if mesh is None else mesh
     b = eigenbasis(cotangent_weights(m), vertex_areas(m), k)
     return m, b
 
 
-def random_problem(k=6, d=4, seed=0, weights=None):
-    m, b = basis_pair(k)
+def random_problem(k=6, d=4, seed=0, weights=None, mesh=None):
+    m, b = basis_pair(k, mesh)
     rng = np.random.default_rng(seed)
     f = rng.normal(size=(m.n_vertices, d))
     g = rng.normal(size=(m.n_vertices, d))
@@ -68,41 +68,67 @@ def test_build_problem_shapes_and_validation():
         build_problem(b, b, f, f[:, :3])
 
 
-def test_objective_value_oracle():
-    # recompute every term from its definition at a random C
-    prob = random_problem(k=5, d=3, seed=7)
-    rng = np.random.default_rng(8)
-    C = rng.normal(size=(5, 5))
-    value, _ = fmap_objective(C, prob)
+def entropy_blocks_problem(k, seed):
+    """A problem whose 210 target rows fill one entropy block and part of
+    a second, with the entropy weighted up so its share of the value and
+    the gradient shows."""
+    m = grid_patch(15, 14, z_fn=wavy)
+    rows = funcmap.ENTROPY_BLOCK // m.n_vertices   # per block
+    assert rows < m.n_vertices and m.n_vertices % rows
+    return random_problem(k, 3, seed, FmapWeights(w_entropy=1.0), m)
 
-    w = prob.weights
-    want = ((C @ prob.F - prob.G) ** 2).sum()
-    lam_m, lam_n = prob.basis_M.lam, prob.basis_N.lam
-    want += w.alpha * ((np.diag(lam_n) @ C - C @ np.diag(lam_m)) ** 2).sum()
-    for X, Y in zip(prob.mult_ops_M, prob.mult_ops_N):
-        want += w.beta * ((C @ X - Y @ C) ** 2).sum()
-    pi = prob.basis_N.phi @ C @ prob.basis_M.pinv()
-    pic = np.clip(pi, 0.0, 1.0)
-    want += w.w_entropy * (-pic * np.log(pic + 1e-12)).sum()
-    want += w.w_sum * (((pi.sum(axis=1) - 1.0) ** 2).sum()
-                       + ((pi.sum(axis=0) - prob.n_N / prob.n_M) ** 2).sum())
-    assert value == pytest.approx(want, rel=1e-10)
+
+def dense_pi(prob, C):
+    return prob.basis_N.phi @ C @ prob.basis_M.pinv()
+
+
+def test_objective_value_oracle():
+    # recompute every term from its definition at a random C, on one
+    # entropy block and on several whose Pi crosses both clamp bounds
+    rng = np.random.default_rng(8)
+    cases = [(random_problem(k=5, d=3, seed=7), rng.normal(size=(5, 5))),
+             (entropy_blocks_problem(k=5, seed=7),
+              20.0 * rng.normal(size=(5, 5)))]
+    pi = dense_pi(*cases[1])
+    assert (pi < 0.0).any() and (pi > 1.0).any()
+    for prob, C in cases:
+        value, _ = fmap_objective(C, prob)
+
+        w = prob.weights
+        want = ((C @ prob.F - prob.G) ** 2).sum()
+        lam_m, lam_n = prob.basis_M.lam, prob.basis_N.lam
+        want += w.alpha * ((np.diag(lam_n) @ C
+                            - C @ np.diag(lam_m)) ** 2).sum()
+        for X, Y in zip(prob.mult_ops_M, prob.mult_ops_N):
+            want += w.beta * ((C @ X - Y @ C) ** 2).sum()
+        pi = dense_pi(prob, C)
+        pic = np.clip(pi, 0.0, 1.0)
+        want += w.w_entropy * (-pic * np.log(pic + 1e-12)).sum()
+        want += w.w_sum * (((pi.sum(axis=1) - 1.0) ** 2).sum()
+                           + ((pi.sum(axis=0) - prob.n_N / prob.n_M)
+                              ** 2).sum())
+        assert value == pytest.approx(want, rel=1e-10)
 
 
 def test_objective_gradient_finite_differences():
-    prob = random_problem(k=4, d=3, seed=2)
-    rng = np.random.default_rng(4)
-    C = 0.1 * rng.normal(size=(4, 4))
-    _, grad = fmap_objective(C, prob)
-    h = 1e-6
-    for _ in range(10):
-        i, j = rng.integers(0, 4, 2)
-        E = np.zeros((4, 4))
-        E[i, j] = h
-        fp, _ = fmap_objective(C + E, prob)
-        fm, _ = fmap_objective(C - E, prob)
-        assert grad[i, j] == pytest.approx((fp - fm) / (2 * h),
-                                           rel=1e-4, abs=1e-8)
+    # one entropy block, then several whose Pi crosses both clamp bounds
+    for prob, scale in [(random_problem(k=4, d=3, seed=2), 0.1),
+                        (entropy_blocks_problem(k=4, seed=2), 20.0)]:
+        rng = np.random.default_rng(4)
+        C = scale * rng.normal(size=(4, 4))
+        if scale > 1.0:
+            pi = dense_pi(prob, C)
+            assert (pi < 0.0).any() and (pi > 1.0).any()
+        _, grad = fmap_objective(C, prob)
+        h = 1e-6
+        for _ in range(10):
+            i, j = rng.integers(0, 4, 2)
+            E = np.zeros((4, 4))
+            E[i, j] = h
+            fp, _ = fmap_objective(C + E, prob)
+            fm, _ = fmap_objective(C - E, prob)
+            assert grad[i, j] == pytest.approx((fp - fm) / (2 * h),
+                                               rel=1e-4, abs=1e-8)
 
 
 def test_objective_rejects_bad_shape():
@@ -123,6 +149,14 @@ def test_solve_identity_self_match():
     pmap = recover_pointmap(fm.C, b, b, method="nearest")
     ident = (pmap.target_to_source == np.arange(m.n_vertices)).mean()
     assert ident >= 0.95
+
+
+def test_solve_reports_unconverged_at_max_iter():
+    prob = random_problem(k=4, d=3, seed=2)
+    assert solve_fmap(prob).iterations > 1
+    fm = solve_fmap(prob, max_iter=1)
+    assert fm.converged is False
+    assert fm.iterations == 1
 
 
 def test_solve_nonfinite_objective_keeps_last_valid_C(monkeypatch):
