@@ -10,7 +10,8 @@ from .features import (FeatureField, concat_features, load_features,
 from .funcmap import (FmapProblem, FmapWeights, FunctionalMap, PartialSolution,
                       PointMap, build_problem, fmap_from_pointmap,
                       fmap_objective, multiplication_operator,
-                      recover_pointmap, solve_fmap, solve_partial)
+                      project_features, recover_pointmap, solve_fmap,
+                      solve_partial)
 from .geodesics import (GeodesicMatrix, SemanticGroups, geodesic_matrix,
                         min_cost_assignment, semantic_distance)
 from .mesh import (TriMesh, VertexAreas, cleanup_mesh, cotangent_weights,

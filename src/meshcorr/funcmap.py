@@ -15,6 +15,12 @@ zero gradient outside (0, 1). The entropy is computed in float64 over
 blocks of whole target rows of Pi, about ENTROPY_BLOCK entries each, so
 no n_N x n_M buffer is built.
 
+The features enter only through what each mesh projects of them on its
+own (``project_features``): F = Phi_M^+ f and G = Phi_N^+ g, each k x d,
+and the d operators X_p = Phi_M^+ Diag(f_p) Phi_M and Y_p of g, each
+stacked into a (d, k, k) array. A caller matching one mesh against many
+projects it once.
+
 Every term but the entropy is a fixed quadratic in c = vec(C) (row-major
 C.ravel()): c^T H c - 2 b^T c + const, with a k^2 x k^2 matrix H built
 once per problem (``FmapProblem.quadratic``). The solver whitens with the
@@ -78,8 +84,8 @@ class FmapProblem:
     basis_N: SpectralBasis
     F: np.ndarray                    # (k, d) spectral source features
     G: np.ndarray                    # (k, d) spectral target features
-    mult_ops_M: tuple                # per-channel (k, k) operators X_p
-    mult_ops_N: tuple                # per-channel (k, k) operators Y_p
+    mult_ops_M: np.ndarray           # (d, k, k) source operators X_p
+    mult_ops_N: np.ndarray           # (d, k, k) target operators Y_p
     weights: FmapWeights = field(default_factory=FmapWeights)
 
     def __post_init__(self):
@@ -121,9 +127,9 @@ class FmapProblem:
         if w.alpha > 0.0:
             diff = self.basis_N.lam[:, None] - self.basis_M.lam[None, :]
             H[np.diag_indices_from(H)] += w.alpha * (diff ** 2).ravel()
-        if w.beta > 0.0 and self.mult_ops_M:
+        if w.beta > 0.0 and len(self.mult_ops_M):
             # sum_p A_p^T A_p with A_p = I kron X_p^T - Y_p kron I
-            X, Y = np.stack(self.mult_ops_M), np.stack(self.mult_ops_N)
+            X, Y = self.mult_ops_M, self.mult_ops_N
             cross = np.einsum("pij,pab->iajb", Y, X,       # sum_p Y_p kron X_p
                               optimize=True).reshape(k * k, k * k)
             H += w.beta * (np.kron(eye, np.einsum("pij,pkj->ik", X, X))
@@ -200,27 +206,28 @@ def multiplication_operator(basis: SpectralBasis, channel) -> np.ndarray:
     return basis.phi.T @ weighted
 
 
+def project_features(basis: SpectralBasis, f):
+    """(Phi^+ f, ops): the (k, d) spectral features of per-vertex features
+    f (n, d) and their d multiplication operators Phi^+ Diag(f_p) Phi as
+    one (d, k, k) array, all an FmapProblem reads of one mesh's features."""
+    f = np.atleast_2d(np.asarray(f, dtype=np.float64))
+    if f.shape[0] != basis.n:
+        raise ArgumentError(
+            f"feature rows {f.shape[0]} != vertex count {basis.n}")
+    ops = np.empty((f.shape[1], basis.k, basis.k))
+    for p in range(f.shape[1]):
+        ops[p] = multiplication_operator(basis, f[:, p])
+    return basis.pinv() @ f, ops
+
+
 def build_problem(basis_M: SpectralBasis, basis_N: SpectralBasis,
                   f, g, weights: FmapWeights | None = None) -> FmapProblem:
-    """Assemble an FmapProblem from per-vertex features, with one pair
-    of commutativity operators per feature channel."""
-    f = np.atleast_2d(np.asarray(f, dtype=np.float64))
-    g = np.atleast_2d(np.asarray(g, dtype=np.float64))
-    if f.shape[0] != basis_M.n:
-        raise ArgumentError(f"source features rows {f.shape[0]} != {basis_M.n}")
-    if g.shape[0] != basis_N.n:
-        raise ArgumentError(f"target features rows {g.shape[0]} != {basis_N.n}")
-    if f.shape[1] != g.shape[1]:
-        raise ArgumentError("feature dimensions differ between meshes")
-    weights = weights or FmapWeights()
-
-    F = basis_M.pinv() @ f
-    G = basis_N.pinv() @ g
-    ops_M = tuple(multiplication_operator(basis_M, f[:, p])
-                  for p in range(f.shape[1]))
-    ops_N = tuple(multiplication_operator(basis_N, g[:, p])
-                  for p in range(g.shape[1]))
-    return FmapProblem(basis_M, basis_N, F, G, ops_M, ops_N, weights)
+    """Assemble an FmapProblem from per-vertex features, projecting each
+    mesh's features with ``project_features``."""
+    F, ops_M = project_features(basis_M, f)
+    G, ops_N = project_features(basis_N, g)
+    return FmapProblem(basis_M, basis_N, F, G, ops_M, ops_N,
+                       weights or FmapWeights())
 
 
 def _entropy_term(C, problem):

@@ -1,11 +1,12 @@
 """End-to-end matching pipeline: preprocess meshes, build descriptor
-stacks or ingest external features, solve the functional map, and
-recover the dense point map.
+stacks or ingest external features, project them into the spectral
+basis, solve the functional map, and recover the dense point map.
 
-Preparing a mesh depends on that mesh alone, so a caller matching one
-mesh against many prepares it once (``prepare_for_matching``) and
-matches the prepared meshes pairwise (``match_prepared``);
-``match_meshes`` is the two steps for a single pair.
+Preparing a mesh (basis, features and their spectral projection)
+depends on that mesh alone, so a caller matching one mesh against many
+prepares it once (``prepare_for_matching``) and matches the prepared
+meshes pairwise (``match_prepared``); ``match_meshes`` is the two steps
+for a single pair.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from . import spectral
 from .errors import ArgumentError
 from .features import FeatureField, concat_features, unit_normalize
-from .funcmap import (DEFAULT_MAX_ITER, RECOVERY_METHODS, FmapWeights,
-                      FunctionalMap, PointMap, build_problem,
+from .funcmap import (DEFAULT_MAX_ITER, RECOVERY_METHODS, FmapProblem,
+                      FmapWeights, FunctionalMap, PointMap, project_features,
                       recover_pointmap, solve_fmap)
 from .mesh import TriMesh, cleanup_mesh, cotangent_weights, normalize_mesh, vertex_areas
 
@@ -85,9 +86,19 @@ def descriptor_stack(prep: PreparedMesh, config: RunConfig) -> FeatureField:
 
 @dataclass(frozen=True)
 class MatchInput:
-    """What matching needs of one mesh, independent of the other mesh."""
+    """What matching needs of one mesh, independent of the other mesh:
+    its basis and its features projected into it (``project_features``).
+    Matching reads only the projection, never the per-vertex features."""
     basis: spectral.SpectralBasis    # the k-sized basis C lives in
-    features: FeatureField           # per-vertex features of the data term
+    features: FeatureField           # (n, d) per-vertex features
+    spectral_features: np.ndarray    # (k, d) Phi^+ f
+    mult_ops: np.ndarray             # (d, k, k) Phi^+ Diag(f_p) Phi
+
+
+def _match_input(basis: spectral.SpectralBasis,
+                 features: FeatureField) -> MatchInput:
+    return MatchInput(basis, features,
+                      *project_features(basis, features.values))
 
 
 @dataclass(frozen=True)
@@ -98,27 +109,28 @@ class MatchResult:
 
 def prepare_for_matching(mesh: TriMesh, config: RunConfig,
                          features: FeatureField | None = None) -> MatchInput:
-    """Preprocess one mesh and compute its basis and features; features
-    default to the standardized descriptor stack, and external ones are
-    unit-normalized per row. With external features nothing reads more
-    than the k eigenpairs C lives in, so only those are solved."""
+    """Preprocess one mesh, compute its basis and features, and project
+    the features into the k-sized basis; features default to the
+    standardized descriptor stack, and external ones are unit-normalized
+    per row. With external features nothing reads more than the k
+    eigenpairs C lives in, so only those are solved."""
     if features is not None:
         mesh = _preprocess(mesh, config)
         features = unit_normalize(_check_rows(features, mesh.n_vertices))
-        return MatchInput(spectral.eigenbasis(
+        return _match_input(spectral.eigenbasis(
             cotangent_weights(mesh), vertex_areas(mesh), config.k), features)
     prep = prepare_mesh(mesh, config)
     features = _standardize(descriptor_stack(prep, config), prep.basis)
-    return MatchInput(prep.basis.truncate(config.k), features)
+    return _match_input(prep.basis.truncate(config.k), features)
 
 
 def match_prepared(source: MatchInput, target: MatchInput,
                    config: RunConfig) -> MatchResult:
     """Solve the functional map between two prepared meshes and recover
     the dense point map."""
-    problem = build_problem(source.basis, target.basis,
-                            source.features.values, target.features.values,
-                            config.weights)
+    problem = FmapProblem(source.basis, target.basis,
+                          source.spectral_features, target.spectral_features,
+                          source.mult_ops, target.mult_ops, config.weights)
     fmap = solve_fmap(problem, max_iter=config.max_iter)
     pmap = recover_pointmap(fmap.C, source.basis, target.basis,
                             method=config.recovery)

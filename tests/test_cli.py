@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from meshcorr import spectral
+from meshcorr import funcmap, spectral
 from meshcorr.cli import main
 from meshcorr.evalbench import (benchmark_category, load_dataset,
                                 write_results_csv)
@@ -15,7 +15,7 @@ from meshcorr.funcmap import FmapWeights, FunctionalMap, PointMap, save_map
 from meshcorr.geodesics import save_groups
 from meshcorr.mesh import normalize_mesh
 from meshcorr.meshio import load_mesh, save_mesh
-from meshcorr.pipeline import RunConfig, match_meshes
+from meshcorr.pipeline import RunConfig, match_meshes, prepare_for_matching
 
 from conftest import grid_patch, icosphere, octant_groups
 
@@ -314,14 +314,20 @@ def benchmark_rows(path):
 @pytest.mark.parametrize("jobs", [1, 2, 8])
 def test_benchmark_prepares_each_instance_once(runner, grid_dataset,
                                                tmp_path, monkeypatch, jobs):
-    calls = []
-    eigenbasis = spectral.eigenbasis
+    # feature channels per instance: one multiplication operator each
+    d = prepare_for_matching(grid_patch(10, 10), RunConfig()).features.d
+    calls = {"eigenbasis": 0, "multiplication_operator": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return eigenbasis(*args, **kwargs)
+    def counted(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(spectral, "eigenbasis", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(spectral, "eigenbasis")
+    counted(funcmap, "multiplication_operator")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # more thread switches, more chances to race
     try:
@@ -332,7 +338,7 @@ def test_benchmark_prepares_each_instance_once(runner, grid_dataset,
     finally:
         sys.setswitchinterval(interval)
     assert res.exit_code == 0, all_output(res)
-    assert len(calls) == 3
+    assert calls == {"eigenbasis": 3, "multiplication_operator": 3 * d}
 
     # the same rows as matching every pair from scratch
     config = RunConfig(preprocess=False)

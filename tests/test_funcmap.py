@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import meshcorr.funcmap as funcmap
+import meshcorr.pipeline as pipeline
 from meshcorr.errors import ArgumentError, NumericError
 from meshcorr.mesh import TriMesh, cotangent_weights, vertex_areas
 from meshcorr.spectral import eigenbasis
@@ -66,6 +67,30 @@ def test_build_problem_shapes_and_validation():
         build_problem(b, b, f[:-1], f)
     with pytest.raises(ArgumentError):
         build_problem(b, b, f, f[:, :3])
+
+
+def test_prepared_problem_is_build_problems(monkeypatch):
+    # match_prepared assembles its problem from the projections made in
+    # preparation; build_problem projects the same features itself
+    config = pipeline.RunConfig()
+    source, target = (pipeline.prepare_for_matching(
+        grid_patch(n, n, z_fn=wavy), config) for n in (8, 9))
+    built = []
+    solve = pipeline.solve_fmap
+
+    def recorded(problem, **kwargs):
+        built.append(problem)
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_fmap", recorded)
+    pipeline.match_prepared(source, target, config)
+    want = build_problem(source.basis, target.basis, source.features.values,
+                         target.features.values, config.weights)
+    got, = built
+    for name in ("F", "G", "mult_ops_M", "mult_ops_N"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for part, want_part in zip(got.quadratic, want.quadratic):
+        assert np.array_equal(part, want_part)
 
 
 def entropy_blocks_problem(k, seed):
