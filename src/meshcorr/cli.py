@@ -233,13 +233,14 @@ def cmd_benchmark(dataset_root, category, split, jobs, csv_path, json_path,
 @click.option("-o", "--output", required=True, type=click.Path())
 @_handle_errors
 def cmd_transfer_color(source_textured, source, target, map_path, output):
-    """Transfer vertex colors through a stored point map."""
+    """Transfer vertex colors through a stored point map; the output is
+    binary little-endian PLY (float64 xyz, uchar rgb)."""
     textured = load_mesh(source_textured)
     src = load_mesh(source)
     tgt = load_mesh(target)
     _, pmap, _ = funcmap.load_map(map_path)
     colored = transfer.transfer_colors(textured, src, tgt, pmap)
-    save_mesh(output, colored)
+    save_mesh(output, colored, binary=True)
     click.echo(f"wrote {output}")
 
 

@@ -24,12 +24,18 @@ from .mesh import TriMesh
 
 @dataclass(frozen=True)
 class GeodesicMatrix:
-    """A mesh's edge graph; distances are computed from it on demand."""
+    """A mesh's edge graph; distances are computed from it on demand.
+
+    `graph` must be symmetric, as `edge_graph` builds it: every edge is
+    stored in both directions with the same length. Dijkstra then runs
+    directed, which gives the undirected distances without transposing
+    the graph on every call.
+    """
     graph: sp.csr_matrix  # (n, n) symmetric Euclidean edge lengths
 
     def distance_to(self, members) -> np.ndarray:
         """(n,) distance from every vertex to its nearest member."""
-        return dijkstra(self.graph, directed=False, indices=members,
+        return dijkstra(self.graph, directed=True, indices=members,
                         min_only=True)
 
 
@@ -136,7 +142,7 @@ def semantic_distance(groups: SemanticGroups, geo: GeodesicMatrix,
     ga, gb = groups.members(a), groups.members(b)
     if a == b:
         return 0.0
-    cost = dijkstra(geo.graph, directed=False, indices=ga)[:, gb]
+    cost = dijkstra(geo.graph, directed=True, indices=ga)[:, gb]
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()) / min(len(ga), len(gb))
 

@@ -2,11 +2,17 @@
 
 Colors are carried as floats in [0, 1]; 8-bit channels are scaled by
 1/255 on load and back to uchar when writing binary-friendly PLY.
+
+PLY elements are read a block at a time: a binary element is one
+`np.frombuffer`, an ASCII element one `np.loadtxt` over its slice of
+the body's non-blank lines. An ASCII row's file line number is counted
+only when an error names it.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -176,13 +182,15 @@ def _load_ply(path: Path) -> TriMesh:
             raise FormatError(f"{path}: PLY header missing format line")
         body = fh.read()
 
-    if fmt == "ascii":  # (line number, line) of each non-blank line
-        body = body.decode("ascii", errors="replace").split("\n")
-        body = [row for row in enumerate(body, lineno + 1) if row[1].strip()]
+    read = _read_binary
+    if fmt == "ascii":  # the non-blank lines, in one C-level pass
+        text = body.decode("ascii", errors="replace")
+        body = list(filter(str.strip, text.split("\n")))
+        read = partial(_read_ascii, at=partial(_RowLine, path, text,
+                                               lineno + 1))
     data, pos = {}, 0
     for name, count, props in elements:
         if count and props:
-            read = _read_ascii if fmt == "ascii" else _read_binary
             data[name], pos = read(path, body, pos, name, count, props)
         else:
             data[name] = {p: np.empty((0, 0) if lt else 0) for p, _, lt in props}
@@ -241,22 +249,35 @@ def _read_binary(path, buf, offset, name, count, props):
     return {f: rec[f] for f in dtype.names}, end
 
 
-def _read_ascii(path, rows, start, name, count, props):
-    """Parse `count` (line number, line) rows as one float64 block laid
-    out like the first row."""
+class _RowLine:
+    """Formats as `path:line` for the `row`-th non-blank line of an ASCII
+    body whose first line is file line `first`. The line is counted only
+    when formatted, that is when an error names it."""
+
+    def __init__(self, path, text, first, row):
+        self.path, self.text, self.first, self.row = path, text, first, row
+
+    def __str__(self):
+        lines = enumerate(self.text.split("\n"), self.first)
+        nonblank = (k for k, line in lines if line.strip())
+        return f"{self.path}:{next(islice(nonblank, self.row, None))}"
+
+
+def _read_ascii(path, rows, start, name, count, props, at):
+    """Parse `count` non-blank lines as one float64 block laid out like
+    the first; `at(i)` names the file line of row i in an error."""
     block = rows[start:start + count]
     if len(block) < count:
         raise FormatError(f"{path}: truncated '{name}' data")
-    dtype = _record_dtype(f"{path}:{block[0][0]}", name, props, block[0][1])
+    dtype = _record_dtype(at(start), name, props, block[0])
     try:
-        rec = np.loadtxt([ln for _, ln in block], comments=None,
-                         ndmin=2).view(dtype)[:, 0]
+        rec = np.loadtxt(block, comments=None, ndmin=2).view(dtype)[:, 0]
         odd = _odd_records(rec, props)
     except ValueError:  # a row of another width, or a non-number
         odd = range(count)
-    for lineno, line in (block[i] for i in odd):  # raise at the first
-        if _record_dtype(f"{path}:{lineno}", name, props, line) != dtype:
-            raise FormatError(f"{path}:{lineno}: '{name}' row's list "
+    for i in odd:  # raise at the first
+        if _record_dtype(at(start + i), name, props, block[i]) != dtype:
+            raise FormatError(f"{at(start + i)}: '{name}' row's list "
                               "lengths differ from the first row's")
     return {f: rec[f] for f in dtype.names}, start + count
 

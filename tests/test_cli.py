@@ -380,22 +380,26 @@ def test_transfer_color_command(runner, tmp_path):
     textured = m.with_colors(rng.integers(0, 256, size=(m.n_vertices, 3))
                              / 255.0)
     n = m.n_vertices
+    perm = rng.permutation(n)
     tex_path = tmp_path / "tex.ply"
     plain_path = tmp_path / "plain.ply"
     save_mesh(tex_path, textured)
     save_mesh(plain_path, m)
     map_path = tmp_path / "map.json"
     save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
-             PointMap(np.arange(n), np.ones(n)), FmapWeights())
+             PointMap(perm, np.ones(n)), FmapWeights())
     out = tmp_path / "colored.ply"
     res = runner.invoke(main, ["transfer-color", "--source-textured",
                                str(tex_path), "--source", str(plain_path),
                                "--target", str(plain_path), "--map",
                                str(map_path), "-o", str(out)])
     assert res.exit_code == 0, all_output(res)
-    from meshcorr.meshio import load_mesh
-    np.testing.assert_allclose(load_mesh(out).colors,
-                               load_mesh(tex_path).colors)
+    lines = out.read_bytes().split(b"\n")
+    assert lines[1] == b"format binary_little_endian 1.0"
+    colored = load_mesh(out)
+    assert np.array_equal(colored.vertices, m.vertices)
+    assert np.array_equal(colored.triangles, m.triangles)
+    assert np.array_equal(colored.colors, load_mesh(tex_path).colors[perm])
 
 
 @pytest.mark.parametrize("text", [

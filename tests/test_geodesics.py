@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from meshcorr.errors import ArgumentError, DataError, DisconnectedMeshError
 from meshcorr.geodesics import (GeodesicMatrix, SemanticGroups,
@@ -10,7 +11,7 @@ from meshcorr.geodesics import (GeodesicMatrix, SemanticGroups,
                                 semantic_distance)
 from meshcorr.mesh import TriMesh
 
-from conftest import all_pairs_geodesics, grid_patch
+from conftest import all_pairs_geodesics, bumpy_grid, grid_patch, torus
 
 
 def brute_force_assignment(cost):
@@ -54,6 +55,30 @@ def test_geodesic_disconnected():
     tris = np.vstack([a.triangles, a.triangles + 9])
     with pytest.raises(DisconnectedMeshError):
         geodesic_matrix(TriMesh(verts, tris))
+
+
+def permuted(mesh, seed):
+    perm = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    return TriMesh(mesh.vertices[perm], np.argsort(perm)[mesh.triangles])
+
+
+@pytest.mark.parametrize("mesh", [bumpy_grid(12), torus(16, 8),
+                                  permuted(bumpy_grid(9, 11), 4)],
+                         ids=["bumpy-grid", "torus", "permuted"])
+def test_directed_dijkstra_equals_undirected(mesh):
+    # edge_graph stores each edge both ways with one length, so directed
+    # search gives the undirected fields bit for bit
+    geo = geodesic_matrix(mesh)
+    n = mesh.n_vertices
+    rng = np.random.default_rng(2)
+    for members in ([0], rng.choice(n, 7, replace=False), np.arange(3, n, 5)):
+        assert np.array_equal(
+            geo.distance_to(members),
+            dijkstra(geo.graph, directed=False, indices=members,
+                     min_only=True))
+        assert np.array_equal(  # the rows semantic_distance reads
+            dijkstra(geo.graph, directed=True, indices=members),
+            dijkstra(geo.graph, directed=False, indices=members))
 
 
 def test_min_cost_assignment_matches_brute_force():

@@ -146,11 +146,22 @@ def test_ply_quad_after_triangles_rejected(tmp_path, binary):
         load_mesh(p)
 
 
-def test_ply_ascii_non_numeric_value_names_its_line(tmp_path):
+ASCII_BAD_ROWS = {  # body after the 9 header lines, file line of its bad row
+    "plain": (b"0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 one 2\n", 14),
+    "blank-lines": (b"0 0 0\n\n1 0 0\n \t \n1 1 0\n0 1 0\n\n   \n"
+                    b"3 0 one 2\n", 18),
+    "later-row": (b"\n0 0 0\n1 0 0\n1 one 0\n0 1 0\n3 0 1 2\n", 13),
+}
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("case", list(ASCII_BAD_ROWS))
+def test_ply_ascii_non_numeric_value_names_its_line(tmp_path, case, eol):
+    body, line = ASCII_BAD_ROWS[case]
     p = tmp_path / "bad.ply"
-    p.write_bytes(_ply_header("ascii", [[0, 1, 2]])
-                  + b"0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 one 2\n")
-    with pytest.raises(FormatError, match="bad.ply:14"):
+    p.write_bytes((_ply_header("ascii", [[0, 1, 2]]) + body)
+                  .replace(b"\n", eol))
+    with pytest.raises(FormatError, match=f"bad.ply:{line}:"):
         load_mesh(p)
 
 
@@ -238,7 +249,11 @@ def fuzz_seeds(scratch):
                             .reshape(-1, 3))
     save_mesh(scratch / "ascii.ply", mesh)
     save_mesh(scratch / "binary.ply", mesh, binary=True)
-    return {"ascii.ply": (scratch / "ascii.ply").read_bytes(),
+    ascii = (scratch / "ascii.ply").read_bytes()
+    return {"ascii.ply": ascii,
+            "crlf.ply": ascii.replace(b"end_header\n", b"end_header\n\n")
+                             .replace(b"\n3 ", b"\n \t\n3 ", 1)
+                             .replace(b"\n", b"\r\n"),
             "binary.ply": (scratch / "binary.ply").read_bytes(),
             "m.off": b"OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n"
                      b"3 0 1 2\n3 1 3 2\n",
@@ -246,7 +261,8 @@ def fuzz_seeds(scratch):
                      b"v 1 1 0 1 1 1\nf 1 2 3\nf 2/1 4/1 3/1\n"}
 
 
-@given(name=st.sampled_from(["ascii.ply", "binary.ply", "m.off", "m.obj"]),
+@given(name=st.sampled_from(["ascii.ply", "crlf.ply", "binary.ply", "m.off",
+                             "m.obj"]),
        data=st.data())
 def test_load_mesh_raises_only_meshcorr_errors(scratch, fuzz_seeds, name,
                                                data):
