@@ -111,9 +111,10 @@ def cmd_match(source, target, source_features, target_features, output,
     config = _make_config(options, preprocess=not external)
     src = load_mesh(source)
     tgt = load_mesh(target)
-    sf = tf = None
-    if external:
+    sf = tf = None  # only the files given; match_meshes wants both or neither
+    if source_features is not None:
         sf = load_features(source_features, src.n_vertices)
+    if target_features is not None:
         tf = load_features(target_features, tgt.n_vertices)
     start = time.perf_counter()
     result = pipeline.match_meshes(src, tgt, config, sf, tf)

@@ -8,6 +8,7 @@ with a "# n d" header.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,12 +46,16 @@ def load_features(path, expected_n: int | None = None) -> FeatureField:
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head == _MAGIC:
-            n, d = struct.unpack("<II", fh.read(8))
-            payload = fh.read(4 * n * d)
-            if len(payload) != 4 * n * d:
+            header = fh.read(8)
+            if len(header) != 8:
+                raise FormatError(f"{path}: truncated DMF header")
+            n, d = struct.unpack("<II", header)
+            # the promised payload is checked against the bytes left before
+            # any is read, so a header that promises too much allocates nothing
+            if 4 * n * d > os.fstat(fh.fileno()).st_size - fh.tell():
                 raise FormatError(f"{path}: truncated DMF payload")
-            values = np.frombuffer(payload, dtype="<f4").reshape(n, d)
-            values = values.astype(np.float64)
+            values = np.frombuffer(fh.read(4 * n * d), dtype="<f4")
+            values = values.reshape(n, d).astype(np.float64)
         else:
             values = _load_text_matrix(path)
     if expected_n is not None and values.shape[0] != expected_n:

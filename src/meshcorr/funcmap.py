@@ -11,9 +11,9 @@ The spectral map C (k x k) is found by minimizing
 with Pi = Phi_N C Phi_M^+ (rows index target vertices, columns source
 vertices; match(j) is the row of Phi_M nearest to row j of Phi_N C, or
 the row-argmax of Pi). All gradients are analytic; the clamp contributes
-zero gradient outside (0, 1). The entropy is computed in float64 over
-blocks of whole target rows of Pi, about ENTROPY_BLOCK entries each, so
-no n_N x n_M buffer is built.
+zero gradient outside (0, 1). The entropy and argmax recovery both read
+Pi in float64 blocks of whole target rows, about ENTROPY_BLOCK entries
+each (``_pi_rows``), so no n_N x n_M buffer is built.
 
 The features enter only through what each mesh projects of them on its
 own (``project_features``): F = Phi_M^+ f and G = Phi_N^+ g, each k x d,
@@ -50,7 +50,7 @@ from .errors import ArgumentError, FormatError, NumericError
 from .spectral import SpectralBasis
 
 EPS_LOG = 1e-12
-ENTROPY_BLOCK = 32_768          # entries of Pi per entropy block (256 KiB)
+ENTROPY_BLOCK = 32_768          # Pi entries per entropy/argmax block (256 KiB)
 WHITEN_RIDGE = 1e-10            # relative to the mean diagonal of H
 
 DEFAULT_ALPHA = 1e-2
@@ -230,22 +230,26 @@ def build_problem(basis_M: SpectralBasis, basis_N: SpectralBasis,
                        weights or FmapWeights())
 
 
+def _pi_rows(emb, pinv_m):
+    """(rows, Pi[rows]) of Pi = emb pinv_m, emb = Phi_N C, in blocks of
+    whole target rows of about ENTROPY_BLOCK entries, which stay in cache."""
+    step = max(1, ENTROPY_BLOCK // pinv_m.shape[1])  # target rows per block
+    for start in range(0, len(emb), step):
+        rows = slice(start, start + step)
+        yield rows, emb[rows] @ pinv_m
+
+
 def _entropy_term(C, problem):
     """Entropy penalty of the clamped Pi plus its gradient with respect
-    to C, in float64 over blocks of whole target rows of Pi, about
-    ENTROPY_BLOCK entries each (a block's buffers then stay in cache).
-    The gradient is Phi_N^T (dE/dPi) (Phi_M^+)^T; its left product is
-    summed block by block."""
+    to C, in float64 over ``_pi_rows``' blocks, so no n_N x n_M buffer is
+    built. The gradient is Phi_N^T (dE/dPi) (Phi_M^+)^T; its left product
+    is summed block by block."""
     w = problem.weights
     if w.w_entropy == 0.0:
         return 0.0, np.zeros((problem.k, problem.k))
     phi_n, pinv_m = problem.basis_N.phi, problem.basis_M.pinv()
-    emb = phi_n @ C                                  # (n_N, k)
     value, left = 0.0, np.zeros_like(pinv_m)         # left: (k, n_M)
-    step = max(1, ENTROPY_BLOCK // problem.n_M)      # target rows per block
-    for start in range(0, problem.n_N, step):
-        rows = slice(start, start + step)
-        pi = emb[rows] @ pinv_m
+    for rows, pi in _pi_rows(phi_n @ C, pinv_m):
         interior = (pi > 0.0) & (pi < 1.0)
         np.clip(pi, 0.0, 1.0, out=pi)
         logc = np.log(pi + EPS_LOG)
@@ -341,8 +345,8 @@ def recover_pointmap(C, basis_M: SpectralBasis, basis_N: SpectralBasis,
     ``nearest`` sends target vertex j to the source vertex whose row of
     Phi_M is nearest to row j of Phi_N C (a k-d tree, O(n k) memory);
     ``argmax`` takes the row-argmax of the clamped Pi = Phi_N C Phi_M^+
-    (ties to the smallest index), which builds the dense n_N x n_M Pi.
-    The confidence of j is the clamped Pi entry of its chosen pair.
+    (ties to the smallest index) over ``_pi_rows``' blocks of whole rows,
+    O(ENTROPY_BLOCK) memory. The confidence of j is its clamped Pi entry.
     """
     C = np.asarray(C, dtype=np.float64)
     if C.shape != (basis_M.k, basis_N.k):
@@ -353,7 +357,8 @@ def recover_pointmap(C, basis_M: SpectralBasis, basis_N: SpectralBasis,
     if method == "nearest":
         match = cKDTree(basis_M.phi).query(emb_n)[1]
     else:
-        match = np.argmax(np.clip(emb_n @ basis_M.pinv(), 0.0, 1.0), axis=1)
+        match = np.concatenate([np.argmax(np.clip(pi, 0.0, 1.0, out=pi), 1)
+                                for _, pi in _pi_rows(emb_n, basis_M.pinv())])
     # Pi[j, i] = (Phi_N C)[j] . Phi_M[i] a_M[i]
     conf = np.einsum("jk,jk->j", emb_n, basis_M.phi[match])
     conf *= basis_M.areas.areas[match]
@@ -480,7 +485,7 @@ def load_map(path):
                                  bool(doc["converged"]),
                                  float(doc["objective"]),
                                  int(doc["iterations"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: malformed map file "
                               f"({type(exc).__name__}: {exc})") from exc
     if fmap.C.ndim != 2 or fmap.C.shape[0] != fmap.C.shape[1]:

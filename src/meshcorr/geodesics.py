@@ -166,7 +166,7 @@ def load_groups(path) -> SemanticGroups:
     try:
         n = int(doc["n"])
         group_of = np.asarray(doc["group_of"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: groups JSON missing n/group_of: {exc}")
     if len(group_of) != n:
         raise DataError(f"{path}: group_of length {len(group_of)} != n={n}")

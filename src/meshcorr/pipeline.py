@@ -86,19 +86,12 @@ def descriptor_stack(prep: PreparedMesh, config: RunConfig) -> FeatureField:
 
 @dataclass(frozen=True)
 class MatchInput:
-    """What matching needs of one mesh, independent of the other mesh:
-    its basis and its features projected into it (``project_features``).
-    Matching reads only the projection, never the per-vertex features."""
+    """What matching needs of one mesh, independent of the other: its basis
+    and its features' projection (``project_features``), no per-vertex
+    features. Matching builds no n_N x n_M buffer, for Pi or otherwise."""
     basis: spectral.SpectralBasis    # the k-sized basis C lives in
-    features: FeatureField           # (n, d) per-vertex features
     spectral_features: np.ndarray    # (k, d) Phi^+ f
     mult_ops: np.ndarray             # (d, k, k) Phi^+ Diag(f_p) Phi
-
-
-def _match_input(basis: spectral.SpectralBasis,
-                 features: FeatureField) -> MatchInput:
-    return MatchInput(basis, features,
-                      *project_features(basis, features.values))
 
 
 @dataclass(frozen=True)
@@ -117,11 +110,13 @@ def prepare_for_matching(mesh: TriMesh, config: RunConfig,
     if features is not None:
         mesh = _preprocess(mesh, config)
         features = unit_normalize(_check_rows(features, mesh.n_vertices))
-        return _match_input(spectral.eigenbasis(
-            cotangent_weights(mesh), vertex_areas(mesh), config.k), features)
-    prep = prepare_mesh(mesh, config)
-    features = _standardize(descriptor_stack(prep, config), prep.basis)
-    return _match_input(prep.basis.truncate(config.k), features)
+        basis = spectral.eigenbasis(cotangent_weights(mesh),
+                                    vertex_areas(mesh), config.k)
+    else:
+        prep = prepare_mesh(mesh, config)
+        features = _standardize(descriptor_stack(prep, config), prep.basis)
+        basis = prep.basis.truncate(config.k)
+    return MatchInput(basis, *project_features(basis, features.values))
 
 
 def match_prepared(source: MatchInput, target: MatchInput,

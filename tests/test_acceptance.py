@@ -12,9 +12,9 @@ from meshcorr.errors import ArgumentError
 from meshcorr.evalbench import (auc, benchmark_category, geodesic_error,
                                 load_dataset, write_results_csv)
 from meshcorr.features import FeatureField
-from meshcorr.funcmap import (FmapWeights, build_problem, fmap_from_pointmap,
-                              fmap_objective, recover_pointmap, solve_fmap,
-                              solve_partial)
+from meshcorr.funcmap import (FmapProblem, FmapWeights, build_problem,
+                              fmap_from_pointmap, fmap_objective,
+                              recover_pointmap, solve_fmap, solve_partial)
 from meshcorr.geodesics import (SemanticGroups, geodesic_matrix,
                                 min_cost_assignment, save_groups,
                                 semantic_distance)
@@ -32,6 +32,13 @@ from conftest import (FIXTURE_MESHES, all_pairs_geodesics, bumpy_grid,
 
 def basis_of(mesh, k):
     return eigenbasis(cotangent_weights(mesh), vertex_areas(mesh), k)
+
+
+def prepared_problem(source, target, weights):
+    """The problem ``match_prepared`` solves for two prepared meshes."""
+    return FmapProblem(source.basis, target.basis, source.spectral_features,
+                       target.spectral_features, source.mult_ops,
+                       target.mult_ops, weights)
 
 
 def identity_fraction(pmap):
@@ -196,11 +203,8 @@ def test_criterion_06_regularizer_reduces_entropy():
     for tag, config in (("on", config_on), ("off", config_off)):
         prep_s = prepare_for_matching(src, config)
         prep_t = prepare_for_matching(tgt, config)
-        f, g = prep_s.features, prep_t.features
-        bs, bt = prep_s.basis, prep_t.basis
-        prob = build_problem(bs, bt, f.values, g.values, config.weights)
-        fm = solve_fmap(prob)
-        vals[tag] = clamped_entropy(fm.C, bs, bt)
+        fm = solve_fmap(prepared_problem(prep_s, prep_t, config.weights))
+        vals[tag] = clamped_entropy(fm.C, prep_s.basis, prep_t.basis)
     delta = vals["off"] - vals["on"]
     print(f"clamped-map entropy: regularized {vals['on']:.1f}, "
           f"unregularized {vals['off']:.1f}, reduction {delta:.1f}")
@@ -273,10 +277,8 @@ def test_criterion_09_auc_calibration():
 def _timed_solve(mesh):
     config = RunConfig(descriptors=("hks", "posenc"))
     prep = prepare_for_matching(mesh, config)
-    f = prep.features
-    assert f.values.shape[1] <= 64
-    b = prep.basis
-    prob = build_problem(b, b, f.values, f.values, config.weights)
+    assert len(prep.mult_ops) <= 64
+    prob = prepared_problem(prep, prep, config.weights)
     start = time.perf_counter()
     fm = solve_fmap(prob)
     return time.perf_counter() - start, fm

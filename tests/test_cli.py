@@ -97,6 +97,19 @@ def test_match_missing_feature_file_exits_3(runner, tmp_path):
     assert "absent.dmf" in all_output(res)
 
 
+@pytest.mark.parametrize("side", ["--source-features", "--target-features"])
+def test_match_one_feature_file_exits_2(runner, tmp_path, side):
+    m = strong_bump_grid(6)
+    p, feat = tmp_path / "m.ply", tmp_path / "f.dmf"
+    save_mesh(p, m)
+    write_features(feat, FeatureField(np.ones((m.n_vertices, 3))))
+    res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                               str(p), side, str(feat),
+                               "-o", str(tmp_path / "o.json")])
+    assert res.exit_code == 2, all_output(res)
+    assert "both meshes or neither" in all_output(res)
+
+
 def test_match_bad_weight_exits_2(runner, tmp_path):
     m = strong_bump_grid(6)
     p = tmp_path / "m.ply"
@@ -228,6 +241,26 @@ def test_eval_ignores_group_names(runner, sphere_dataset, tmp_path, names):
     assert "groups.json" in all_output(res)
 
 
+@pytest.mark.parametrize("field, value", [("n", "1e999"),
+                                          ("group_of", "[1e999]")])
+def test_eval_overflowing_groups_exits_3(runner, sphere_dataset, tmp_path,
+                                        field, value):
+    root, dirs, m = sphere_dataset
+    n = m.n_vertices
+    path = dirs[1] / "groups.json"
+    doc = json.loads(path.read_text())
+    doc[field] = "VALUE"
+    path.write_text(json.dumps(doc).replace('"VALUE"', value))
+    map_path = tmp_path / "ident.json"
+    save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
+             PointMap(np.arange(n), np.ones(n)), FmapWeights())
+    res = runner.invoke(main, ["eval", "--map", str(map_path),
+                               "--source-instance", str(dirs[0]),
+                               "--target-instance", str(dirs[1])])
+    assert res.exit_code == 3, all_output(res)
+    assert "groups.json" in all_output(res)
+
+
 @pytest.mark.parametrize("text", ["{not json", '["spheres/a"]'],
                          ids=["not-json", "not-an-object"])
 def test_benchmark_bad_splits_exits_3(runner, sphere_dataset, tmp_path,
@@ -315,7 +348,7 @@ def benchmark_rows(path):
 def test_benchmark_prepares_each_instance_once(runner, grid_dataset,
                                                tmp_path, monkeypatch, jobs):
     # feature channels per instance: one multiplication operator each
-    d = prepare_for_matching(grid_patch(10, 10), RunConfig()).features.d
+    d = len(prepare_for_matching(grid_patch(10, 10), RunConfig()).mult_ops)
     calls = {"eigenbasis": 0, "multiplication_operator": 0}
 
     def counted(module, name):
@@ -414,8 +447,10 @@ def test_transfer_color_command(runner, tmp_path):
     '"objective": 0.0, "converged": true, "iterations": 0}',
     '{"C": [1.0], "target_to_source": [0], "confidence": [1.0], '
     '"objective": 0.0, "converged": true, "iterations": 0}',
+    '{"C": [[1.0]], "target_to_source": [0], "confidence": [1.0], '
+    '"objective": 0.0, "converged": true, "iterations": 1e999}',
 ], ids=["bad-json", "no-target_to_source", "no-converged", "no-iterations",
-        "C-not-square", "C-not-2-D"])
+        "C-not-square", "C-not-2-D", "iterations-overflow"])
 def test_transfer_color_malformed_map_exits_3(runner, tmp_path, text):
     m = strong_bump_grid(6)
     tex_path = tmp_path / "tex.ply"

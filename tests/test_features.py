@@ -1,7 +1,11 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from meshcorr.errors import ArgumentError, DataError, ShapeError
+from meshcorr.errors import (ArgumentError, DataError, FormatError,
+                             ShapeError)
 from meshcorr.features import (FeatureField, concat_features, load_features,
                                unit_normalize, write_features)
 
@@ -44,6 +48,26 @@ def test_load_features_expected_n(tmp_path):
 def test_load_features_missing(tmp_path):
     with pytest.raises(DataError):
         load_features(tmp_path / "absent.dmf")
+
+
+@pytest.mark.parametrize("data", [
+    b"DMF1\x01",
+    struct.pack("<4sII", b"DMF1", 2 ** 32 - 1, 2 ** 32 - 1) + bytes(64),
+    struct.pack("<4sII", b"DMF1", 10 ** 5, 10 ** 5) + bytes(64)],
+    ids=["short-header", "n-d-overflow", "n-d-exceeds-file"])
+def test_dmf_header_promising_too_much(tmp_path, data):
+    # the promised payload is checked against the file before any of it
+    # is read, so nothing near its size is allocated
+    p = tmp_path / "f.dmf"
+    p.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated DMF"):
+            load_features(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_unit_normalize():

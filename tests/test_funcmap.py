@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -71,10 +72,16 @@ def test_build_problem_shapes_and_validation():
 
 def test_prepared_problem_is_build_problems(monkeypatch):
     # match_prepared assembles its problem from the projections made in
-    # preparation; build_problem projects the same features itself
+    # preparation; build_problem projects the descriptor stack itself
     config = pipeline.RunConfig()
-    source, target = (pipeline.prepare_for_matching(
-        grid_patch(n, n, z_fn=wavy), config) for n in (8, 9))
+    meshes = [grid_patch(n, n, z_fn=wavy) for n in (8, 9)]
+    source, target = (pipeline.prepare_for_matching(m, config)
+                      for m in meshes)
+    features = []
+    for m in meshes:
+        prep = pipeline.prepare_mesh(m, config)
+        features.append(pipeline._standardize(
+            pipeline.descriptor_stack(prep, config), prep.basis).values)
     built = []
     solve = pipeline.solve_fmap
 
@@ -84,8 +91,8 @@ def test_prepared_problem_is_build_problems(monkeypatch):
 
     monkeypatch.setattr(pipeline, "solve_fmap", recorded)
     pipeline.match_prepared(source, target, config)
-    want = build_problem(source.basis, target.basis, source.features.values,
-                         target.features.values, config.weights)
+    want = build_problem(source.basis, target.basis, *features,
+                         config.weights)
     got, = built
     for name in ("F", "G", "mult_ops_M", "mult_ops_N"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -236,6 +243,35 @@ def test_recover_pointmap_methods_and_dense():
         recover_pointmap(C, b, b, method="bogus")
     with pytest.raises(ArgumentError):
         recover_pointmap(np.eye(4), b, b)
+    # 210 target rows are a 156-row block and a 54-row one; with a large C
+    # most rows clamp several entries to exactly 1, and ties go to the
+    # smallest index as in the dense argmax
+    m, b = basis_pair(10, grid_patch(15, 14, z_fn=wavy))
+    C = 20.0 * np.eye(10) + np.random.default_rng(0).normal(size=(10, 10))
+    pi = np.clip(b.phi @ C @ b.pinv(), 0.0, 1.0)
+    assert ((pi == 1.0).sum(axis=1) > 1).sum() > 100
+    pa = recover_pointmap(C, b, b, method="argmax")
+    np.testing.assert_array_equal(pa.target_to_source, np.argmax(pi, axis=1))
+    np.testing.assert_allclose(pa.confidence, pi.max(axis=1), atol=1e-12)
+
+
+def test_no_dense_pi_buffer():
+    # neither the entropy nor argmax recovery holds an n_N x n_M array
+    m = grid_patch(30, 30, z_fn=wavy)
+    prob = random_problem(10, 3, 5, mesh=m)
+    C = np.eye(10)
+    prob.quadratic                   # cached, so built outside the trace
+    dense = m.n_vertices ** 2 * 8
+    for run in (lambda: fmap_objective(C, prob),
+                lambda: recover_pointmap(C, prob.basis_M, prob.basis_N,
+                                         method="argmax")):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense, (peak, dense)
 
 
 def test_fmap_from_pointmap_roundtrip():
