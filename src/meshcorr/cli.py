@@ -13,6 +13,7 @@ import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import click
 
@@ -53,6 +54,17 @@ def _log(log_json, **payload):
 @click.group()
 def main():
     """Dense vertex correspondence between textured triangle meshes."""
+
+
+def _output_path(ctx, param, value):
+    """An output file path, checked before any work: not a directory, and
+    in a directory that exists."""
+    path = Path(value)
+    if path.is_dir():
+        raise click.BadParameter(f"{value} is a directory")
+    if not path.parent.is_dir():
+        raise click.BadParameter(f"directory {path.parent} does not exist")
+    return value
 
 
 def _split_names(ctx, param, value):
@@ -101,7 +113,8 @@ def _make_config(options, preprocess):
 @click.option("--target", required=True, type=click.Path())
 @click.option("--source-features", type=click.Path(), default=None)
 @click.option("--target-features", type=click.Path(), default=None)
-@click.option("-o", "--output", required=True, type=click.Path())
+@click.option("-o", "--output", required=True, type=click.Path(),
+              callback=_output_path)
 @_solver_options
 @_handle_errors
 def cmd_match(source, target, source_features, target_features, output,
@@ -190,8 +203,10 @@ class _BenchmarkMatcher:
               help="restrict to one category (default: all)")
 @click.option("--split", default="test", show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True)
-@click.option("--csv", "csv_path", required=True, type=click.Path())
-@click.option("--json", "json_path", required=True, type=click.Path())
+@click.option("--csv", "csv_path", required=True, type=click.Path(),
+              callback=_output_path)
+@click.option("--json", "json_path", required=True, type=click.Path(),
+              callback=_output_path)
 @click.option("--max-threshold", type=float,
               default=evalbench.DEFAULT_MAX_THRESHOLD, show_default=True)
 @_solver_options
@@ -231,7 +246,8 @@ def cmd_benchmark(dataset_root, category, split, jobs, csv_path, json_path,
               help="simplified source mesh the map was solved on")
 @click.option("--target", required=True, type=click.Path())
 @click.option("--map", "map_path", required=True, type=click.Path())
-@click.option("-o", "--output", required=True, type=click.Path())
+@click.option("-o", "--output", required=True, type=click.Path(),
+              callback=_output_path)
 @_handle_errors
 def cmd_transfer_color(source_textured, source, target, map_path, output):
     """Transfer vertex colors through a stored point map; the output is
@@ -251,7 +267,8 @@ def cmd_transfer_color(source_textured, source, target, map_path, output):
 @click.option("--target", required=True, type=click.Path())
 @click.option("--keypoints", required=True, type=click.Path())
 @click.option("--map", "map_path", required=True, type=click.Path())
-@click.option("-o", "--output", required=True, type=click.Path())
+@click.option("-o", "--output", required=True, type=click.Path(),
+              callback=_output_path)
 @_handle_errors
 def cmd_transfer_keypoints(source, target, keypoints, map_path, output):
     """Transfer template keypoints through a stored map's point map; the
@@ -277,7 +294,8 @@ def cmd_transfer_keypoints(source, target, keypoints, map_path, output):
               default=spectral.DEFAULT_DESC_K, show_default=True)
 @click.option("--no-preprocess", is_flag=True,
               help="skip cleanup/normalization (keeps vertex order)")
-@click.option("-o", "--output", required=True, type=click.Path())
+@click.option("-o", "--output", required=True, type=click.Path(),
+              callback=_output_path)
 @_handle_errors
 def cmd_descriptors(mesh_path, hks_times, wks_energies, posenc_bands,
                     basis_size, no_preprocess, output):

@@ -5,6 +5,8 @@ caller input, exit 2), DataError (bad file/content, exit 3), and
 NumericError (solver/math failure, exit 4).
 """
 
+from pathlib import Path
+
 
 class MeshCorrError(Exception):
     pass
@@ -48,3 +50,14 @@ class NumericError(MeshCorrError):
 
 class EvaluationError(MeshCorrError):
     """Evaluation protocol cannot be applied to the given pair."""
+
+
+def input_file(path, what: str) -> Path:
+    """``path`` as a Path, checked before it is opened: a missing path or
+    a directory raises FormatError naming it."""
+    path = Path(path)
+    if path.is_dir():
+        raise FormatError(f"{what} file is a directory: {path}")
+    if not path.exists():
+        raise FormatError(f"{what} file not found: {path}")
+    return path

@@ -117,7 +117,7 @@ def load_dataset(root, split: str | None = None):
     if split_file.exists():
         try:
             splits = json.loads(split_file.read_text())
-        except ValueError as exc:  # not UTF-8 or not JSON
+        except (OSError, ValueError) as exc:  # a directory, not UTF-8/JSON
             raise FormatError(f"{split_file}: bad splits JSON: {exc}")
         if not isinstance(splits, dict):
             raise FormatError(f"{split_file}: splits JSON is not an object")

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, FormatError, ShapeError
+from .errors import (ArgumentError, DataError, FormatError, ShapeError,
+                     input_file)
 
 _MAGIC = b"DMF1"
 
@@ -40,9 +41,7 @@ class FeatureField:
 
 
 def load_features(path, expected_n: int | None = None) -> FeatureField:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"feature file not found: {path}")
+    path = input_file(path, "feature")
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head == _MAGIC:

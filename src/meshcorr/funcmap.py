@@ -39,14 +39,13 @@ import json
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, partial
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 from scipy.spatial import cKDTree
 
-from .errors import ArgumentError, FormatError, NumericError
+from .errors import ArgumentError, FormatError, NumericError, input_file
 from .spectral import SpectralBasis
 
 EPS_LOG = 1e-12
@@ -474,8 +473,7 @@ def load_map(path):
     C that is not a square matrix, a target_to_source that is not a list
     of integers, or a confidence of another length raises FormatError.
     Whether the map fits a pair of meshes is ``check_map_fits``'s job."""
-    if not Path(path).exists():
-        raise FormatError(f"map file not found: {path}")
+    path = input_file(path, "map")
     with open(path, "r") as fh:
         try:
             doc = json.load(fh)

@@ -17,14 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, TopologyError
+from .errors import FormatError, TopologyError, input_file
 from .mesh import TriMesh
 
 
 def load_mesh(path) -> TriMesh:
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"mesh file not found: {path}")
+    path = input_file(path, "mesh")
     suffix = path.suffix.lower()
     if suffix == ".obj":
         return _load_obj(path)

@@ -5,7 +5,11 @@ stiffness matrix from ``cotangent_weights`` (negative semidefinite, so
 the stored eigenvalues are nonnegative). For the dataset regime
 (n <= ~3000) a dense symmetric solve after diagonal-mass symmetrization
 is both simple and robust; larger meshes fall back to shift-invert
-Lanczos.
+Lanczos. The dense solve holds one n x n buffer: the symmetrized matrix
+is built sparse and densified once, and LAPACK overwrites it. Inputs are
+checked in O(n + nnz) before anything is built: a vertex area that is
+not finite and positive (an unreferenced vertex, say), or a stiffness
+entry that is not finite, raises DegenerateGeometryError.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ArgumentError, NumericError
+from .errors import ArgumentError, DegenerateGeometryError, NumericError
 from .features import FeatureField
 from .mesh import TriMesh, VertexAreas
 
@@ -68,15 +72,19 @@ def eigenbasis(W: sp.spmatrix, A: VertexAreas, k: int) -> SpectralBasis:
         raise ArgumentError(f"W shape {W.shape} does not match n={n}")
 
     a = A.areas
+    # O(n + nnz) input checks; the dense solve skips LAPACK's O(n^2) scan
+    bad = ~(np.isfinite(a) & (a > 0))
+    if bad.any():
+        raise DegenerateGeometryError(
+            f"{int(bad.sum())} vertices have zero or non-finite area "
+            "(unreferenced or on degenerate triangles only)")
+    W = W.tocsr()
+    if not np.isfinite(W.data).all():
+        raise DegenerateGeometryError("stiffness matrix has non-finite "
+                                      "entries")
     inv_sqrt = 1.0 / np.sqrt(a)
     if n <= DENSE_LIMIT or k > n // 2:
-        # symmetrize: S = A^-1/2 (-W) A^-1/2, ordinary symmetric problem
-        S = (-W).toarray() * inv_sqrt[:, None] * inv_sqrt[None, :]
-        S = 0.5 * (S + S.T)
-        try:
-            vals, vecs = scipy.linalg.eigh(S, subset_by_index=[0, k - 1])
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericError(f"dense eigensolver failed: {exc}") from exc
+        vals, vecs = _dense_eigh(W, inv_sqrt, k)
         phi = vecs * inv_sqrt[:, None]
     else:
         try:
@@ -96,6 +104,21 @@ def eigenbasis(W: sp.spmatrix, A: VertexAreas, k: int) -> SpectralBasis:
     signs[signs == 0] = 1.0
     phi = phi * signs
     return SpectralBasis(phi, vals, A)
+
+
+def _dense_eigh(W, inv_sqrt, k):
+    """First k eigenpairs of S = A^-1/2 (-W) A^-1/2, an ordinary symmetric
+    problem. S is scaled and symmetrized sparse, then densified once into
+    the only n x n buffer, which LAPACK overwrites; it is freed on return,
+    before the caller scales the eigenvectors."""
+    D = sp.diags(inv_sqrt)
+    S = D @ (-W) @ D
+    S = (0.5 * (S + S.T)).toarray(order="F")
+    try:
+        return scipy.linalg.eigh(S, subset_by_index=[0, k - 1],
+                                 overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericError(f"dense eigensolver failed: {exc}") from exc
 
 
 def _nonzero_spectrum(basis: SpectralBasis):

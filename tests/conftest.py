@@ -101,6 +101,24 @@ def all_pairs_geodesics(geo):
     return d
 
 
+def reference_eigenbasis(W, A, k):
+    """(phi, lam) by the dense formula: S = A^-1/2 (-W) A^-1/2 scaled and
+    symmetrized as dense arrays, then checked and copied by ``eigh``,
+    with the largest-magnitude entry of each column made positive. The
+    eigenbasis must match it bit for bit."""
+    import scipy.linalg
+    inv_sqrt = 1.0 / np.sqrt(A.areas)
+    S = (-W).toarray() * inv_sqrt[:, None] * inv_sqrt[None, :]
+    S = 0.5 * (S + S.T)
+    vals, vecs = scipy.linalg.eigh(S, subset_by_index=[0, k - 1])
+    phi = vecs * inv_sqrt[:, None]
+    vals = np.maximum(vals, 0.0)
+    pick = np.argmax(np.abs(phi), axis=0)
+    signs = np.sign(phi[pick, np.arange(k)])
+    signs[signs == 0] = 1.0
+    return phi * signs, vals
+
+
 def rotation_matrix(axis, angle):
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)

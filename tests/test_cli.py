@@ -13,7 +13,7 @@ from meshcorr.evalbench import (benchmark_category, load_dataset,
 from meshcorr.features import FeatureField, write_features
 from meshcorr.funcmap import FmapWeights, FunctionalMap, PointMap, save_map
 from meshcorr.geodesics import save_groups
-from meshcorr.mesh import normalize_mesh
+from meshcorr.mesh import TriMesh, normalize_mesh
 from meshcorr.meshio import load_mesh, save_mesh
 from meshcorr.pipeline import RunConfig, match_meshes, prepare_for_matching
 
@@ -89,12 +89,14 @@ def test_match_missing_feature_file_exits_3(runner, tmp_path):
     p = tmp_path / "m.ply"
     save_mesh(p, m)
     missing = tmp_path / "absent.dmf"
-    res = runner.invoke(main, ["match", "--source", str(p), "--target",
-                               str(p), "--source-features", str(missing),
-                               "--target-features", str(missing),
-                               "-o", str(tmp_path / "o.json")])
-    assert res.exit_code == 3
-    assert "absent.dmf" in all_output(res)
+    for _ in ("missing", "directory"):
+        res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                                   str(p), "--source-features", str(missing),
+                                   "--target-features", str(missing),
+                                   "-o", str(tmp_path / "o.json")])
+        assert res.exit_code == 3, all_output(res)
+        assert "absent.dmf" in all_output(res)
+        missing.mkdir(exist_ok=True)
 
 
 @pytest.mark.parametrize("side", ["--source-features", "--target-features"])
@@ -261,12 +263,15 @@ def test_eval_overflowing_groups_exits_3(runner, sphere_dataset, tmp_path,
     assert "groups.json" in all_output(res)
 
 
-@pytest.mark.parametrize("text", ["{not json", '["spheres/a"]'],
-                         ids=["not-json", "not-an-object"])
+@pytest.mark.parametrize("text", ["{not json", '["spheres/a"]', None],
+                         ids=["not-json", "not-an-object", "directory"])
 def test_benchmark_bad_splits_exits_3(runner, sphere_dataset, tmp_path,
                                       text):
     root, _, _ = sphere_dataset
-    (root / "splits.json").write_text(text)
+    if text is None:
+        (root / "splits.json").mkdir()
+    else:
+        (root / "splits.json").write_text(text)
     res = runner.invoke(main, ["benchmark", "--dataset", str(root), "--csv",
                                str(tmp_path / "r.csv"), "--json",
                                str(tmp_path / "agg.json")])
@@ -632,14 +637,20 @@ PLY_ASCII_HEADER = ("ply\nformat ascii 1.0\nelement vertex 3\n"
      "short.ply:11"),
     ("quad.ply", PLY_ASCII_HEADER.replace("vertex 3", "vertex 4")
      + "0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n", "triangle faces"),
-], ids=["off-bad-face-count", "ply-short-vertex-row", "ply-quad"])
+    ("d.ply", None, "is a directory"),
+], ids=["off-bad-face-count", "ply-short-vertex-row", "ply-quad",
+        "directory"])
 def test_match_malformed_mesh_exits_3(runner, tmp_path, name, text, where):
     p = tmp_path / name
-    p.write_text(text)
+    if text is None:
+        p.mkdir()
+    else:
+        p.write_text(text)
     res = runner.invoke(main, ["match", "--source", str(p), "--target",
                                str(p), "-o", str(tmp_path / "o.json")])
     assert res.exit_code == 3, all_output(res)
     assert where in all_output(res)
+    assert name in all_output(res)
 
 
 @pytest.mark.parametrize("command", ["eval", "transfer-color",
@@ -657,7 +668,87 @@ def test_missing_map_exits_3(runner, sphere_dataset, tmp_path, command):
             "transfer-keypoints": ["--source", mesh, "--target", mesh,
                                    "--keypoints", str(kp_path), "-o",
                                    str(tmp_path / "o.json")]}[command]
-    res = runner.invoke(main, [command, "--map", str(tmp_path / "absent.json"),
-                               *args])
+    for kind in ("missing", "directory"):
+        res = runner.invoke(main, [command, "--map",
+                                   str(tmp_path / "absent.json"), *args])
+        assert res.exit_code == 3, (kind, all_output(res))
+        assert "absent.json" in all_output(res)
+        (tmp_path / "absent.json").mkdir(exist_ok=True)
+
+
+OUTPUT_COMMANDS = {
+    "match": ["match", "--source", "{in}.ply", "--target", "{in}.ply",
+              "-o", "{out}"],
+    "descriptors": ["descriptors", "--mesh", "{in}.ply", "--hks", "4",
+                    "-o", "{out}"],
+    "transfer-color": ["transfer-color", "--source-textured", "{in}.ply",
+                       "--source", "{in}.ply", "--target", "{in}.ply",
+                       "--map", "{in}.json", "-o", "{out}"],
+    "transfer-keypoints": ["transfer-keypoints", "--source", "{in}.ply",
+                           "--target", "{in}.ply", "--keypoints",
+                           "{in}.json", "--map", "{in}.json", "-o", "{out}"],
+    "benchmark-csv": ["benchmark", "--dataset", "{in}", "--csv", "{out}",
+                      "--json", "{tmp}/a.json"],
+    "benchmark-json": ["benchmark", "--dataset", "{in}", "--csv",
+                       "{tmp}/r.csv", "--json", "{out}"],
+}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("missing/out.ply", "does not exist"), ("", "is a directory")],
+    ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
+def test_unwritable_output_exits_2_before_any_work(runner, tmp_path, command,
+                                                   bad, message):
+    # every input is absent, so a command that read one before checking its
+    # output would exit 3 instead
+    args = [a.format(**{"in": str(tmp_path / "absent"),
+                        "out": str(tmp_path / bad), "tmp": str(tmp_path)})
+            for a in OUTPUT_COMMANDS[command]]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, all_output(res)
+    assert message in all_output(res)
+
+
+def with_unreferenced_vertex(m):
+    """``m`` plus one vertex that no triangle uses: its area is zero."""
+    return TriMesh(np.vstack([m.vertices, [[2.0, 2.0, 0.0]]]), m.triangles)
+
+
+def test_zero_area_vertex_exits_3(runner, tmp_path):
+    m = with_unreferenced_vertex(strong_bump_grid(8))
+    p, feat = tmp_path / "m.ply", tmp_path / "f.dmf"
+    save_mesh(p, m)
+    res = runner.invoke(main, ["descriptors", "--mesh", str(p), "--hks", "4",
+                               "--no-preprocess", "-o", str(feat)])
     assert res.exit_code == 3, all_output(res)
-    assert "absent.json" in all_output(res)
+    assert "1 vertices have zero or non-finite area" in all_output(res)
+    assert not feat.exists()
+
+    write_features(feat, FeatureField(np.random.default_rng(0).random(
+        (m.n_vertices, 4))))
+    out = tmp_path / "o.json"
+    res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                               str(p), "--source-features", str(feat),
+                               "--target-features", str(feat), "-o",
+                               str(out)])
+    assert res.exit_code == 3, all_output(res)
+    assert "zero or non-finite area" in all_output(res)
+    assert not out.exists()
+
+
+def test_benchmark_names_zero_area_error(runner, tmp_path):
+    root = tmp_path / "data"
+    good = strong_bump_grid(8)
+    bad = with_unreferenced_vertex(good)
+    make_instance(root, "grids", "good", good, octant_groups(good))
+    make_instance(root, "grids", "bad", bad, octant_groups(bad))
+    res = runner.invoke(main, [
+        "benchmark", "--dataset", str(root), "--csv", str(tmp_path / "r.csv"),
+        "--json", str(tmp_path / "a.json")])
+    assert res.exit_code == 0, all_output(res)
+    rows = benchmark_rows(tmp_path / "r.csv")
+    failed = [r for r in rows if r["failed"] == "1"]
+    assert len(rows) == 4 and len(failed) == 3
+    assert all(r["error"].startswith("DegenerateGeometryError: ")
+               for r in failed)

@@ -48,6 +48,9 @@ def test_load_features_expected_n(tmp_path):
 def test_load_features_missing(tmp_path):
     with pytest.raises(DataError):
         load_features(tmp_path / "absent.dmf")
+    (tmp_path / "d.dmf").mkdir()
+    with pytest.raises(FormatError, match="directory: .*d.dmf"):
+        load_features(tmp_path / "d.dmf")
 
 
 @pytest.mark.parametrize("data", [

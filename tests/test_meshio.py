@@ -16,6 +16,9 @@ from conftest import icosphere
 def test_load_missing_file(tmp_path):
     with pytest.raises(DataError):
         load_mesh(tmp_path / "nope.ply")
+    (tmp_path / "d.ply").mkdir()
+    with pytest.raises(FormatError, match="directory: .*d.ply"):
+        load_mesh(tmp_path / "d.ply")
 
 
 def test_unknown_extension(tmp_path):

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import meshcorr.spectral as spectral
-from meshcorr.errors import ArgumentError
-from meshcorr.mesh import cotangent_weights, vertex_areas
+from meshcorr.errors import ArgumentError, DegenerateGeometryError
+from meshcorr.mesh import TriMesh, VertexAreas, cotangent_weights, vertex_areas
 from meshcorr.spectral import (SpectralBasis, eigenbasis, hks,
                                positional_encoding, wks)
 
-from conftest import grid_patch, icosphere, torus
+from conftest import (bumpy_grid, grid_patch, icosphere,
+                      reference_eigenbasis, torus)
 
 
 def basis_of(mesh, k):
@@ -65,6 +68,62 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
         return (b.phi * np.exp(-t * b.lam)) @ (b.phi.T * a)
 
     np.testing.assert_allclose(kernel(b_sparse), kernel(b_dense), atol=1e-8)
+
+
+def permuted(m, seed=0):
+    p = np.random.default_rng(seed).permutation(m.n_vertices)
+    return TriMesh(m.vertices[p], np.argsort(p)[m.triangles])
+
+
+@pytest.mark.parametrize("mesh, k", [
+    (lambda: permuted(bumpy_grid(24)), 128),
+    (lambda: icosphere(3), 10),
+    (lambda: icosphere(3), 128),
+    (lambda: torus(18, 10), 8),
+    (lambda: grid_patch(15, 10), 150),
+], ids=["bumpy576-permuted", "sphere642-k10", "sphere642-k128", "torus180",
+        "grid150-k-equals-n"])
+def test_dense_path_equals_reference_formula(mesh, k):
+    # bit for bit: LAPACK gets the same matrix, so degenerate eigenspaces
+    # (sphere, torus) come back as the same vectors too
+    m = mesh()
+    W, A = cotangent_weights(m), vertex_areas(m)
+    b = eigenbasis(W, A, k)
+    phi, lam = reference_eigenbasis(W, A, k)
+    assert np.array_equal(b.phi, phi)
+    assert np.array_equal(b.lam, lam)
+
+
+def test_dense_path_holds_one_n_by_n_buffer():
+    m = grid_patch(30, 30)
+    W, A = cotangent_weights(m), vertex_areas(m)
+    W_before, a_before = W.copy(), A.areas.copy()
+    n = m.n_vertices
+    tracemalloc.start()
+    try:
+        eigenbasis(W, A, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # dense scaling, symmetrizing and eigh's copy peaked at 2.19 n^2 doubles
+    assert peak < 1.5 * n * n * 8
+    # the solve overwrites its own buffer, never the caller's inputs
+    assert (W != W_before).nnz == 0
+    assert np.array_equal(A.areas, a_before)
+
+
+def test_non_finite_or_zero_area_inputs_raise():
+    m = grid_patch(6, 6)
+    W, A = cotangent_weights(m), vertex_areas(m)
+    bad_W = W.copy()
+    bad_W.data[3] = np.nan
+    with pytest.raises(DegenerateGeometryError, match="stiffness"):
+        eigenbasis(bad_W, A, 5)
+    for value in (0.0, np.nan, np.inf):
+        areas = A.areas.copy()
+        areas[7] = value
+        with pytest.raises(DegenerateGeometryError, match="1 vertices"):
+            eigenbasis(W, VertexAreas(areas), 5)
 
 
 def test_k_exceeds_n():
