@@ -7,11 +7,11 @@ from .errors import (ArgumentError, DataError, DegenerateGeometryError,
                      TopologyError)
 from .features import (FeatureField, concat_features, load_features,
                        unit_normalize, write_features)
-from .funcmap import (FmapProblem, FmapWeights, FunctionalMap, PartialSolution,
-                      PointMap, build_problem, fmap_from_pointmap,
-                      fmap_objective, multiplication_operator,
-                      project_features, recover_pointmap, solve_fmap,
-                      solve_partial)
+from .funcmap import (FmapProblem, FmapWeights, FunctionalMap, MatchInput,
+                      PartialSolution, PointMap, build_problem,
+                      fmap_from_pointmap, fmap_objective,
+                      multiplication_operator, project_features,
+                      recover_pointmap, solve_fmap, solve_partial)
 from .geodesics import (GeodesicMatrix, SemanticGroups, geodesic_matrix,
                         min_cost_assignment, semantic_distance)
 from .mesh import (TriMesh, VertexAreas, cleanup_mesh, cotangent_weights,

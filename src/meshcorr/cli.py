@@ -309,8 +309,8 @@ def cmd_descriptors(mesh_path, hks_times, wks_energies, posenc_bands,
         descriptors=tuple(key.split("_")[0] for key in sizes),
         descriptor_k=basis_size, preprocess=not no_preprocess, **sizes)
     mesh = load_mesh(mesh_path)
-    prep = pipeline.prepare_mesh(mesh, config)
-    stack = pipeline.descriptor_stack(prep, config)
+    stack = pipeline.descriptor_stack(*pipeline.prepare_mesh(mesh, config),
+                                      config)
     write_features(output, stack)
     click.echo(f"wrote {output} ({stack.n}x{stack.d})")
 

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, EvaluationError, FormatError
+from .errors import (ArgumentError, DataError, EvaluationError, FormatError,
+                     input_file)
 from .funcmap import check_map_fits
 from .geodesics import (GeodesicMatrix, SemanticGroups, geodesic_matrix,
                         load_groups)
@@ -134,10 +135,9 @@ def load_instance(inst_dir) -> DatasetInstance:
     """Load one instance directory; its category is its parent's name.
     Evaluation reads remeshed.ply and groups.json, checked against each
     other; mesh.ply, the textured source that transfer-color reads, must
-    exist but is not parsed. Geodesics are built on first use."""
+    be a file but is not parsed. Geodesics are built on first use."""
     inst_dir = Path(inst_dir)
-    if not (inst_dir / "mesh.ply").exists():
-        raise FormatError(f"mesh file not found: {inst_dir / 'mesh.ply'}")
+    input_file(inst_dir / "mesh.ply", "mesh")
     remeshed = load_mesh(inst_dir / "remeshed.ply")
     groups = load_groups(inst_dir / "groups.json")
     if groups.n != remeshed.n_vertices:

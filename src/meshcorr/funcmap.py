@@ -15,11 +15,11 @@ zero gradient outside (0, 1). The entropy and argmax recovery both read
 Pi in float64 blocks of whole target rows, about ENTROPY_BLOCK entries
 each (``_pi_rows``), so no n_N x n_M buffer is built.
 
-The features enter only through what each mesh projects of them on its
-own (``project_features``): F = Phi_M^+ f and G = Phi_N^+ g, each k x d,
-and the d operators X_p = Phi_M^+ Diag(f_p) Phi_M and Y_p of g, each
-stacked into a (d, k, k) array. A caller matching one mesh against many
-projects it once.
+An FmapProblem is two MatchInputs and the weights. A MatchInput is all
+the solve reads of one mesh, made by ``project_features`` from it alone:
+its basis, F = Phi_M^+ f (k x d; G = Phi_N^+ g for the target) and the d
+operators X_p = Phi_M^+ Diag(f_p) Phi_M (Y_p of g) as one (d, k, k)
+array. A caller matching one mesh against many projects it once.
 
 Every term but the entropy is a fixed quadratic in c = vec(C) (row-major
 C.ravel()): c^T H c - 2 b^T c + const, with a k^2 x k^2 matrix H built
@@ -78,37 +78,35 @@ class FmapWeights:
 
 
 @dataclass(frozen=True)
+class MatchInput:
+    """All the solve reads of one mesh, independent of the other mesh;
+    it holds no per-vertex features."""
+    basis: SpectralBasis             # the k-sized basis C lives in
+    spectral_features: np.ndarray    # (k, d) Phi^+ f
+    mult_ops: np.ndarray             # (d, k, k) Phi^+ Diag(f_p) Phi
+
+
+@dataclass(frozen=True)
 class FmapProblem:
-    basis_M: SpectralBasis
-    basis_N: SpectralBasis
-    F: np.ndarray                    # (k, d) spectral source features
-    G: np.ndarray                    # (k, d) spectral target features
-    mult_ops_M: np.ndarray           # (d, k, k) source operators X_p
-    mult_ops_N: np.ndarray           # (d, k, k) target operators Y_p
+    source: MatchInput               # M: F, the operators X_p
+    target: MatchInput               # N: G, the operators Y_p
     weights: FmapWeights = field(default_factory=FmapWeights)
 
     def __post_init__(self):
-        k = self.basis_M.k
-        if self.basis_N.k != k:
+        k = self.k
+        F, G = self.source.spectral_features, self.target.spectral_features
+        if self.target.basis.k != k:
             raise ArgumentError("bases must share the same k")
-        if self.F.shape[0] != k or self.G.shape[0] != k:
+        if F.shape[0] != k or G.shape[0] != k:
             raise ArgumentError("spectral features must have k rows")
-        if self.F.shape[1] != self.G.shape[1]:
+        if F.shape[1] != G.shape[1]:
             raise ArgumentError("F and G must share the feature dimension")
-        if len(self.mult_ops_M) != len(self.mult_ops_N):
+        if len(self.source.mult_ops) != len(self.target.mult_ops):
             raise ArgumentError("operator lists must have equal length")
 
     @property
     def k(self) -> int:
-        return self.basis_M.k
-
-    @property
-    def n_M(self) -> int:
-        return self.basis_M.n
-
-    @property
-    def n_N(self) -> int:
-        return self.basis_N.n
+        return self.source.basis.k
 
     @cached_property
     def quadratic(self):
@@ -118,17 +116,19 @@ class FmapProblem:
         Row-major vec gives vec(A C B) = (A kron B^T) c; H is k^2 x k^2.
         """
         k, w = self.k, self.weights
+        bm, bn = self.source.basis, self.target.basis
+        F, G = self.source.spectral_features, self.target.spectral_features
         eye = np.eye(k)
         # data: |CF - G|^2
-        H = np.kron(eye, self.F @ self.F.T)
-        b = (self.G @ self.F.T).ravel()
-        const = float((self.G ** 2).sum())
+        H = np.kron(eye, F @ F.T)
+        b = (G @ F.T).ravel()
+        const = float((G ** 2).sum())
         if w.alpha > 0.0:
-            diff = self.basis_N.lam[:, None] - self.basis_M.lam[None, :]
+            diff = bn.lam[:, None] - bm.lam[None, :]
             H[np.diag_indices_from(H)] += w.alpha * (diff ** 2).ravel()
-        if w.beta > 0.0 and len(self.mult_ops_M):
+        if w.beta > 0.0 and len(self.source.mult_ops):
             # sum_p A_p^T A_p with A_p = I kron X_p^T - Y_p kron I
-            X, Y = self.mult_ops_M, self.mult_ops_N
+            X, Y = self.source.mult_ops, self.target.mult_ops
             cross = np.einsum("pij,pab->iajb", Y, X,       # sum_p Y_p kron X_p
                               optimize=True).reshape(k * k, k * k)
             H += w.beta * (np.kron(eye, np.einsum("pij,pkj->ik", X, X))
@@ -136,14 +136,13 @@ class FmapProblem:
                            - cross - cross.T)
         if w.w_sum > 0.0:
             # rows Pi 1 - 1 = Phi_N C s - 1; columns 1^T Pi - r = t^T C P - r
-            phi_n = self.basis_N.phi
-            P = self.basis_M.phi.T * self.basis_M.areas.areas   # (k, n_M)
-            s, t = P.sum(axis=1), phi_n.sum(axis=0)
-            r = self.n_N / self.n_M
-            H += w.w_sum * (np.kron(phi_n.T @ phi_n, np.outer(s, s))
+            P = bm.pinv()                                   # (k, n_M)
+            s, t = P.sum(axis=1), bn.phi.sum(axis=0)
+            r = bn.n / bm.n
+            H += w.w_sum * (np.kron(bn.phi.T @ bn.phi, np.outer(s, s))
                             + np.kron(np.outer(t, t), P @ P.T))
             b += w.w_sum * (1.0 + r) * np.outer(t, s).ravel()
-            const += w.w_sum * (self.n_N + r * r * self.n_M)
+            const += w.w_sum * (bn.n + r * r * bm.n)
         return H, b, const
 
 
@@ -205,10 +204,10 @@ def multiplication_operator(basis: SpectralBasis, channel) -> np.ndarray:
     return basis.phi.T @ weighted
 
 
-def project_features(basis: SpectralBasis, f):
-    """(Phi^+ f, ops): the (k, d) spectral features of per-vertex features
-    f (n, d) and their d multiplication operators Phi^+ Diag(f_p) Phi as
-    one (d, k, k) array, all an FmapProblem reads of one mesh's features."""
+def project_features(basis: SpectralBasis, f) -> MatchInput:
+    """One mesh's MatchInput: its basis, the (k, d) spectral features
+    Phi^+ f of per-vertex features f (n, d), and their d multiplication
+    operators Phi^+ Diag(f_p) Phi as one (d, k, k) array."""
     f = np.atleast_2d(np.asarray(f, dtype=np.float64))
     if f.shape[0] != basis.n:
         raise ArgumentError(
@@ -216,17 +215,15 @@ def project_features(basis: SpectralBasis, f):
     ops = np.empty((f.shape[1], basis.k, basis.k))
     for p in range(f.shape[1]):
         ops[p] = multiplication_operator(basis, f[:, p])
-    return basis.pinv() @ f, ops
+    return MatchInput(basis, basis.pinv() @ f, ops)
 
 
 def build_problem(basis_M: SpectralBasis, basis_N: SpectralBasis,
                   f, g, weights: FmapWeights | None = None) -> FmapProblem:
     """Assemble an FmapProblem from per-vertex features, projecting each
     mesh's features with ``project_features``."""
-    F, ops_M = project_features(basis_M, f)
-    G, ops_N = project_features(basis_N, g)
-    return FmapProblem(basis_M, basis_N, F, G, ops_M, ops_N,
-                       weights or FmapWeights())
+    return FmapProblem(project_features(basis_M, f),
+                       project_features(basis_N, g), weights or FmapWeights())
 
 
 def _pi_rows(emb, pinv_m):
@@ -246,7 +243,7 @@ def _entropy_term(C, problem):
     w = problem.weights
     if w.w_entropy == 0.0:
         return 0.0, np.zeros((problem.k, problem.k))
-    phi_n, pinv_m = problem.basis_N.phi, problem.basis_M.pinv()
+    phi_n, pinv_m = problem.target.basis.phi, problem.source.basis.pinv()
     value, left = 0.0, np.zeros_like(pinv_m)         # left: (k, n_M)
     for rows, pi in _pi_rows(phi_n @ C, pinv_m):
         interior = (pi > 0.0) & (pi < 1.0)
@@ -370,7 +367,7 @@ def fmap_from_pointmap(target_to_source, basis_M: SpectralBasis,
     idx = np.asarray(target_to_source, dtype=np.int64)
     check_map_fits(idx, basis_M.n, basis_N.n)
     # Pi is the binary matrix with Pi[j, match(j)] = 1
-    return (basis_N.phi.T * basis_N.areas.areas) @ basis_M.phi[idx]
+    return basis_N.pinv() @ basis_M.phi[idx]
 
 
 # ------------------------------------------------------- partial maps
@@ -398,11 +395,12 @@ def solve_partial(problem: FmapProblem, g,
     ``reason`` are scipy's.
     """
     g = np.atleast_2d(np.asarray(g, dtype=np.float64))
-    bn, k, F = problem.basis_N, problem.k, problem.F
+    bn, k = problem.target.basis, problem.k
+    F = problem.source.spectral_features
     if g.shape[0] != bn.n:
         raise ArgumentError("g rows must match the target vertex count")
     a_n, area_n = bn.areas.areas, bn.areas.total
-    area_m = problem.basis_M.areas.total
+    area_m = problem.source.basis.areas.total
     if area_m > area_n:
         warnings.warn("source area exceeds target area; mask will saturate")
 
@@ -410,7 +408,8 @@ def solve_partial(problem: FmapProblem, g,
     ew = 0.5 * (a_n[edges[:, 0]] + a_n[edges[:, 1]])  # area-weighted edges
     phi_a = bn.phi * a_n[:, None]                     # Phi_N^+ = phi_a^T
     # E(C; G) = E(C; 0) - 2 <CF, G> + |G|^2: only the last two see eta
-    unmasked = replace(problem, G=np.zeros_like(problem.G))
+    unmasked = replace(problem, target=replace(
+        problem.target, spectral_features=np.zeros_like(F)))
     to_C, lower = _whitening(unmasked)
     degree = np.bincount(edges.ravel(), np.repeat(ew, 2), minlength=bn.n)
     root_d = np.sqrt(2.0 * a_n ** 2 * ((bn.phi ** 2).sum(axis=1)

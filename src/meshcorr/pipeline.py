@@ -2,15 +2,16 @@
 stacks or ingest external features, project them into the spectral
 basis, solve the functional map, and recover the dense point map.
 
-Preparing a mesh (basis, features and their spectral projection)
-depends on that mesh alone, so a caller matching one mesh against many
-prepares it once (``prepare_for_matching``) and matches the prepared
-meshes pairwise (``match_prepared``); ``match_meshes`` is the two steps
-for a single pair.
+Preparing a mesh depends on that mesh alone, so a caller matching one
+mesh against many prepares it once (``prepare_for_matching``, which
+returns its ``funcmap.MatchInput``) and matches the prepared meshes
+pairwise (``match_prepared``, which solves the ``FmapProblem`` of two
+MatchInputs); ``match_meshes`` is the two steps for a single pair.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,16 +20,19 @@ from . import spectral
 from .errors import ArgumentError
 from .features import FeatureField, concat_features, unit_normalize
 from .funcmap import (DEFAULT_MAX_ITER, RECOVERY_METHODS, FmapProblem,
-                      FmapWeights, FunctionalMap, PointMap, project_features,
-                      recover_pointmap, solve_fmap)
+                      FmapWeights, FunctionalMap, MatchInput, PointMap,
+                      project_features, recover_pointmap, solve_fmap)
 from .mesh import TriMesh, cleanup_mesh, cotangent_weights, normalize_mesh, vertex_areas
 
 DESCRIPTOR_NAMES = ("hks", "wks", "posenc")
+SOLVE_BYTES_PER_K4 = 5 * 8  # a solve's peak: about five k^2 x k^2 float64s
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings of one match; the CLI takes its defaults from here."""
+    """Settings of one match; the CLI takes its defaults from here. A
+    basis size below 1, or a k whose solve would outgrow the machine's
+    physical memory, raises ArgumentError."""
     k: int = spectral.DEFAULT_FMAP_K
     weights: FmapWeights = field(default_factory=FmapWeights)
     descriptors: tuple = DESCRIPTOR_NAMES
@@ -40,16 +44,21 @@ class RunConfig:
     recovery: str = RECOVERY_METHODS[0]
     preprocess: bool = True
 
-
-@dataclass(frozen=True)
-class PreparedMesh:
-    mesh: TriMesh
-    basis: spectral.SpectralBasis  # descriptor-sized basis
+    def __post_init__(self):
+        if min(self.k, self.descriptor_k) < 1:
+            raise ArgumentError("basis sizes k and descriptor_k must be >= 1")
+        try:
+            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        except (AttributeError, ValueError):  # no such names here: no bound
+            return
+        need = SOLVE_BYTES_PER_K4 * self.k ** 4
+        if need > memory:
+            raise ArgumentError(
+                f"k={self.k} needs about {need / 2 ** 30:.3g} GiB to solve, "
+                f"more than the {memory / 2 ** 30:.3g} GiB of physical memory")
 
 
 def _preprocess(mesh: TriMesh, config: RunConfig) -> TriMesh:
-    if min(config.k, config.descriptor_k) < 1:
-        raise ArgumentError("basis sizes k and descriptor_k must be >= 1")
     if config.preprocess:
         mesh = normalize_mesh(cleanup_mesh(mesh))
     if config.k > mesh.n_vertices:
@@ -58,40 +67,32 @@ def _preprocess(mesh: TriMesh, config: RunConfig) -> TriMesh:
     return mesh
 
 
-def prepare_mesh(mesh: TriMesh, config: RunConfig) -> PreparedMesh:
-    """Preprocessed mesh and a basis large enough for the descriptor
-    stack and for C."""
+def prepare_mesh(mesh: TriMesh,
+                 config: RunConfig) -> tuple[TriMesh, spectral.SpectralBasis]:
+    """(preprocessed mesh, basis), the basis large enough for the
+    descriptor stack and for C."""
     mesh = _preprocess(mesh, config)
     k = max(min(config.descriptor_k, mesh.n_vertices), config.k)
-    return PreparedMesh(mesh, spectral.eigenbasis(
-        cotangent_weights(mesh), vertex_areas(mesh), k))
+    return mesh, spectral.eigenbasis(cotangent_weights(mesh),
+                                     vertex_areas(mesh), k)
 
 
-def descriptor_stack(prep: PreparedMesh, config: RunConfig) -> FeatureField:
+def descriptor_stack(mesh: TriMesh, basis: spectral.SpectralBasis,
+                     config: RunConfig) -> FeatureField:
     fields = []
     for name in config.descriptors:
         if name == "hks":
-            f = spectral.hks(prep.basis, config.hks_times)
+            f = spectral.hks(basis, config.hks_times)
         elif name == "wks":
-            f = spectral.wks(prep.basis, config.wks_energies)
+            f = spectral.wks(basis, config.wks_energies)
         elif name == "posenc":
-            f = spectral.positional_encoding(prep.mesh, config.posenc_bands)
+            f = spectral.positional_encoding(mesh, config.posenc_bands)
         else:
             raise ArgumentError(
                 f"unknown descriptor '{name}', expected one of "
                 f"{DESCRIPTOR_NAMES}")
         fields.append(f)
     return concat_features(fields)
-
-
-@dataclass(frozen=True)
-class MatchInput:
-    """What matching needs of one mesh, independent of the other: its basis
-    and its features' projection (``project_features``), no per-vertex
-    features. Matching builds no n_N x n_M buffer, for Pi or otherwise."""
-    basis: spectral.SpectralBasis    # the k-sized basis C lives in
-    spectral_features: np.ndarray    # (k, d) Phi^+ f
-    mult_ops: np.ndarray             # (d, k, k) Phi^+ Diag(f_p) Phi
 
 
 @dataclass(frozen=True)
@@ -113,20 +114,18 @@ def prepare_for_matching(mesh: TriMesh, config: RunConfig,
         basis = spectral.eigenbasis(cotangent_weights(mesh),
                                     vertex_areas(mesh), config.k)
     else:
-        prep = prepare_mesh(mesh, config)
-        features = _standardize(descriptor_stack(prep, config), prep.basis)
-        basis = prep.basis.truncate(config.k)
-    return MatchInput(basis, *project_features(basis, features.values))
+        mesh, basis = prepare_mesh(mesh, config)
+        features = _standardize(descriptor_stack(mesh, basis, config), basis)
+        basis = basis.truncate(config.k)
+    return project_features(basis, features.values)
 
 
 def match_prepared(source: MatchInput, target: MatchInput,
                    config: RunConfig) -> MatchResult:
     """Solve the functional map between two prepared meshes and recover
     the dense point map."""
-    problem = FmapProblem(source.basis, target.basis,
-                          source.spectral_features, target.spectral_features,
-                          source.mult_ops, target.mult_ops, config.weights)
-    fmap = solve_fmap(problem, max_iter=config.max_iter)
+    fmap = solve_fmap(FmapProblem(source, target, config.weights),
+                      max_iter=config.max_iter)
     pmap = recover_pointmap(fmap.C, source.basis, target.basis,
                             method=config.recovery)
     return MatchResult(fmap, pmap)

@@ -31,7 +31,7 @@ def snap_to_vertex(mesh: TriMesh, xyz) -> int:
     limit = SNAP_FRACTION * float(np.linalg.norm(hi - lo))
     d = np.linalg.norm(mesh.vertices - xyz, axis=1)
     best = int(np.argmin(d))
-    if d[best] > limit:
+    if not d[best] <= limit:  # a NaN position fails too
         raise ArgumentError(
             f"position {xyz.tolist()} is {d[best]:.4g} from the nearest "
             f"vertex, beyond the snap limit {limit:.4g}")

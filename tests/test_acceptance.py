@@ -34,13 +34,6 @@ def basis_of(mesh, k):
     return eigenbasis(cotangent_weights(mesh), vertex_areas(mesh), k)
 
 
-def prepared_problem(source, target, weights):
-    """The problem ``match_prepared`` solves for two prepared meshes."""
-    return FmapProblem(source.basis, target.basis, source.spectral_features,
-                       target.spectral_features, source.mult_ops,
-                       target.mult_ops, weights)
-
-
 def identity_fraction(pmap):
     return (pmap.target_to_source == np.arange(pmap.n)).mean()
 
@@ -203,7 +196,7 @@ def test_criterion_06_regularizer_reduces_entropy():
     for tag, config in (("on", config_on), ("off", config_off)):
         prep_s = prepare_for_matching(src, config)
         prep_t = prepare_for_matching(tgt, config)
-        fm = solve_fmap(prepared_problem(prep_s, prep_t, config.weights))
+        fm = solve_fmap(FmapProblem(prep_s, prep_t, config.weights))
         vals[tag] = clamped_entropy(fm.C, prep_s.basis, prep_t.basis)
     delta = vals["off"] - vals["on"]
     print(f"clamped-map entropy: regularized {vals['on']:.1f}, "
@@ -278,7 +271,7 @@ def _timed_solve(mesh):
     config = RunConfig(descriptors=("hks", "posenc"))
     prep = prepare_for_matching(mesh, config)
     assert len(prep.mult_ops) <= 64
-    prob = prepared_problem(prep, prep, config.weights)
+    prob = FmapProblem(prep, prep, config.weights)
     start = time.perf_counter()
     fm = solve_fmap(prob)
     return time.perf_counter() - start, fm

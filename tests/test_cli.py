@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -515,10 +516,11 @@ def test_transfer_keypoints_command(runner, tmp_path, monkeypatch):
     ('[{"label": "a", "vertex": 2.7}]', 3),
     ('[{"label": "a", "vertex": true}]', 3),
     ('[{"label": "a", "vertex": "3"}]', 3),
+    ('[{"label": "a", "xyz": [NaN, 0, 0]}]', 2),
 ], ids=["missing", "no-label", "vertex-not-int", "not-a-list",
         "entry-not-an-object", "xyz-not-a-point", "vertex-out-of-range",
         "no-vertex-or-xyz", "xyz-beyond-snap", "empty", "vertex-fractional",
-        "vertex-bool", "vertex-numeric-string"])
+        "vertex-bool", "vertex-numeric-string", "xyz-nan"])
 def test_transfer_keypoints_bad_keypoints_exit_code(runner, tmp_path, text,
                                                     code):
     m = strong_bump_grid(6)
@@ -623,6 +625,47 @@ def test_sizes_below_one_exit_2(runner, sphere_dataset, tmp_path, command,
     res = runner.invoke(main, [command, *inputs, *args])
     assert res.exit_code == 2, all_output(res)
     assert not out.exists()
+
+
+def test_k_beyond_physical_memory_exits_2_before_reading_meshes(
+        runner, tmp_path, monkeypatch):
+    # a solve holds about 5 k^4 doubles: with 100 pages of 4 KiB reported,
+    # k = 10 (0.40 MB) fits and k = 12 (0.83 MB) does not
+    sysconf, pages = os.sysconf, {"SC_PHYS_PAGES": 100, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: pages.get(name) or sysconf(name))
+    assert RunConfig(k=10).k == 10
+    absent, out = str(tmp_path / "absent.ply"), tmp_path / "map.json"
+    res = runner.invoke(main, ["match", "--source", absent, "--target",
+                               absent, "-k", "12", "-o", str(out)])
+    assert res.exit_code == 2, all_output(res)  # a missing mesh exits 3
+    assert "physical memory" in all_output(res)
+    assert not out.exists()
+
+    def unknown(name):
+        raise ValueError("unrecognized configuration name")
+    monkeypatch.setattr(os, "sysconf", unknown)
+    assert RunConfig(k=12).k == 12  # no bound where sysconf cannot tell
+
+
+@pytest.mark.parametrize("command", ["eval", "benchmark"])
+def test_mesh_ply_directory_exits_3(runner, sphere_dataset, tmp_path,
+                                    command):
+    root, dirs, m = sphere_dataset
+    (dirs[0] / "mesh.ply").unlink()
+    (dirs[0] / "mesh.ply").mkdir()
+    n = m.n_vertices
+    map_path = tmp_path / "ident.json"
+    save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
+             PointMap(np.arange(n), np.ones(n)), FmapWeights())
+    args = {"eval": ["--map", str(map_path), "--source-instance",
+                     str(dirs[0]), "--target-instance", str(dirs[1])],
+            "benchmark": ["--dataset", str(root), "--csv",
+                          str(tmp_path / "r.csv"), "--json",
+                          str(tmp_path / "a.json")]}[command]
+    res = runner.invoke(main, [command, *args])
+    assert res.exit_code == 3, all_output(res)
+    assert "mesh.ply" in all_output(res) and "directory" in all_output(res)
 
 
 PLY_ASCII_HEADER = ("ply\nformat ascii 1.0\nelement vertex 3\n"

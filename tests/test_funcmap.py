@@ -11,8 +11,9 @@ from meshcorr.mesh import TriMesh, cotangent_weights, vertex_areas
 from meshcorr.spectral import eigenbasis
 from meshcorr.funcmap import (FmapProblem, FmapWeights, build_problem,
                               fmap_from_pointmap, fmap_objective, load_map,
-                              multiplication_operator, recover_pointmap,
-                              save_map, solve_fmap, solve_partial)
+                              multiplication_operator, project_features,
+                              recover_pointmap, save_map, solve_fmap,
+                              solve_partial)
 
 from conftest import grid_patch, icosphere
 
@@ -62,16 +63,25 @@ def test_build_problem_shapes_and_validation():
     rng = np.random.default_rng(0)
     f = rng.normal(size=(m.n_vertices, 5))
     prob = build_problem(b, b, f, f)
-    assert prob.F.shape == (6, 5)
-    assert len(prob.mult_ops_M) == 5
+    assert prob.source.spectral_features.shape == (6, 5)
+    assert prob.source.mult_ops.shape == (5, 6, 6)
+    assert prob.source.basis is b and prob.target.basis is b
     with pytest.raises(ArgumentError):
         build_problem(b, b, f[:-1], f)
     with pytest.raises(ArgumentError):
         build_problem(b, b, f, f[:, :3])
+    src = prob.source
+    for target, message in [
+            (project_features(basis_pair(5)[1], f), "same k"),
+            (replace(src, spectral_features=src.spectral_features[:-1]),
+             "k rows"),
+            (replace(src, mult_ops=src.mult_ops[:-1]), "equal length")]:
+        with pytest.raises(ArgumentError, match=message):
+            FmapProblem(src, target)
 
 
 def test_prepared_problem_is_build_problems(monkeypatch):
-    # match_prepared assembles its problem from the projections made in
+    # match_prepared solves the problem of the two records made in
     # preparation; build_problem projects the descriptor stack itself
     config = pipeline.RunConfig()
     meshes = [grid_patch(n, n, z_fn=wavy) for n in (8, 9)]
@@ -79,9 +89,9 @@ def test_prepared_problem_is_build_problems(monkeypatch):
                       for m in meshes)
     features = []
     for m in meshes:
-        prep = pipeline.prepare_mesh(m, config)
+        mesh, basis = pipeline.prepare_mesh(m, config)
         features.append(pipeline._standardize(
-            pipeline.descriptor_stack(prep, config), prep.basis).values)
+            pipeline.descriptor_stack(mesh, basis, config), basis).values)
     built = []
     solve = pipeline.solve_fmap
 
@@ -94,8 +104,11 @@ def test_prepared_problem_is_build_problems(monkeypatch):
     want = build_problem(source.basis, target.basis, *features,
                          config.weights)
     got, = built
-    for name in ("F", "G", "mult_ops_M", "mult_ops_N"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.source is source and got.target is target
+    for side in ("source", "target"):
+        for name in ("spectral_features", "mult_ops"):
+            assert np.array_equal(getattr(getattr(got, side), name),
+                                  getattr(getattr(want, side), name)), name
     for part, want_part in zip(got.quadratic, want.quadratic):
         assert np.array_equal(part, want_part)
 
@@ -111,7 +124,7 @@ def entropy_blocks_problem(k, seed):
 
 
 def dense_pi(prob, C):
-    return prob.basis_N.phi @ C @ prob.basis_M.pinv()
+    return prob.target.basis.phi @ C @ prob.source.basis.pinv()
 
 
 def test_objective_value_oracle():
@@ -127,17 +140,19 @@ def test_objective_value_oracle():
         value, _ = fmap_objective(C, prob)
 
         w = prob.weights
-        want = ((C @ prob.F - prob.G) ** 2).sum()
-        lam_m, lam_n = prob.basis_M.lam, prob.basis_N.lam
+        src, tgt = prob.source, prob.target
+        want = ((C @ src.spectral_features - tgt.spectral_features)
+                ** 2).sum()
+        lam_m, lam_n = src.basis.lam, tgt.basis.lam
         want += w.alpha * ((np.diag(lam_n) @ C
                             - C @ np.diag(lam_m)) ** 2).sum()
-        for X, Y in zip(prob.mult_ops_M, prob.mult_ops_N):
+        for X, Y in zip(src.mult_ops, tgt.mult_ops):
             want += w.beta * ((C @ X - Y @ C) ** 2).sum()
         pi = dense_pi(prob, C)
         pic = np.clip(pi, 0.0, 1.0)
         want += w.w_entropy * (-pic * np.log(pic + 1e-12)).sum()
         want += w.w_sum * (((pi.sum(axis=1) - 1.0) ** 2).sum()
-                           + ((pi.sum(axis=0) - prob.n_N / prob.n_M)
+                           + ((pi.sum(axis=0) - tgt.basis.n / src.basis.n)
                               ** 2).sum())
         assert value == pytest.approx(want, rel=1e-10)
 
@@ -263,8 +278,8 @@ def test_no_dense_pi_buffer():
     prob.quadratic                   # cached, so built outside the trace
     dense = m.n_vertices ** 2 * 8
     for run in (lambda: fmap_objective(C, prob),
-                lambda: recover_pointmap(C, prob.basis_M, prob.basis_N,
-                                         method="argmax")):
+                lambda: recover_pointmap(C, prob.source.basis,
+                                         prob.target.basis, method="argmax")):
         tracemalloc.start()
         try:
             run()
@@ -333,14 +348,19 @@ def corner_cut():
     return build_problem(*bases, smooth_features(part), g), g, full.edges()
 
 
+def masked_problem(prob, g, eta):
+    """prob with G = Phi_N^+ Diag(eta) g."""
+    G = prob.target.basis.pinv() @ (eta[:, None] * g)
+    return replace(prob, target=replace(prob.target, spectral_features=G))
+
+
 def partial_objective(prob, g, edges, C, eta):
     """J(C, eta) from its definition in solve_partial's docstring."""
-    bn = prob.basis_N
-    masked = replace(prob, G=bn.pinv() @ (eta[:, None] * g))
-    a = bn.areas.areas
+    masked = masked_problem(prob, g, eta)
+    a = prob.target.basis.areas.areas
     i, j = edges.T
     return (fmap_objective(C, masked)[0]
-            + funcmap.W_AREA * (eta @ a - prob.basis_M.areas.total) ** 2
+            + funcmap.W_AREA * (eta @ a - prob.source.basis.areas.total) ** 2
             + funcmap.W_MS * (0.5 * (a[i] + a[j]) * (eta[i] - eta[j]) ** 2).sum()
             - funcmap.W_ETA * (eta * np.log(eta + 1e-12)).sum())
 
@@ -352,14 +372,13 @@ def test_solve_partial_objective_is_J():
     assert sol.iterations >= 1 and sol.rounds == 1
     assert sol.objective == pytest.approx(
         partial_objective(prob, g, edges, sol.C, sol.eta), rel=1e-12)
-    ratio = prob.basis_M.areas.total / prob.basis_N.areas.total
+    ratio = prob.source.basis.areas.total / prob.target.basis.areas.total
     assert sol.matched_area_fraction == pytest.approx(ratio, abs=0.15)
 
     # the start point: the uniform mask at the area ratio, and the
     # minimizer of the quadratic part of the objective under that mask
-    eta0 = np.full(prob.n_N, ratio)
-    masked = replace(prob, G=prob.basis_N.pinv() @ (eta0[:, None] * g))
-    H, b, _ = masked.quadratic
+    eta0 = np.full(prob.target.basis.n, ratio)
+    H, b, _ = masked_problem(prob, g, eta0).quadratic
     C0 = np.linalg.solve(H, b).reshape(prob.k, prob.k)
     assert sol.objective <= partial_objective(prob, g, edges, C0, eta0)
 
