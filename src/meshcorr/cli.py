@@ -11,7 +11,6 @@ import dataclasses
 import functools
 import json
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -161,31 +160,22 @@ def cmd_eval(map_path, source_instance, target_instance, max_threshold,
 
 class _BenchmarkMatcher:
     """Matcher of the all-pairs benchmark. It prepares each dataset
-    instance at most once, on first use, from any worker thread:
-    concurrent callers for one instance wait for the first, and a failed
-    preparation is re-raised to every caller, so it fails only the pairs
-    that use the instance."""
+    instance at most once, on first use; a failed preparation is
+    re-raised to each pair that uses the instance, failing only those."""
 
     def __init__(self, config):
         self.config = config
-        self._lock = threading.Lock()
-        self._instance_locks = {}
         self._outcomes = {}  # key -> (MatchInput, None) or (None, exception)
 
     def prepared(self, inst):
         key = (inst.category, inst.name)
-        with self._lock:
-            instance_lock = self._instance_locks.setdefault(key,
-                                                            threading.Lock())
-        with instance_lock:
-            if key not in self._outcomes:
-                try:
-                    # dataset vertex order carries the annotation; only
-                    # rescale
-                    self._outcomes[key] = (pipeline.prepare_for_matching(
-                        normalize_mesh(inst.remeshed), self.config), None)
-                except Exception as exc:  # recorded for each pair it fails
-                    self._outcomes[key] = (None, exc)
+        if key not in self._outcomes:
+            try:
+                # dataset vertex order carries the annotation; only rescale
+                self._outcomes[key] = (pipeline.prepare_for_matching(
+                    normalize_mesh(inst.remeshed), self.config), None)
+            except Exception as exc:  # recorded for each pair it fails
+                self._outcomes[key] = (None, exc)
         prepared, exc = self._outcomes[key]
         if exc is not None:
             raise exc
@@ -202,7 +192,8 @@ class _BenchmarkMatcher:
 @click.option("--category", default=None,
               help="restrict to one category (default: all)")
 @click.option("--split", default="test", show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="has no effect: pairs run in order on one thread")
 @click.option("--csv", "csv_path", required=True, type=click.Path(),
               callback=_output_path)
 @click.option("--json", "json_path", required=True, type=click.Path(),

@@ -12,7 +12,6 @@ import csv
 import functools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -174,22 +173,17 @@ def evaluate_pair(src: DatasetInstance, tgt: DatasetInstance, matcher,
 
 def benchmark_category(instances, category: str, matcher, jobs: int = 1,
                        max_threshold: float = DEFAULT_MAX_THRESHOLD):
-    """Evaluate all ordered pairs (self-pairs included) of a category.
-
-    Returns (results, aggregates); results follow the deterministic
-    (source, target) instance order regardless of worker completion.
-    """
+    """Evaluate all ordered pairs (self-pairs included) of a category in
+    (source, target) instance order on the calling thread; returns
+    (results, aggregates). ``jobs`` must be >= 1 and has no effect."""
     if jobs < 1:
         raise ArgumentError(f"jobs must be >= 1, got {jobs}")
     _check_max_threshold(max_threshold)
     chosen = [i for i in instances if i.category == category]
     if not chosen:
         raise ArgumentError(f"no instances in category '{category}'")
-    pairs = [(s, t) for s in chosen for t in chosen]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(
-            lambda st: evaluate_pair(st[0], st[1], matcher, max_threshold),
-            pairs))
+    results = [evaluate_pair(s, t, matcher, max_threshold)
+               for s in chosen for t in chosen]
     ok = [r for r in results if not r.failed]
     aggregates = {
         "category": category,

@@ -75,12 +75,15 @@ def _load_text_matrix(path: Path) -> np.ndarray:
             n, d = (int(tok) for tok in first[1:].split())
         except ValueError:
             raise FormatError(f"{path}:1: bad '# n d' header")
-        try:
-            values = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad matrix body: {exc}")
+        rows = [line for line in fh if line.split("#", 1)[0].strip()]
+    if not rows:  # loadtxt would warn and return an empty array
+        raise FormatError(f"{path}: header promises {n}x{d}, body is empty")
+    try:
+        values = np.loadtxt(rows, dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad matrix body: {exc}")
     if values.shape != (n, d):
-        raise ShapeError(
+        raise FormatError(
             f"{path}: header promises {n}x{d}, body is {values.shape}")
     return values
 

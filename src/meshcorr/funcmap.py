@@ -470,7 +470,8 @@ def save_map(path, fmap: FunctionalMap, pmap: PointMap,
 def load_map(path):
     """Read a map written by ``save_map``; a missing or malformed file, a
     C that is not a square matrix, a target_to_source that is not a list
-    of integers, or a confidence of another length raises FormatError.
+    of integers, a confidence of another length, or weights that are not
+    an object raises FormatError. A map without weights has weights {}.
     Whether the map fits a pair of meshes is ``check_map_fits``'s job."""
     path = input_file(path, "map")
     with open(path, "r") as fh:
@@ -494,5 +495,8 @@ def load_map(path):
     if confidence.shape != match.shape:
         raise FormatError(f"{path}: confidence has {confidence.size} "
                           f"entries, target_to_source {match.size}")
+    weights = doc.get("weights", {})
+    if not isinstance(weights, dict):
+        raise FormatError(f"{path}: weights is not an object")
     pmap = PointMap(match.astype(np.int64), confidence)
-    return fmap, pmap, doc.get("weights", {})
+    return fmap, pmap, weights

@@ -157,7 +157,8 @@ def save_groups(path, groups: SemanticGroups):
 
 def load_groups(path) -> SemanticGroups:
     """Read a groups file; keys other than n and group_of are ignored,
-    and a missing or malformed file raises FormatError."""
+    and a missing or malformed file, or a group_of that is not a list of
+    integers, raises FormatError."""
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)
@@ -165,9 +166,12 @@ def load_groups(path) -> SemanticGroups:
         raise FormatError(f"{path}: bad groups JSON: {exc}")
     try:
         n = int(doc["n"])
-        group_of = np.asarray(doc["group_of"], dtype=np.int64)
+        group_of = np.asarray(doc["group_of"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: groups JSON missing n/group_of: {exc}")
+    # floats and bools would be truncated; uint64 and object hold > int64
+    if group_of.dtype.kind != "i":
+        raise FormatError(f"{path}: group_of is not a list of integers")
     if len(group_of) != n:
         raise DataError(f"{path}: group_of length {len(group_of)} != n={n}")
     return SemanticGroups(group_of)

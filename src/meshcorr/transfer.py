@@ -40,11 +40,13 @@ def snap_to_vertex(mesh: TriMesh, xyz) -> int:
 
 def make_keypoints(mesh: TriMesh, entries) -> list:
     """(label, vertex) pairs from {"label", "vertex"|"xyz"} entries; a
-    vertex that is not an integer (a bool, a float, a string) raises
-    TypeError."""
+    label that is not a string, or a vertex that is not an integer (a
+    bool, a float, a string), raises TypeError."""
     keypoints = []
     for e in entries:
-        label = str(e["label"])
+        label = e["label"]
+        if not isinstance(label, str):
+            raise TypeError(f"keypoint label {label!r} is not a string")
         if "vertex" in e:
             v = e["vertex"]
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):

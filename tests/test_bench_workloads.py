@@ -1,7 +1,8 @@
 """The program paths that the benchmark's workloads call directly rather
 than through the CLI: ``pair-match``'s partial cuts go through
 ``build_problem`` and ``solve_partial``, the tracer reads the partial
-solution, and ``eval-transfer``'s map files are written by ``save_map``."""
+solution and ``benchmark_category``'s ``jobs``, and ``eval-transfer``'s
+map files are written by ``save_map``."""
 
 import sys
 from pathlib import Path
@@ -39,3 +40,21 @@ def test_store_map_round_trips_through_load_map(tmp_path):
     np.testing.assert_array_equal(pmap.confidence, np.ones(len(t2s)))
     np.testing.assert_array_equal(fmap.C, np.eye(10))
     assert weights == workloads.funcmap.FmapWeights().as_dict()
+
+
+def test_tracer_reads_jobs_of_benchmark_category(tmp_path):
+    tree = tmp_path / "tree"
+    for i, nx in enumerate((6, 7, 8)):
+        workloads.write_instance(tree / "grids" / f"g{i}", gen.bumpy_grid(nx))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, _, err = workloads.invoke(
+            tracer, "benchmark", "--dataset", tree, "--csv",
+            tmp_path / "r.csv", "--json", tmp_path / "a.json", "--jobs", 2)
+    finally:
+        tracer.uninstall()
+    assert code == 0, err
+    [cat] = [s for s in tracer.spans
+             if s.name == "evalbench.benchmark_category"]
+    assert cat.info["jobs"] == 2 and cat.info["pair_wall_s"] > 0

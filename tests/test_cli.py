@@ -1,7 +1,7 @@
 import csv
 import json
 import os
-import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +98,27 @@ def test_match_missing_feature_file_exits_3(runner, tmp_path):
         assert res.exit_code == 3, all_output(res)
         assert "absent.dmf" in all_output(res)
         missing.mkdir(exist_ok=True)
+
+
+@pytest.mark.parametrize("rows", [0, 2, 37], ids=["empty", "short", "long"])
+@pytest.mark.parametrize("side", ["--source-features", "--target-features"])
+def test_match_text_features_not_filling_header_exit_3(runner, tmp_path,
+                                                       side, rows):
+    m = strong_bump_grid(6)  # 36 vertices
+    p, good, bad = tmp_path / "m.ply", tmp_path / "f.dmf", tmp_path / "f.txt"
+    save_mesh(p, m)
+    write_features(good, FeatureField(np.ones((m.n_vertices, 3))))
+    bad.write_text(f"# {m.n_vertices} 3\n" + "1 2 3\n" * rows)
+    other = {"--source-features": "--target-features",
+             "--target-features": "--source-features"}[side]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                                   str(p), side, str(bad), other, str(good),
+                                   "-o", str(tmp_path / "o.json")])
+    assert res.exit_code == 3, all_output(res)
+    assert "f.txt" in all_output(res) and "header promises" in all_output(res)
+    assert not caught
 
 
 @pytest.mark.parametrize("side", ["--source-features", "--target-features"])
@@ -244,14 +265,21 @@ def test_eval_ignores_group_names(runner, sphere_dataset, tmp_path, names):
     assert "groups.json" in all_output(res)
 
 
-@pytest.mark.parametrize("field, value", [("n", "1e999"),
-                                          ("group_of", "[1e999]")])
+@pytest.mark.parametrize("field, value", [
+    ("n", "1e999"), ("group_of", "[1e999]"),
+    pytest.param("group_of", "fractional", id="group_of-fractional"),
+    pytest.param("group_of", "bool", id="group_of-bool")])
 def test_eval_overflowing_groups_exits_3(runner, sphere_dataset, tmp_path,
                                         field, value):
     root, dirs, m = sphere_dataset
     n = m.n_vertices
     path = dirs[1] / "groups.json"
     doc = json.loads(path.read_text())
+    # full-length labels that a cast to int64 truncates: 1.5 -> 1, true -> 1
+    labels = doc["group_of"]
+    value = {"fractional": json.dumps([labels[0] + 0.5] + labels[1:]),
+             "bool": json.dumps([label > 0 for label in labels])
+             }.get(value, value)
     doc[field] = "VALUE"
     path.write_text(json.dumps(doc).replace('"VALUE"', value))
     map_path = tmp_path / "ident.json"
@@ -367,15 +395,10 @@ def test_benchmark_prepares_each_instance_once(runner, grid_dataset,
 
     counted(spectral, "eigenbasis")
     counted(funcmap, "multiplication_operator")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # more thread switches, more chances to race
-    try:
-        res = runner.invoke(main, [
-            "benchmark", "--dataset", str(grid_dataset), "--csv",
-            str(tmp_path / "r.csv"), "--json", str(tmp_path / "a.json"),
-            "--jobs", str(jobs)])
-    finally:
-        sys.setswitchinterval(interval)
+    res = runner.invoke(main, [
+        "benchmark", "--dataset", str(grid_dataset), "--csv",
+        str(tmp_path / "r.csv"), "--json", str(tmp_path / "a.json"),
+        "--jobs", str(jobs)])
     assert res.exit_code == 0, all_output(res)
     assert calls == {"eigenbasis": 3, "multiplication_operator": 3 * d}
 
@@ -517,10 +540,12 @@ def test_transfer_keypoints_command(runner, tmp_path, monkeypatch):
     ('[{"label": "a", "vertex": true}]', 3),
     ('[{"label": "a", "vertex": "3"}]', 3),
     ('[{"label": "a", "xyz": [NaN, 0, 0]}]', 2),
+    ('[{"label": ["a", "b"], "vertex": 5}]', 3),
 ], ids=["missing", "no-label", "vertex-not-int", "not-a-list",
         "entry-not-an-object", "xyz-not-a-point", "vertex-out-of-range",
         "no-vertex-or-xyz", "xyz-beyond-snap", "empty", "vertex-fractional",
-        "vertex-bool", "vertex-numeric-string", "xyz-nan"])
+        "vertex-bool", "vertex-numeric-string", "xyz-nan",
+        "label-not-a-string"])
 def test_transfer_keypoints_bad_keypoints_exit_code(runner, tmp_path, text,
                                                     code):
     m = strong_bump_grid(6)
@@ -546,7 +571,7 @@ def test_transfer_keypoints_bad_keypoints_exit_code(runner, tmp_path, text,
                                      "transfer-keypoints"])
 @pytest.mark.parametrize("case, code", [
     ("negative", 2), ("beyond-source", 2), ("short-map", 2),
-    ("fractional", 3), ("short-confidence", 3)])
+    ("fractional", 3), ("short-confidence", 3), ("weights-not-object", 3)])
 def test_map_that_does_not_fit_exits(runner, sphere_dataset, tmp_path,
                                      command, case, code):
     _, dirs, m = sphere_dataset
@@ -564,6 +589,8 @@ def test_map_that_does_not_fit_exits(runner, sphere_dataset, tmp_path,
         doc["confidence"].pop()
         if case == "short-map":
             doc["target_to_source"].pop()
+    elif case == "weights-not-object":
+        doc["weights"] = 3
     else:
         doc["target_to_source"][3] = {"negative": -1, "beyond-source": n + 5,
                                       "fractional": 2.7}[case]

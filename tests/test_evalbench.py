@@ -1,5 +1,6 @@
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -155,6 +156,21 @@ def test_evaluate_pair_and_failure_capture(tiny_dataset):
     assert np.isnan(res.err_mean)
 
 
+@pytest.mark.parametrize("jobs", [1, 8])
+def test_benchmark_category_runs_pairs_in_order_on_calling_thread(
+        tiny_dataset, jobs):
+    root, _, _ = tiny_dataset
+    calls = []
+
+    def recording(src, tgt):
+        calls.append((src.name, tgt.name, threading.get_ident()))
+        return identity_matcher(src, tgt)
+
+    benchmark_category(load_dataset(root), "spheres", recording, jobs=jobs)
+    caller = threading.get_ident()
+    assert calls == [(s, t, caller) for s in "ab" for t in "ab"]
+
+
 def test_benchmark_category_and_outputs(tiny_dataset, tmp_path):
     root, _, _ = tiny_dataset
     instances = load_dataset(root)
@@ -166,7 +182,7 @@ def test_benchmark_category_and_outputs(tiny_dataset, tmp_path):
     with pytest.raises(ArgumentError):
         benchmark_category(instances, "cats", identity_matcher)
 
-    # parallel run gives the same rows in the same order
+    # jobs does not change the rows or their order
     results8, _ = benchmark_category(instances, "spheres", identity_matcher,
                                      jobs=8)
     assert [r.pair for r in results8] == [r.pair for r in results]

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -316,6 +317,10 @@ def test_save_load_map_roundtrip(tmp_path):
     assert (fm.converged, fm.iterations, fm.final_objective) == \
         (fm_in.converged, fm_in.iterations, fm_in.final_objective)
     assert w["alpha"] == 0.5
+    doc = json.loads(p.read_text())
+    del doc["weights"]
+    p.write_text(json.dumps(doc))
+    assert load_map(p)[2] == {}
 
 
 def test_solve_partial_full_overlap():
