@@ -59,9 +59,13 @@ def _output_path(ctx, param, value):
     """An output file path, checked before any work: not a directory, and
     in a directory that exists."""
     path = Path(value)
-    if path.is_dir():
+    try:
+        is_dir, parent_is_dir = path.is_dir(), path.parent.is_dir()
+    except OSError as exc:  # a name too long, which is_dir does not swallow
+        raise click.BadParameter(f"{value}: {exc.strerror}")
+    if is_dir:
         raise click.BadParameter(f"{value} is a directory")
-    if not path.parent.is_dir():
+    if not parent_is_dir:
         raise click.BadParameter(f"directory {path.parent} does not exist")
     return value
 
@@ -296,8 +300,9 @@ def cmd_descriptors(mesh_path, hks_times, wks_energies, posenc_bands,
     sizes = {key: n for key, n in sizes.items() if n is not None}
     if not sizes:
         raise ArgumentError("choose at least one of --hks/--wks/--posenc")
+    # no map is solved, so C's size k = 1 leaves the basis min(-k, n)
     config = pipeline.RunConfig(
-        descriptors=tuple(key.split("_")[0] for key in sizes),
+        k=1, descriptors=tuple(key.split("_")[0] for key in sizes),
         descriptor_k=basis_size, preprocess=not no_preprocess, **sizes)
     mesh = load_mesh(mesh_path)
     stack = pipeline.descriptor_stack(*pipeline.prepare_mesh(mesh, config),

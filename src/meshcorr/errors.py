@@ -5,7 +5,10 @@ caller input, exit 2), DataError (bad file/content, exit 3), and
 NumericError (solver/math failure, exit 4).
 """
 
+import json
 from pathlib import Path
+
+import numpy as np
 
 
 class MeshCorrError(Exception):
@@ -53,11 +56,55 @@ class EvaluationError(MeshCorrError):
 
 
 def input_file(path, what: str) -> Path:
-    """``path`` as a Path, checked before it is opened: a missing path or
-    a directory raises FormatError naming it."""
+    """``path`` as a Path, checked before it is opened: a missing path, a
+    directory or a path that cannot be checked (a name too long) raises
+    FormatError naming it."""
     path = Path(path)
-    if path.is_dir():
+    try:
+        is_dir, exists = path.is_dir(), path.exists()
+    except OSError as exc:  # a name too long, which is_dir does not swallow
+        raise FormatError(f"{what} file {path}: {exc.strerror}") from exc
+    if is_dir:
         raise FormatError(f"{what} file is a directory: {path}")
-    if not path.exists():
+    if not exists:
         raise FormatError(f"{what} file not found: {path}")
     return path
+
+
+def read_json(path, what: str, parse):
+    """``parse`` of the JSON document in ``path``, a ``what`` file. The
+    file is checked, read and parsed and the document taken apart under
+    one guard: a file that cannot be read, decoded or parsed, one nested
+    too deeply, or a document ``parse`` finds a key missing from or a
+    value of the wrong type or size in raises FormatError naming the
+    file; a MeshCorrError that ``parse`` raises passes through."""
+    path = input_file(path, what)
+    try:
+        with open(path, "rb") as fh:
+            return parse(json.load(fh))
+    except MeshCorrError:
+        raise  # ArgumentError is also a ValueError
+    except (OSError, RecursionError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
+        raise FormatError(f"{path}: malformed {what} file "
+                          f"({type(exc).__name__}: {exc})") from exc
+
+
+def json_array(value, kind, ndim: int, name: str) -> np.ndarray:
+    """A parsed JSON value as an ``ndim``-D array of ``kind``, bool, int
+    or float (a float may be written as an integer). Any other entry, such
+    as a bool or a string for a number, a float for an int or a ragged
+    row, raises TypeError; an int too large for the dtype, OverflowError."""
+    array = np.asarray(value, dtype=object)
+    allowed = {float, int} if kind is float else {kind}
+    if array.ndim != ndim or not set(map(type, array.flat)) <= allowed:
+        raise TypeError(f"{name} is not a {ndim}-D array of JSON "
+                        f"{kind.__name__}s: {value!r:.60}")
+    return array.astype(kind)
+
+
+def write_json(path, doc):
+    """Write ``doc`` as JSON: sorted keys, one-space indent, final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (ArgumentError, DataError, EvaluationError, FormatError,
-                     input_file)
+from .errors import (ArgumentError, DataError, EvaluationError, input_file,
+                     read_json, write_json)
 from .funcmap import check_map_fits
 from .geodesics import (GeodesicMatrix, SemanticGroups, geodesic_matrix,
                         load_groups)
@@ -115,12 +114,7 @@ def load_dataset(root, split: str | None = None):
     splits = {}
     split_file = root / "splits.json"
     if split_file.exists():
-        try:
-            splits = json.loads(split_file.read_text())
-        except (OSError, ValueError) as exc:  # a directory, not UTF-8/JSON
-            raise FormatError(f"{split_file}: bad splits JSON: {exc}")
-        if not isinstance(splits, dict):
-            raise FormatError(f"{split_file}: splits JSON is not an object")
+        splits = read_json(split_file, "splits", _object)
     instances = []
     for cat_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         for inst_dir in sorted(p for p in cat_dir.iterdir() if p.is_dir()):
@@ -128,6 +122,12 @@ def load_dataset(root, split: str | None = None):
             if split is None or splits.get(key, "test") == split:
                 instances.append(load_instance(inst_dir))
     return instances
+
+
+def _object(doc):
+    if not isinstance(doc, dict):
+        raise TypeError("not a JSON object")
+    return doc
 
 
 def load_instance(inst_dir) -> DatasetInstance:
@@ -211,6 +211,4 @@ def write_results_csv(path, results):
 def write_aggregates_json(path, aggregates_by_category):
     doc = {cat: {"err_mean": agg["err_mean"], "auc_mean": agg["auc_mean"]}
            for cat, agg in aggregates_by_category.items()}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, doc)

@@ -35,7 +35,6 @@ w_e (eta_i - eta_j)^2 - W_ETA sum_i eta_i log eta_i.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, partial
@@ -45,7 +44,8 @@ import scipy.linalg
 import scipy.optimize
 from scipy.spatial import cKDTree
 
-from .errors import ArgumentError, FormatError, NumericError, input_file
+from .errors import (ArgumentError, NumericError, json_array, read_json,
+                     write_json)
 from .spectral import SpectralBasis
 
 EPS_LOG = 1e-12
@@ -462,41 +462,34 @@ def save_map(path, fmap: FunctionalMap, pmap: PointMap,
         "iterations": int(fmap.iterations),
         "weights": weights.as_dict(),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
+
+
+def _parse_map(doc):
+    k = int(json_array(doc["k"], int, 0, "k"))
+    C = json_array(doc["C"], float, 2, "C")
+    if C.shape != (k, k):
+        raise ValueError(f"C has shape {C.shape}, not k x k with k={k}")
+    fmap = FunctionalMap(
+        C, bool(json_array(doc["converged"], bool, 0, "converged")),
+        float(json_array(doc["objective"], float, 0, "objective")),
+        int(json_array(doc["iterations"], int, 0, "iterations")))
+    match = json_array(doc["target_to_source"], int, 1, "target_to_source")
+    confidence = json_array(doc["confidence"], float, 1, "confidence")
+    if confidence.shape != match.shape:
+        raise ValueError(f"confidence has {confidence.size} entries, "
+                         f"target_to_source {match.size}")
+    weights = doc.get("weights", {})
+    if not isinstance(weights, dict):
+        raise TypeError("weights is not an object")
+    return fmap, PointMap(match, confidence), weights
 
 
 def load_map(path):
     """Read a map written by ``save_map``; a missing or malformed file, a
-    C that is not a square matrix, a target_to_source that is not a list
-    of integers, a confidence of another length, or weights that are not
-    an object raises FormatError. A map without weights has weights {}.
+    value of another JSON type (see ``json_array``), a C that is not k x
+    k, a confidence of another length than target_to_source, or weights
+    that are not an object raise FormatError. A map without weights has
+    weights {}.
     Whether the map fits a pair of meshes is ``check_map_fits``'s job."""
-    path = input_file(path, "map")
-    with open(path, "r") as fh:
-        try:
-            doc = json.load(fh)
-            match = np.asarray(doc["target_to_source"])
-            confidence = np.asarray(doc["confidence"], np.float64)
-            fmap = FunctionalMap(np.asarray(doc["C"], np.float64),
-                                 bool(doc["converged"]),
-                                 float(doc["objective"]),
-                                 int(doc["iterations"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}: malformed map file "
-                              f"({type(exc).__name__}: {exc})") from exc
-    if fmap.C.ndim != 2 or fmap.C.shape[0] != fmap.C.shape[1]:
-        raise FormatError(f"{path}: C is not a square matrix "
-                          f"(shape {fmap.C.shape})")
-    if match.ndim != 1 or match.dtype.kind not in "iu":
-        raise FormatError(f"{path}: target_to_source is not a list of "
-                          "integers")
-    if confidence.shape != match.shape:
-        raise FormatError(f"{path}: confidence has {confidence.size} "
-                          f"entries, target_to_source {match.size}")
-    weights = doc.get("weights", {})
-    if not isinstance(weights, dict):
-        raise FormatError(f"{path}: weights is not an object")
-    pmap = PointMap(match.astype(np.int64), confidence)
-    return fmap, pmap, weights
+    return read_json(path, "map", _parse_map)

@@ -10,7 +10,6 @@ n x n is built or stored.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,8 @@ import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .errors import ArgumentError, DataError, DisconnectedMeshError, FormatError
+from .errors import (ArgumentError, DataError, DisconnectedMeshError,
+                     json_array, read_json, write_json)
 from .mesh import TriMesh
 
 
@@ -150,28 +150,17 @@ def semantic_distance(groups: SemanticGroups, geo: GeodesicMatrix,
 # ----------------------------------------------------------------- io
 
 def save_groups(path, groups: SemanticGroups):
-    doc = {"n": groups.n, "group_of": groups.group_of.tolist()}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    write_json(path, {"n": groups.n, "group_of": groups.group_of.tolist()})
 
 
 def load_groups(path) -> SemanticGroups:
     """Read a groups file; keys other than n and group_of are ignored,
-    and a missing or malformed file, or a group_of that is not a list of
-    integers, raises FormatError."""
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise FormatError(f"{path}: bad groups JSON: {exc}")
-    try:
-        n = int(doc["n"])
-        group_of = np.asarray(doc["group_of"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: groups JSON missing n/group_of: {exc}")
-    # floats and bools would be truncated; uint64 and object hold > int64
-    if group_of.dtype.kind != "i":
-        raise FormatError(f"{path}: group_of is not a list of integers")
-    if len(group_of) != n:
-        raise DataError(f"{path}: group_of length {len(group_of)} != n={n}")
-    return SemanticGroups(group_of)
+    and a missing or malformed file, or an n or group_of that is not made
+    of JSON integers, raises FormatError."""
+    def parse(doc):
+        n = int(json_array(doc["n"], int, 0, "n"))
+        group_of = json_array(doc["group_of"], int, 1, "group_of")
+        if len(group_of) != n:
+            raise DataError(f"{path}: group_of length {len(group_of)} != n={n}")
+        return SemanticGroups(group_of)
+    return read_json(path, "groups", parse)

@@ -10,13 +10,10 @@ does map to.
 
 from __future__ import annotations
 
-import json
-import numbers
-
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ArgumentError, FormatError, MeshCorrError
+from .errors import ArgumentError, json_array, read_json, write_json
 from .funcmap import PointMap, check_map_fits
 from .geodesics import GeodesicMatrix, edge_graph
 from .mesh import TriMesh
@@ -39,26 +36,25 @@ def snap_to_vertex(mesh: TriMesh, xyz) -> int:
 
 
 def make_keypoints(mesh: TriMesh, entries) -> list:
-    """(label, vertex) pairs from {"label", "vertex"|"xyz"} entries; a
-    label that is not a string, or a vertex that is not an integer (a
-    bool, a float, a string), raises TypeError."""
+    """(label, vertex) pairs from parsed JSON {"label", "vertex"|"xyz"}
+    entries; a label that is not a string, or a vertex or xyz not made of
+    JSON integers or numbers (see ``json_array``), raises TypeError."""
     keypoints = []
     for e in entries:
         label = e["label"]
         if not isinstance(label, str):
             raise TypeError(f"keypoint label {label!r} is not a string")
         if "vertex" in e:
-            v = e["vertex"]
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise TypeError(f"keypoint '{label}': vertex {v!r} is not "
-                                "an integer")
+            v = int(json_array(e["vertex"], int, 0,
+                               f"keypoint '{label}' vertex"))
             if not (0 <= v < mesh.n_vertices):
                 raise ArgumentError(f"keypoint '{label}': vertex {v} out of range")
         elif "xyz" in e:
-            v = snap_to_vertex(mesh, e["xyz"])
+            v = snap_to_vertex(mesh, json_array(e["xyz"], float, 1,
+                                                f"keypoint '{label}' xyz"))
         else:
             raise ArgumentError(f"keypoint '{label}' needs 'vertex' or 'xyz'")
-        keypoints.append((label, int(v)))
+        keypoints.append((label, v))
     return keypoints
 
 
@@ -66,17 +62,11 @@ def load_keypoints(path, mesh: TriMesh) -> list:
     """(label, vertex) pairs from a JSON list of keypoint entries. A
     missing or malformed file raises FormatError; an entry that does not
     fit the mesh raises ArgumentError."""
-    try:
-        with open(path, "r") as fh:
-            entries = json.load(fh)
+    def parse(entries):
         if not isinstance(entries, list):
-            raise FormatError(f"{path}: keypoints file is not a JSON list")
+            raise TypeError("keypoints file is not a JSON list")
         return make_keypoints(mesh, entries)
-    except MeshCorrError:
-        raise  # ArgumentError is also a ValueError
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad keypoints file "
-                          f"({type(exc).__name__}: {exc})") from exc
+    return read_json(path, "keypoints", parse)
 
 
 def transfer_colors(source_textured: TriMesh, source_simplified: TriMesh,
@@ -129,6 +119,4 @@ def transfer_keypoints(keypoints, pmap: PointMap, source: TriMesh):
 def save_transferred_keypoints(path, results):
     doc = [{"label": label, "vertex": int(j), "confidence": float(conf)}
            for j, conf, label in results]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, doc)

@@ -21,6 +21,9 @@ from meshcorr.pipeline import RunConfig, match_meshes, prepare_for_matching
 from conftest import grid_patch, icosphere, octant_groups
 
 
+NESTED = "[" * 100000  # deeper than json's parser recurses
+
+
 def strong_bump_grid(nx=16):
     return grid_patch(nx, nx, z_fn=lambda x, y: (
         0.4 * np.sin(3 * x + 0.7) * np.cos(2 * y - 0.4)
@@ -196,6 +199,43 @@ def test_descriptors_zero_samples_exits_2(runner, tmp_path, flag):
     assert not feat.exists()
 
 
+def test_descriptors_basis_is_k_eigenpairs(runner, tmp_path, monkeypatch):
+    asked, eigenbasis = [], spectral.eigenbasis
+
+    def spy(W, A, k):
+        asked.append(k)
+        return eigenbasis(W, A, k)
+
+    monkeypatch.setattr(spectral, "eigenbasis", spy)
+    written = []
+    for mesh, k in ((strong_bump_grid(8), 4), (strong_bump_grid(8), 6),
+                    (grid_patch(3, 2), 4), (grid_patch(3, 2), 128)):
+        p, feat = tmp_path / "m.ply", tmp_path / f"m{len(written)}.dmf"
+        save_mesh(p, mesh)
+        res = runner.invoke(main, ["descriptors", "--mesh", str(p), "--hks",
+                                   "2", "-k", str(k), "--no-preprocess",
+                                   "-o", str(feat)])
+        assert res.exit_code == 0, all_output(res)
+        written.append(feat.read_bytes())
+    assert asked == [4, 6, 4, 6]  # min(-k, n); n = 6 on the 3x2 grid
+    assert written[0] != written[1]
+
+
+def test_descriptors_degenerate_spectrum_exits_4(runner, tmp_path):
+    triangle = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    m = TriMesh(np.vstack([triangle + [3.0 * i, 0.0, 0.0]
+                           for i in range(12)]),
+                np.arange(36).reshape(12, 3))  # 12 disjoint triangles
+    p, feat = tmp_path / "m.ply", tmp_path / "m.dmf"
+    save_mesh(p, m)
+    res = runner.invoke(main, ["descriptors", "--mesh", str(p), "--hks",
+                               "4", "-k", "10", "--no-preprocess",
+                               "-o", str(feat)])
+    assert res.exit_code == 4, all_output(res)
+    assert "degenerate spectrum" in all_output(res)
+    assert not feat.exists()
+
+
 def make_instance(root, category, name, mesh, groups):
     d = root / category / name
     d.mkdir(parents=True)
@@ -268,20 +308,32 @@ def test_eval_ignores_group_names(runner, sphere_dataset, tmp_path, names):
 @pytest.mark.parametrize("field, value", [
     ("n", "1e999"), ("group_of", "[1e999]"),
     pytest.param("group_of", "fractional", id="group_of-fractional"),
-    pytest.param("group_of", "bool", id="group_of-bool")])
+    pytest.param("group_of", "bool", id="group_of-bool"),
+    pytest.param("group_of", "true-first", id="group_of-true-first"),
+    pytest.param("group_of", "false-first", id="group_of-false-first"),
+    pytest.param("n", "fractional-n", id="n-fractional"),
+    pytest.param("n", "string-n", id="n-string"),
+    pytest.param("n", "true", id="n-bool"),
+    pytest.param(None, NESTED, id="nested")])
 def test_eval_overflowing_groups_exits_3(runner, sphere_dataset, tmp_path,
                                         field, value):
     root, dirs, m = sphere_dataset
     n = m.n_vertices
     path = dirs[1] / "groups.json"
     doc = json.loads(path.read_text())
-    # full-length labels that a cast to int64 truncates: 1.5 -> 1, true -> 1
+    # full-length labels or an n that a cast to int64 would take: 1.5 -> 1,
+    # true -> 1, false -> 0, "42" -> 42, 42.7 -> 42
     labels = doc["group_of"]
     value = {"fractional": json.dumps([labels[0] + 0.5] + labels[1:]),
-             "bool": json.dumps([label > 0 for label in labels])
+             "bool": json.dumps([label > 0 for label in labels]),
+             "true-first": json.dumps([True] + labels[1:]),
+             "false-first": json.dumps([False] + labels[1:]),
+             "fractional-n": f"{n}.7", "string-n": f'"{n}"',
              }.get(value, value)
-    doc[field] = "VALUE"
-    path.write_text(json.dumps(doc).replace('"VALUE"', value))
+    if field is not None:
+        doc[field] = "VALUE"
+        value = json.dumps(doc).replace('"VALUE"', value)
+    path.write_text(value)
     map_path = tmp_path / "ident.json"
     save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
              PointMap(np.arange(n), np.ones(n)), FmapWeights())
@@ -292,8 +344,9 @@ def test_eval_overflowing_groups_exits_3(runner, sphere_dataset, tmp_path,
     assert "groups.json" in all_output(res)
 
 
-@pytest.mark.parametrize("text", ["{not json", '["spheres/a"]', None],
-                         ids=["not-json", "not-an-object", "directory"])
+@pytest.mark.parametrize("text", ["{not json", '["spheres/a"]', None, NESTED],
+                         ids=["not-json", "not-an-object", "directory",
+                              "nested"])
 def test_benchmark_bad_splits_exits_3(runner, sphere_dataset, tmp_path,
                                       text):
     root, _, _ = sphere_dataset
@@ -330,6 +383,48 @@ def test_benchmark_command(runner, sphere_dataset, tmp_path):
                                "--category", "dogs", "--csv", str(csv_path),
                                "--json", str(json_path)])
     assert res.exit_code == 2
+
+
+def test_benchmark_one_category(runner, sphere_dataset, tmp_path):
+    root, _, m = sphere_dataset
+    make_instance(root, "others", "c", m, octant_groups(m))
+    csv_path, json_path = tmp_path / "r.csv", tmp_path / "agg.json"
+    res = runner.invoke(main, ["benchmark", "--dataset", str(root),
+                               "--category", "spheres", "--csv",
+                               str(csv_path), "--json", str(json_path),
+                               "--max-iter", "60", "--descriptors", "posenc"])
+    assert res.exit_code == 0, all_output(res)
+    assert "spheres: pairs 4" in res.output and "others" not in res.output
+    assert len(benchmark_rows(csv_path)) == 4
+    assert list(json.loads(json_path.read_text())) == ["spheres"]
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("match", {"command", "objective", "iterations", "wall_s", "output"}),
+    ("eval", {"command", "err", "auc", "coverage"}),
+    ("benchmark", {"command", "category", "pairs", "failed", "err_mean",
+                   "auc_mean"})])
+def test_log_json_prints_json_lines(runner, sphere_dataset, tmp_path,
+                                    command, keys):
+    root, dirs, m = sphere_dataset
+    n, mesh = m.n_vertices, str(dirs[0] / "remeshed.ply")
+    map_path = tmp_path / "ident.json"
+    save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
+             PointMap(np.arange(n), np.ones(n)), FmapWeights())
+    args = {"match": ["--source", mesh, "--target", mesh, "-o",
+                      str(tmp_path / "o.json"), "--max-iter", "60"],
+            "eval": ["--map", str(map_path), "--source-instance",
+                     str(dirs[0]), "--target-instance", str(dirs[1])],
+            "benchmark": ["--dataset", str(root), "--csv",
+                          str(tmp_path / "r.csv"), "--json",
+                          str(tmp_path / "agg.json"), "--max-iter", "60",
+                          "--descriptors", "posenc"]}[command]
+    res = runner.invoke(main, [command, *args, "--log-json"])
+    assert res.exit_code == 0, all_output(res)
+    lines = [json.loads(line) for line in res.output.splitlines()
+             if line.startswith("{")]
+    assert len(lines) == 1 and set(lines[0]) == keys
+    assert lines[0]["command"] == command
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
@@ -464,34 +559,67 @@ def test_transfer_color_command(runner, tmp_path):
     assert np.array_equal(colored.colors, load_mesh(tex_path).colors[perm])
 
 
-@pytest.mark.parametrize("text", [
-    "{not json",
-    '{"C": [[1.0]], "confidence": [1.0], "objective": 0.0, '
-    '"converged": true, "iterations": 0}',
-    '{"C": [[1.0]], "target_to_source": [0], "confidence": [1.0], '
-    '"objective": 0.0, "iterations": 0}',
-    '{"C": [[1.0]], "target_to_source": [0], "confidence": [1.0], '
-    '"objective": 0.0, "converged": true}',
-    '{"C": [[1.0, 0.0]], "target_to_source": [0], "confidence": [1.0], '
-    '"objective": 0.0, "converged": true, "iterations": 0}',
-    '{"C": [1.0], "target_to_source": [0], "confidence": [1.0], '
-    '"objective": 0.0, "converged": true, "iterations": 0}',
-    '{"C": [[1.0]], "target_to_source": [0], "confidence": [1.0], '
-    '"objective": 0.0, "converged": true, "iterations": 1e999}',
+@pytest.mark.parametrize("field, value", [
+    (None, "{not json"),
+    (None, '{"k": 1, "C": [[1.0]], "confidence": [1.0], "objective": 0.0, '
+     '"converged": true, "iterations": 0}'),
+    (None, '{"k": 1, "C": [[1.0]], "target_to_source": [0], '
+     '"confidence": [1.0], "objective": 0.0, "iterations": 0}'),
+    (None, '{"k": 1, "C": [[1.0]], "target_to_source": [0], '
+     '"confidence": [1.0], "objective": 0.0, "converged": true}'),
+    (None, '{"k": 1, "C": [[1.0, 0.0]], "target_to_source": [0], '
+     '"confidence": [1.0], "objective": 0.0, "converged": true, '
+     '"iterations": 0}'),
+    (None, '{"k": 1, "C": [1.0], "target_to_source": [0], '
+     '"confidence": [1.0], "objective": 0.0, "converged": true, '
+     '"iterations": 0}'),
+    (None, '{"k": 1, "C": [[1.0]], "target_to_source": [0], '
+     '"confidence": [1.0], "objective": 0.0, "converged": true, '
+     '"iterations": 1e999}'),
+    (None, NESTED),
+    ("target_to_source", "true-first"), ("target_to_source", "false-first"),
+    ("iterations", "2.7"), ("iterations", '"2"'), ("iterations", "true"),
+    ("converged", '"no"'), ("objective", '"12"'), ("objective", "true"),
+    ("C", "C-string"), ("C", "C-bool"),
+    ("confidence", "confidence-string"), ("confidence", "confidence-bool"),
+    ("k", "3"),
 ], ids=["bad-json", "no-target_to_source", "no-converged", "no-iterations",
-        "C-not-square", "C-not-2-D", "iterations-overflow"])
-def test_transfer_color_malformed_map_exits_3(runner, tmp_path, text):
+        "C-not-square", "C-not-2-D", "iterations-overflow", "nested",
+        "target_to_source-true", "target_to_source-false",
+        "iterations-fractional", "iterations-string", "iterations-bool",
+        "converged-string", "objective-string", "objective-bool",
+        "C-string", "C-bool", "confidence-string", "confidence-bool",
+        "k-not-C-size"])
+def test_transfer_color_malformed_map_exits_3(runner, tmp_path, field,
+                                              value):
     m = strong_bump_grid(6)
+    n = m.n_vertices
     tex_path = tmp_path / "tex.ply"
-    save_mesh(tex_path, m.with_colors(np.ones((m.n_vertices, 3))))
+    save_mesh(tex_path, m.with_colors(np.ones((n, 3))))
     map_path = tmp_path / "map.json"
-    map_path.write_text(text)
+    if field is None:
+        map_path.write_text(value)
+    else:  # one field of a map that loads, with values a cast would take
+        save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
+                 PointMap(np.arange(n), np.ones(n)), FmapWeights())
+        doc = json.loads(map_path.read_text())
+        rows, conf = doc["C"], doc["confidence"]
+        value = {"true-first": [True, *range(1, n)],
+                 "false-first": [False, *range(1, n)],
+                 "C-string": [["1", *rows[0][1:]], *rows[1:]],
+                 "C-bool": [[True, *rows[0][1:]], *rows[1:]],
+                 "confidence-string": ["1", *conf[1:]],
+                 "confidence-bool": [True, *conf[1:]]}.get(value, value)
+        doc[field] = "VALUE"
+        map_path.write_text(json.dumps(doc).replace(
+            '"VALUE"', value if isinstance(value, str) else json.dumps(value)))
     res = runner.invoke(main, ["transfer-color", "--source-textured",
                                str(tex_path), "--source", str(tex_path),
                                "--target", str(tex_path), "--map",
                                str(map_path), "-o", str(tmp_path / "o.ply")])
     assert res.exit_code == 3, all_output(res)
     assert "map.json" in all_output(res)
+    assert not (tmp_path / "o.ply").exists()
 
 
 def test_transfer_keypoints_command(runner, tmp_path, monkeypatch):
@@ -541,11 +669,13 @@ def test_transfer_keypoints_command(runner, tmp_path, monkeypatch):
     ('[{"label": "a", "vertex": "3"}]', 3),
     ('[{"label": "a", "xyz": [NaN, 0, 0]}]', 2),
     ('[{"label": ["a", "b"], "vertex": 5}]', 3),
+    ('[{"label": "a", "xyz": ["1", 0, 0]}]', 3),
+    ('[{"label": "a", "xyz": [true, 0, 0]}]', 3), (NESTED, 3),
 ], ids=["missing", "no-label", "vertex-not-int", "not-a-list",
         "entry-not-an-object", "xyz-not-a-point", "vertex-out-of-range",
         "no-vertex-or-xyz", "xyz-beyond-snap", "empty", "vertex-fractional",
         "vertex-bool", "vertex-numeric-string", "xyz-nan",
-        "label-not-a-string"])
+        "label-not-a-string", "xyz-string", "xyz-bool", "nested"])
 def test_transfer_keypoints_bad_keypoints_exit_code(runner, tmp_path, text,
                                                     code):
     m = strong_bump_grid(6)
@@ -571,7 +701,8 @@ def test_transfer_keypoints_bad_keypoints_exit_code(runner, tmp_path, text,
                                      "transfer-keypoints"])
 @pytest.mark.parametrize("case, code", [
     ("negative", 2), ("beyond-source", 2), ("short-map", 2),
-    ("fractional", 3), ("short-confidence", 3), ("weights-not-object", 3)])
+    ("fractional", 3), ("short-confidence", 3), ("weights-not-object", 3),
+    ("nested", 3)])
 def test_map_that_does_not_fit_exits(runner, sphere_dataset, tmp_path,
                                      command, case, code):
     _, dirs, m = sphere_dataset
@@ -591,10 +722,10 @@ def test_map_that_does_not_fit_exits(runner, sphere_dataset, tmp_path,
             doc["target_to_source"].pop()
     elif case == "weights-not-object":
         doc["weights"] = 3
-    else:
+    elif case != "nested":
         doc["target_to_source"][3] = {"negative": -1, "beyond-source": n + 5,
                                       "fractional": 2.7}[case]
-    map_path.write_text(json.dumps(doc))
+    map_path.write_text(NESTED if case == "nested" else json.dumps(doc))
     args = {"eval": ["--source-instance", str(dirs[0]),
                      "--target-instance", str(dirs[1])],
             "transfer-color": ["--source-textured", str(textured),
@@ -605,6 +736,7 @@ def test_map_that_does_not_fit_exits(runner, sphere_dataset, tmp_path,
                                    str(tmp_path / "o.json")]}[command]
     res = runner.invoke(main, [command, "--map", str(map_path), *args])
     assert res.exit_code == code, all_output(res)
+    assert code == 2 or "map.json" in all_output(res)
     assert not (tmp_path / "o.ply").exists()
     assert not (tmp_path / "o.json").exists()
 
@@ -723,6 +855,14 @@ def test_match_malformed_mesh_exits_3(runner, tmp_path, name, text, where):
     assert name in all_output(res)
 
 
+def test_input_name_too_long_exits_3(runner, tmp_path):
+    p = str(tmp_path / ("a" * 300 + ".ply"))
+    res = runner.invoke(main, ["match", "--source", p, "--target", p,
+                               "-o", str(tmp_path / "o.json")])
+    assert res.exit_code == 3, all_output(res)
+    assert "File name too long" in all_output(res)
+
+
 @pytest.mark.parametrize("command", ["eval", "transfer-color",
                                      "transfer-keypoints"])
 def test_missing_map_exits_3(runner, sphere_dataset, tmp_path, command):
@@ -765,8 +905,9 @@ OUTPUT_COMMANDS = {
 
 
 @pytest.mark.parametrize("bad, message", [
-    ("missing/out.ply", "does not exist"), ("", "is a directory")],
-    ids=["missing-directory", "directory"])
+    ("missing/out.ply", "does not exist"), ("", "is a directory"),
+    ("a" * 300, "File name too long")],
+    ids=["missing-directory", "directory", "name-too-long"])
 @pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
 def test_unwritable_output_exits_2_before_any_work(runner, tmp_path, command,
                                                    bad, message):

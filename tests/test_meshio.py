@@ -1,16 +1,23 @@
+import json
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from meshcorr.errors import (DataError, FormatError, MeshCorrError,
                              TopologyError)
+from meshcorr.evalbench import load_dataset
+from meshcorr.features import load_features
+from meshcorr.funcmap import (FmapWeights, FunctionalMap, PointMap, load_map,
+                              save_map)
+from meshcorr.geodesics import load_groups, save_groups
 from meshcorr.mesh import TriMesh
 from meshcorr.meshio import load_mesh, save_mesh
+from meshcorr.transfer import load_keypoints
 
-from conftest import icosphere
+from conftest import icosphere, octant_groups
 
 
 def test_load_missing_file(tmp_path):
@@ -282,5 +289,66 @@ def test_load_mesh_raises_only_meshcorr_errors(scratch, fuzz_seeds, name,
     p.write_bytes(bytes(raw))
     try:
         load_mesh(p)
+    except MeshCorrError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def input_seeds(scratch):
+    """A map, groups, keypoint, splits and text feature file of the
+    12-vertex icosahedron, as the program writes or reads them."""
+    mesh, n = icosphere(0), 12
+    save_map(scratch / "map.json", FunctionalMap(np.eye(3), True, 0.5, 4),
+             PointMap(np.arange(n)[::-1], np.linspace(0, 1, n)),
+             FmapWeights())
+    save_groups(scratch / "groups.json", octant_groups(mesh))
+    keypoints = [{"label": "tip", "vertex": 5},
+                 {"label": "side", "xyz": mesh.vertices[2].tolist()}]
+    rows = "".join(f"{i} {0.5 * i}\n" for i in range(n))
+    return mesh, {
+        "map.json": (scratch / "map.json").read_bytes(),
+        "groups.json": (scratch / "groups.json").read_bytes(),
+        "kp.json": json.dumps(keypoints).encode(),
+        "splits.json": b'{"spheres/a": "test", "spheres/b": "train"}',
+        "feat.txt": f"# {n} 2\n{rows}".encode()}
+
+
+def load_input(scratch, mesh, name, raw):
+    """Write ``raw`` where the loader of file ``name`` reads it; load it."""
+    if name == "splits.json":
+        (scratch / "root").mkdir(exist_ok=True)
+        (scratch / "root" / name).write_bytes(raw)
+        return load_dataset(scratch / "root")
+    p = scratch / ("fuzz-" + name)
+    p.write_bytes(raw)
+    return {"map.json": load_map, "groups.json": load_groups,
+            "kp.json": lambda path: load_keypoints(path, mesh),
+            "feat.txt": load_features}[name](p)
+
+
+@example(name="map.json", data=None)  # data=None: a deeply nested array
+@example(name="groups.json", data=None)
+@example(name="kp.json", data=None)
+@example(name="splits.json", data=None)
+@given(name=st.sampled_from(["map.json", "groups.json", "kp.json",
+                             "splits.json", "feat.txt"]),
+       data=st.data())
+def test_input_loaders_raise_only_meshcorr_errors(scratch, input_seeds, name,
+                                                  data):
+    mesh, seeds = input_seeds
+    raw = bytearray(seeds[name])
+    if data is None:
+        raw = b"[" * 100000
+    elif data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="size")]
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            at = data.draw(st.integers(0, len(raw) - 1), label="at")
+            raw[at] = data.draw(st.one_of(
+                st.integers(0, 255),
+                st.sampled_from(b'0123456789-.e \n#[]{}",:tfn')),
+                label="byte")
+    try:
+        load_input(scratch, mesh, name, bytes(raw))
     except MeshCorrError:
         pass
