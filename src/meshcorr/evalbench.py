@@ -109,7 +109,11 @@ def load_dataset(root, split: str | None = None):
     split name (default "test"); with a split given, only its instances
     are loaded."""
     root = Path(root)
-    if not root.is_dir():
+    try:
+        is_dir = root.is_dir()
+    except OSError as exc:  # a name too long, which is_dir does not swallow
+        raise DataError(f"dataset root {root}: {exc.strerror}") from exc
+    if not is_dir:
         raise DataError(f"dataset root not found: {root}")
     splits = {}
     split_file = root / "splits.json"

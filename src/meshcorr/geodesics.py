@@ -162,5 +162,8 @@ def load_groups(path) -> SemanticGroups:
         group_of = json_array(doc["group_of"], int, 1, "group_of")
         if len(group_of) != n:
             raise DataError(f"{path}: group_of length {len(group_of)} != n={n}")
-        return SemanticGroups(group_of)
+        try:
+            return SemanticGroups(group_of)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
     return read_json(path, "groups", parse)

@@ -863,6 +863,15 @@ def test_input_name_too_long_exits_3(runner, tmp_path):
     assert "File name too long" in all_output(res)
 
 
+def test_benchmark_dataset_name_too_long_exits_3(runner, tmp_path):
+    res = runner.invoke(main, ["benchmark", "--dataset",
+                               str(tmp_path / ("a" * 300)), "--csv",
+                               str(tmp_path / "r.csv"), "--json",
+                               str(tmp_path / "a.json")])
+    assert res.exit_code == 3, all_output(res)
+    assert "File name too long" in all_output(res)
+
+
 @pytest.mark.parametrize("command", ["eval", "transfer-color",
                                      "transfer-keypoints"])
 def test_missing_map_exits_3(runner, sphere_dataset, tmp_path, command):
@@ -946,6 +955,30 @@ def test_zero_area_vertex_exits_3(runner, tmp_path):
     assert res.exit_code == 3, all_output(res)
     assert "zero or non-finite area" in all_output(res)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source, target, code, message", [
+    ("unreferenced", "good", 3, "zero or non-finite area"),
+    ("small", "good", 2, "k=10 exceeds mesh vertex count 9"),
+    ("unreferenced", "small", 3, "zero or non-finite area"),
+], ids=["unreferenced-vertex", "k-above-n", "both-bad"])
+def test_match_reports_the_source_error(runner, tmp_path, source, target,
+                                        code, message):
+    meshes = {"good": strong_bump_grid(8), "small": grid_patch(3, 3),
+              "unreferenced": with_unreferenced_vertex(strong_bump_grid(8))}
+    args = ["match", "-o", str(tmp_path / "o.json")]
+    for side, name in (("source", source), ("target", target)):
+        p, feat = tmp_path / f"{side}.ply", tmp_path / f"{side}.dmf"
+        save_mesh(p, meshes[name])
+        args += [f"--{side}", str(p)]
+        if "unreferenced" in (source, target):  # no cleanup drops the vertex
+            write_features(feat, FeatureField(np.random.default_rng(0).random(
+                (meshes[name].n_vertices, 4))))
+            args += [f"--{side}-features", str(feat)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == code, all_output(res)
+    assert message in all_output(res)
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_benchmark_names_zero_area_error(runner, tmp_path):

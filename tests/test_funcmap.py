@@ -1,5 +1,9 @@
 import json
+import sys
+import threading
 import tracemalloc
+import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 
 import meshcorr.funcmap as funcmap
 import meshcorr.pipeline as pipeline
+import meshcorr.spectral as spectral
 from meshcorr.errors import ArgumentError, NumericError
 from meshcorr.mesh import TriMesh, cotangent_weights, vertex_areas
 from meshcorr.spectral import eigenbasis
@@ -112,6 +117,121 @@ def test_prepared_problem_is_build_problems(monkeypatch):
                                   getattr(getattr(want, side), name)), name
     for part, want_part in zip(got.quadratic, want.quadratic):
         assert np.array_equal(part, want_part)
+
+
+@contextmanager
+def blas_threads(count):
+    """Both bundled OpenBLAS libraries at ``count`` threads in the block,
+    set and restored through the setters ``match_meshes`` uses."""
+    controls = pipeline._openblas_thread_controls()
+    assert len(controls) == 2, "numpy's and scipy's OpenBLAS not found"
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(count)
+    try:
+        yield
+    finally:
+        for (_, set_), old in zip(controls, saved):
+            set_(old)
+
+
+def blas_thread_counts():
+    return [get() for get, _ in pipeline._openblas_thread_controls()]
+
+
+def test_match_meshes_output_does_not_depend_on_blas_threads():
+    # the whole match runs at one BLAS thread, whatever the caller set
+    source = grid_patch(10, 10, z_fn=wavy)
+    target = grid_patch(12, 12, z_fn=wavy)
+    outputs = []
+    for count in (1, 2):
+        with blas_threads(count):
+            result = pipeline.match_meshes(source, target,
+                                           pipeline.RunConfig())
+        outputs.append((result.fmap.C.tobytes(),
+                        result.pmap.target_to_source.tobytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_match_meshes_restores_blas_threads_and_joins_its_worker(monkeypatch):
+    dsyevr, during = spectral._dsyevr, []
+
+    def recorded(S, k):
+        during.append(blas_thread_counts())
+        return dsyevr(S, k)
+
+    monkeypatch.setattr(spectral, "_dsyevr", recorded)
+    mesh = grid_patch(8, 8, z_fn=wavy)
+    config = pipeline.RunConfig(descriptors=("hks",), max_iter=5)
+    threads = threading.active_count()
+    with blas_threads(2):
+        pipeline.match_meshes(mesh, mesh, config)
+        assert blas_thread_counts() == [2, 2]
+        assert threading.active_count() == threads
+        # the target fails while the source's eigensolve runs: k > 9
+        with pytest.raises(ArgumentError, match="exceeds mesh vertex count 9"):
+            pipeline.match_meshes(mesh, grid_patch(3, 3), config)
+        assert blas_thread_counts() == [2, 2]
+        assert threading.active_count() == threads
+    assert len(during) == 3 and all(c == [1, 1] for c in during)
+
+
+def test_overlapping_blas_pins_restore_the_first_counts():
+    # entries from several threads overlap; a lost update of the entry
+    # count would leave one thread unpinned or the counts at 1
+    inside, switch = [], sys.getswitchinterval()
+
+    def enter_and_exit():
+        for _ in range(200):
+            with pipeline._ONE_BLAS_THREAD:
+                inside.append(blas_thread_counts())
+
+    sys.setswitchinterval(1e-6)
+    try:
+        with blas_threads(2):
+            workers = [threading.Thread(target=enter_and_exit)
+                       for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            assert blas_thread_counts() == [2, 2]
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(inside) == 800 and all(c == [1, 1] for c in inside)
+
+
+def test_match_meshes_raises_the_source_error_first(monkeypatch):
+    def failing(S, k):
+        raise NumericError("the source's eigensolve failed")
+
+    monkeypatch.setattr(spectral, "_dsyevr", failing)
+    mesh = grid_patch(8, 8, z_fn=wavy)
+    config = pipeline.RunConfig(descriptors=("hks",), max_iter=5)
+    # the target's preparation fails too, while the source's solve runs
+    with pytest.raises(NumericError, match="source's eigensolve"):
+        pipeline.match_meshes(mesh, grid_patch(3, 3), config)
+
+
+def with_zero_area_triangle(m):
+    """``m`` plus a triangle over its first three vertices, on one line."""
+    return TriMesh(m.vertices, np.vstack([m.triangles, [[0, 1, 2]]]))
+
+
+def test_source_warning_reaches_the_caller():
+    source = with_zero_area_triangle(grid_patch(8, 8, z_fn=wavy))
+    target = grid_patch(8, 8, z_fn=wavy)
+    config = pipeline.RunConfig(descriptors=("hks",), max_iter=5)
+    threads, counts = threading.active_count(), blas_thread_counts()
+    with pytest.warns(UserWarning, match="1 zero-area triangles"):
+        pipeline.match_meshes(source, target, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="1 zero-area triangles"):
+            pipeline.match_meshes(source, target, config)
+    assert blas_thread_counts() == counts
+    assert threading.active_count() == threads
 
 
 def entropy_blocks_problem(k, seed):

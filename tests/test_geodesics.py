@@ -162,6 +162,10 @@ def test_groups_file_roundtrip(tmp_path):
     p.write_text('{"n": 3, "group_of": [0, 1]}')
     with pytest.raises(DataError):
         load_groups(p)
+    p.write_text('{"n": 2, "group_of": [-1, 0]}')
+    with pytest.raises(DataError, match=f"{p}: group_of must be 1-D "
+                                        "nonnegative"):
+        load_groups(p)
 
 
 def test_groups_validation():

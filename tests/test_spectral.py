@@ -80,9 +80,11 @@ def permuted(m, seed=0):
     (lambda: icosphere(3), 10),
     (lambda: icosphere(3), 128),
     (lambda: torus(18, 10), 8),
+    (lambda: grid_patch(15, 10), 1),
+    (lambda: grid_patch(15, 10), 75),
     (lambda: grid_patch(15, 10), 150),
 ], ids=["bumpy576-permuted", "sphere642-k10", "sphere642-k128", "torus180",
-        "grid150-k-equals-n"])
+        "grid150-k1", "grid150-k75", "grid150-k-equals-n"])
 def test_dense_path_equals_reference_formula(mesh, k):
     # bit for bit: LAPACK gets the same matrix, so degenerate eigenspaces
     # (sphere, torus) come back as the same vectors too
