@@ -112,7 +112,5 @@ def concat_features(fields) -> FeatureField:
     ns = {f.n for f in fields}
     if len(ns) != 1:
         raise ShapeError(f"fields disagree on vertex count: {sorted(ns)}")
-    if len(fields) == 1:
-        return fields[0]
     return FeatureField(np.hstack([f.values for f in fields]))
 

@@ -111,7 +111,8 @@ class FmapProblem:
     @cached_property
     def quadratic(self):
         """(H, b, const) such that every term but the entropy sums to
-        c^T H c - 2 b^T c + const for c = C.ravel().
+        c^T H c - 2 b^T c + const for c = C.ravel(). Each term is added
+        whatever its weight; a zero weight adds exact zeros.
 
         Row-major vec gives vec(A C B) = (A kron B^T) c; H is k^2 x k^2.
         """
@@ -123,26 +124,23 @@ class FmapProblem:
         H = np.kron(eye, F @ F.T)
         b = (G @ F.T).ravel()
         const = float((G ** 2).sum())
-        if w.alpha > 0.0:
-            diff = bn.lam[:, None] - bm.lam[None, :]
-            H[np.diag_indices_from(H)] += w.alpha * (diff ** 2).ravel()
-        if w.beta > 0.0 and len(self.source.mult_ops):
-            # sum_p A_p^T A_p with A_p = I kron X_p^T - Y_p kron I
-            X, Y = self.source.mult_ops, self.target.mult_ops
-            cross = np.einsum("pij,pab->iajb", Y, X,       # sum_p Y_p kron X_p
-                              optimize=True).reshape(k * k, k * k)
-            H += w.beta * (np.kron(eye, np.einsum("pij,pkj->ik", X, X))
-                           + np.kron(np.einsum("pji,pjk->ik", Y, Y), eye)
-                           - cross - cross.T)
-        if w.w_sum > 0.0:
-            # rows Pi 1 - 1 = Phi_N C s - 1; columns 1^T Pi - r = t^T C P - r
-            P = bm.pinv()                                   # (k, n_M)
-            s, t = P.sum(axis=1), bn.phi.sum(axis=0)
-            r = bn.n / bm.n
-            H += w.w_sum * (np.kron(bn.phi.T @ bn.phi, np.outer(s, s))
-                            + np.kron(np.outer(t, t), P @ P.T))
-            b += w.w_sum * (1.0 + r) * np.outer(t, s).ravel()
-            const += w.w_sum * (bn.n + r * r * bm.n)
+        diff = bn.lam[:, None] - bm.lam[None, :]
+        H[np.diag_indices_from(H)] += w.alpha * (diff ** 2).ravel()
+        # sum_p A_p^T A_p with A_p = I kron X_p^T - Y_p kron I
+        X, Y = self.source.mult_ops, self.target.mult_ops
+        cross = np.einsum("pij,pab->iajb", Y, X,           # sum_p Y_p kron X_p
+                          optimize=True).reshape(k * k, k * k)
+        H += w.beta * (np.kron(eye, np.einsum("pij,pkj->ik", X, X))
+                       + np.kron(np.einsum("pji,pjk->ik", Y, Y), eye)
+                       - cross - cross.T)
+        # rows Pi 1 - 1 = Phi_N C s - 1; columns 1^T Pi - r = t^T C P - r
+        P = bm.pinv()                                       # (k, n_M)
+        s, t = P.sum(axis=1), bn.phi.sum(axis=0)
+        r = bn.n / bm.n
+        H += w.w_sum * (np.kron(bn.phi.T @ bn.phi, np.outer(s, s))
+                        + np.kron(np.outer(t, t), P @ P.T))
+        b += w.w_sum * (1.0 + r) * np.outer(t, s).ravel()
+        const += w.w_sum * (bn.n + r * r * bm.n)
         return H, b, const
 
 

@@ -96,8 +96,11 @@ def _load_off(path: Path) -> TriMesh:
     if not tokens:
         raise FormatError(f"{path}: empty OFF file")
     pos = 0
-    if tokens[0].upper().endswith("OFF"):
+    if tokens[0].upper() == "OFF":
         pos = 1
+    elif tokens[0].upper().endswith("OFF"):  # COFF, NOFF, ...: more columns
+        raise FormatError(f"{path}:{lines[0]}: only the plain OFF header "
+                          f"is supported, got '{tokens[0]}'")
     try:
         nv, nf = int(tokens[pos]), int(tokens[pos + 1])
         if nv < 0 or nf < 0:

@@ -23,7 +23,7 @@ import ctypes
 import functools
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +37,21 @@ from .funcmap import (DEFAULT_MAX_ITER, RECOVERY_METHODS, FmapProblem,
                       project_features, recover_pointmap, solve_fmap)
 from .mesh import TriMesh, cleanup_mesh, cotangent_weights, normalize_mesh, vertex_areas
 
-DESCRIPTOR_NAMES = ("hks", "wks", "posenc")
+_DESCRIPTORS = {  # name -> its feature field of (mesh, basis, config)
+    "hks": lambda mesh, basis, c: spectral.hks(basis, c.hks_times),
+    "wks": lambda mesh, basis, c: spectral.wks(basis, c.wks_energies),
+    "posenc": lambda mesh, basis, c: spectral.positional_encoding(
+        mesh, c.posenc_bands),
+}
+DESCRIPTOR_NAMES = tuple(_DESCRIPTORS)
 SOLVE_BYTES_PER_K4 = 5 * 8  # a solve's peak: about five k^2 x k^2 float64s
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Settings of one match; the CLI takes its defaults from here. A
-    basis size below 1, or a k whose solve would outgrow the machine's
+    basis size below 1, an empty descriptor list or a name outside
+    DESCRIPTOR_NAMES, or a k whose solve would outgrow the machine's
     physical memory, raises ArgumentError."""
     k: int = spectral.DEFAULT_FMAP_K
     weights: FmapWeights = field(default_factory=FmapWeights)
@@ -60,6 +67,10 @@ class RunConfig:
     def __post_init__(self):
         if min(self.k, self.descriptor_k) < 1:
             raise ArgumentError("basis sizes k and descriptor_k must be >= 1")
+        if not self.descriptors or set(self.descriptors) - _DESCRIPTORS.keys():
+            raise ArgumentError(
+                f"descriptors must be one or more of {DESCRIPTOR_NAMES}, "
+                f"got {list(self.descriptors)}")
         try:
             memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         except (AttributeError, ValueError):  # no such names here: no bound
@@ -71,20 +82,15 @@ class RunConfig:
                 f"more than the {memory / 2 ** 30:.3g} GiB of physical memory")
 
 
-def _preprocess(mesh: TriMesh, config: RunConfig) -> TriMesh:
+def prepare_mesh(mesh: TriMesh,
+                 config: RunConfig) -> tuple[TriMesh, spectral.SpectralBasis]:
+    """(preprocessed mesh, basis), the basis large enough for the
+    descriptor stack and for C."""
     if config.preprocess:
         mesh = normalize_mesh(cleanup_mesh(mesh))
     if config.k > mesh.n_vertices:
         raise ArgumentError(
             f"k={config.k} exceeds mesh vertex count {mesh.n_vertices}")
-    return mesh
-
-
-def prepare_mesh(mesh: TriMesh,
-                 config: RunConfig) -> tuple[TriMesh, spectral.SpectralBasis]:
-    """(preprocessed mesh, basis), the basis large enough for the
-    descriptor stack and for C."""
-    mesh = _preprocess(mesh, config)
     k = max(min(config.descriptor_k, mesh.n_vertices), config.k)
     return mesh, spectral.eigenbasis(cotangent_weights(mesh),
                                      vertex_areas(mesh), k)
@@ -92,20 +98,8 @@ def prepare_mesh(mesh: TriMesh,
 
 def descriptor_stack(mesh: TriMesh, basis: spectral.SpectralBasis,
                      config: RunConfig) -> FeatureField:
-    fields = []
-    for name in config.descriptors:
-        if name == "hks":
-            f = spectral.hks(basis, config.hks_times)
-        elif name == "wks":
-            f = spectral.wks(basis, config.wks_energies)
-        elif name == "posenc":
-            f = spectral.positional_encoding(mesh, config.posenc_bands)
-        else:
-            raise ArgumentError(
-                f"unknown descriptor '{name}', expected one of "
-                f"{DESCRIPTOR_NAMES}")
-        fields.append(f)
-    return concat_features(fields)
+    return concat_features(_DESCRIPTORS[name](mesh, basis, config)
+                           for name in config.descriptors)
 
 
 @dataclass(frozen=True)
@@ -121,16 +115,13 @@ def prepare_for_matching(mesh: TriMesh, config: RunConfig,
     standardized descriptor stack, and external ones are unit-normalized
     per row. With external features nothing reads more than the k
     eigenpairs C lives in, so only those are solved."""
-    if features is not None:
-        mesh = _preprocess(mesh, config)
-        features = unit_normalize(_check_rows(features, mesh.n_vertices))
-        basis = spectral.eigenbasis(cotangent_weights(mesh),
-                                    vertex_areas(mesh), config.k)
-    else:
-        mesh, basis = prepare_mesh(mesh, config)
-        features = _standardize(descriptor_stack(mesh, basis, config), basis)
-        basis = basis.truncate(config.k)
-    return project_features(basis, features.values)
+    external = features is not None
+    if external:
+        config = replace(config, descriptor_k=config.k)
+    mesh, basis = prepare_mesh(mesh, config)
+    features = (unit_normalize(features) if external else
+                _standardize(descriptor_stack(mesh, basis, config), basis))
+    return project_features(basis.truncate(config.k), features.values)
 
 
 def match_prepared(source: MatchInput, target: MatchInput,
@@ -230,11 +221,3 @@ def _standardize(stack: FeatureField, basis: spectral.SpectralBasis) -> FeatureF
     norms[norms == 0.0] = 1.0
     vals = vals / norms * (np.sqrt(len(a)) / 10.0)
     return FeatureField(vals)
-
-
-def _check_rows(features: FeatureField, n: int) -> FeatureField:
-    if features.n != n:
-        raise ArgumentError(
-            f"feature rows {features.n} != preprocessed mesh vertices {n}; "
-            "did preprocessing change the vertex count?")
-    return features

@@ -786,6 +786,27 @@ def test_sizes_below_one_exit_2(runner, sphere_dataset, tmp_path, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("names", ["bogus", "", "hks,bogus"],
+                         ids=["unknown", "empty", "one-unknown"])
+@pytest.mark.parametrize("command", ["match", "benchmark"])
+@pytest.mark.parametrize("present", [True, False],
+                         ids=["inputs", "absent-inputs"])
+def test_bad_descriptors_exit_2_before_reading_inputs(
+        runner, sphere_dataset, tmp_path, names, command, present):
+    root, dirs, _ = sphere_dataset
+    if not present:
+        root, dirs = tmp_path / "absent", [tmp_path / "absent"] * 2
+    mesh = str(dirs[0] / "remeshed.ply")
+    out, agg = tmp_path / "out", tmp_path / "agg.json"
+    inputs = {"match": ["--source", mesh, "--target", mesh, "-o", str(out)],
+              "benchmark": ["--dataset", str(root), "--csv", str(out),
+                            "--json", str(agg)]}[command]
+    res = runner.invoke(main, [command, *inputs, "--descriptors", names])
+    assert res.exit_code == 2, all_output(res)
+    assert "descriptors must be one or more of" in all_output(res)
+    assert not out.exists() and not agg.exists()
+
+
 def test_k_beyond_physical_memory_exits_2_before_reading_meshes(
         runner, tmp_path, monkeypatch):
     # a solve holds about 5 k^4 doubles: with 100 pages of 4 KiB reported,
@@ -839,9 +860,11 @@ PLY_ASCII_HEADER = ("ply\nformat ascii 1.0\nelement vertex 3\n"
      "short.ply:11"),
     ("quad.ply", PLY_ASCII_HEADER.replace("vertex 3", "vertex 4")
      + "0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n", "triangle faces"),
+    ("c.off", "COFF\n3 1 0\n0 0 0 1 0 0 1\n1 0 0 0 1 0 1\n0 1 0 0 0 1 1\n"
+     "3 0 1 2\n", "c.off:1"),
     ("d.ply", None, "is a directory"),
 ], ids=["off-bad-face-count", "ply-short-vertex-row", "ply-quad",
-        "directory"])
+        "off-color-header", "directory"])
 def test_match_malformed_mesh_exits_3(runner, tmp_path, name, text, where):
     p = tmp_path / name
     if text is None:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 import threading
@@ -84,6 +85,32 @@ def test_build_problem_shapes_and_validation():
             (replace(src, mult_ops=src.mult_ops[:-1]), "equal length")]:
         with pytest.raises(ArgumentError, match=message):
             FmapProblem(src, target)
+
+
+def test_quadratic_sums_every_term_whatever_its_weight():
+    # with any of alpha, beta and w_sum at zero, (H, b, const) is the
+    # data-only quadratic plus the own contribution of each other term,
+    # that term's quadratic with its weight alone less the data's
+    prob = random_problem()
+    F, G = prob.source.spectral_features, prob.target.spectral_features
+    data = (np.kron(np.eye(prob.k), F @ F.T), (G @ F.T).ravel(),
+            float((G ** 2).sum()))
+    weights = {"alpha": 0.3, "beta": 0.02, "w_sum": 0.05}
+    zero = dict.fromkeys(weights, 0.0)
+
+    def quadratic(kept):
+        w = FmapWeights(**{**zero, **{n: weights[n] for n in kept}})
+        return replace(prob, weights=w).quadratic
+
+    own = {n: [part - d for part, d in zip(quadratic([n]), data)]
+           for n in weights}
+    for r in range(len(weights) + 1):
+        for kept in itertools.combinations(weights, r):
+            for i, part in enumerate(quadratic(kept)):
+                want = data[i] + sum(own[n][i] for n in kept)
+                np.testing.assert_allclose(
+                    part, want, rtol=0, atol=1e-12 * np.abs(want).max(),
+                    err_msg=f"part {i} with {kept}")
 
 
 def test_prepared_problem_is_build_problems(monkeypatch):

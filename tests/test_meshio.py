@@ -66,9 +66,9 @@ def test_obj_quad_rejected(tmp_path):
 
 def test_off_parsing(tmp_path):
     p = tmp_path / "tri.off"
-    # the edge count on the count line is optional
-    for counts in ("3 1 0", "3 1"):
-        p.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    # the edge count on the count line and the OFF header are optional
+    for head in ("OFF\n3 1 0", "OFF\n3 1", "3 1 0"):
+        p.write_text(f"{head}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
         m = load_mesh(p)
         assert m.n_vertices == 3
         np.testing.assert_array_equal(m.triangles, [[0, 1, 2]])
@@ -79,6 +79,18 @@ def test_off_bad_header(tmp_path):
     p = tmp_path / "bad.off"
     p.write_text("NOTOFF\n3 1 0\n")
     with pytest.raises(FormatError):
+        load_mesh(p)
+
+
+@pytest.mark.parametrize("header, extra", [("COFF", " 1 0 0 1"),
+                                           ("NOFF", " 0 0 1")],
+                         ids=["COFF", "NOFF"])
+def test_off_variant_headers_rejected_at_line_1(tmp_path, header, extra):
+    # per-vertex colors or normals would be read as coordinates
+    p = tmp_path / "v.off"
+    p.write_text(f"{header}\n3 1 0\n" + "".join(
+        f"{v}{extra}\n" for v in ("0 0 0", "1 0 0", "0 1 0")) + "3 0 1 2\n")
+    with pytest.raises(FormatError, match=f"v.off:1: .*'{header}'"):
         load_mesh(p)
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import meshcorr.spectral as spectral
-from meshcorr.errors import ArgumentError, DegenerateGeometryError
-from meshcorr.mesh import TriMesh, VertexAreas, cotangent_weights, vertex_areas
+from meshcorr.errors import (ArgumentError, DegenerateGeometryError,
+                             NumericError)
+from meshcorr.mesh import (TriMesh, VertexAreas, cotangent_weights,
+                           normalize_mesh, vertex_areas)
 from meshcorr.spectral import (SpectralBasis, eigenbasis, hks,
                                positional_encoding, wks)
 
@@ -183,6 +185,29 @@ def test_wks_formula_oracle(sphere2):
         w = np.exp(-(e - np.log(lam[1:])) ** 2 / (2 * sigma ** 2))
         raw[:, j] = (phi[:, 1:] ** 2) @ w / w.sum()
     np.testing.assert_allclose(out, raw, rtol=1e-8)
+
+
+def test_zero_modes_do_not_depend_on_units():
+    # one zero mode per connected component, found at any scale: two
+    # disjoint grids keep eigenpairs from the third on, and twelve
+    # disjoint triangles have no nonzero eigenvalue among their first 10
+    g = bumpy_grid(20)
+    two = TriMesh(np.vstack([g.vertices, g.vertices + [3.0, 0.0, 0.0]]),
+                  np.vstack([g.triangles, g.triangles + g.n_vertices]))
+    triangle = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    twelve = TriMesh(np.vstack([triangle + [3.0 * i, 0.0, 0.0]
+                                for i in range(12)]),
+                     np.arange(36).reshape(12, 3))
+    for scale in (1e-3, 1.0, 1e3):
+        for mesh in (two, normalize_mesh(two)):
+            b = basis_of(TriMesh(scale * mesh.vertices, mesh.triangles), 20)
+            lam, phi = spectral._nonzero_spectrum(b)
+            np.testing.assert_array_equal(lam, b.lam[2:])
+            np.testing.assert_array_equal(phi, b.phi[:, 2:])
+        for mesh in (twelve, normalize_mesh(twelve)):
+            b = basis_of(TriMesh(scale * mesh.vertices, mesh.triangles), 10)
+            with pytest.raises(NumericError, match="degenerate spectrum"):
+                hks(b, 4)
 
 
 def test_positional_encoding_shape_and_values():
