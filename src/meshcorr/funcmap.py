@@ -26,6 +26,7 @@ C.ravel()): c^T H c - 2 b^T c + const, with a k^2 x k^2 matrix H built
 once per problem (``FmapProblem.quadratic``). The solver whitens with the
 Cholesky factor H = L L^T, so the smooth part has unit curvature in
 y = L^T c, starts from its minimizer and stops on L-BFGS-B's own test.
+Without the entropy term that minimizer is the solution.
 
 ``solve_partial`` matches a partial source: over C and a target mask
 eta in [0, 1]^n_N it minimizes J(C, eta) = the objective above with
@@ -44,6 +45,7 @@ import scipy.linalg
 import scipy.optimize
 from scipy.spatial import cKDTree
 
+from .blas import ONE_BLAS_THREAD
 from .errors import (ArgumentError, NumericError, json_array, read_json,
                      write_json)
 from .spectral import SpectralBasis
@@ -315,19 +317,24 @@ def solve_fmap(problem: FmapProblem,
     minimizer. There is one stop test, L-BFGS-B's own: ``converged`` is
     scipy's success flag, set when the projected gradient in y has norm
     <= TOL or the relative decrease falls to 1e-12; max_iter iterations
-    or a failed line search leave it False. A max_iter below 1 raises
-    ArgumentError; a non-finite objective raises NumericError
-    (``_minimize``).
+    or a failed line search leave it False. With w_entropy == 0 the
+    objective is the quadratic part, so its minimizer is returned after
+    0 iterations, converged. A max_iter below 1 raises ArgumentError; a
+    non-finite objective raises NumericError (``_minimize``).
     """
     if max_iter < 1:
         raise ArgumentError(f"max_iter must be >= 1, got {max_iter}")
     to_C, lower = _whitening(problem)
+    y0 = lower(problem.quadratic[1])
+    if problem.weights.w_entropy == 0.0:
+        C = to_C(y0)
+        return FunctionalMap(C, True, fmap_objective(C, problem)[0], 0)
 
     def fun(y):
         value, grad = fmap_objective(to_C(y), problem)
         return value, lower(grad.ravel())
 
-    res = _minimize(fun, lower(problem.quadratic[1]), to_C, max_iter)
+    res = _minimize(fun, y0, to_C, max_iter)
     return FunctionalMap(to_C(res.x), bool(res.success), float(res.fun),
                          int(res.nit))
 
@@ -375,6 +382,7 @@ W_MS = 1e-2           # boundary smoothness
 W_ETA = 1e-3          # mask entropy
 
 
+@ONE_BLAS_THREAD
 def solve_partial(problem: FmapProblem, g,
                   edges: np.ndarray) -> PartialSolution:
     """Partial source vs full target matching (Rodola et al., CGF 2017).
@@ -390,7 +398,9 @@ def solve_partial(problem: FmapProblem, g,
     sqrt(D) eta] from the quadratic part's minimizer at eta = min(1,
     area_M / area_N): L whitens C as in ``solve_fmap``, and D is the
     diagonal of J's quadratic Hessian in eta. ``converged`` and
-    ``reason`` are scipy's.
+    ``reason`` are scipy's. It runs at one BLAS thread
+    (``blas.ONE_BLAS_THREAD``), so (C, eta) do not depend on the caller's
+    thread count.
     """
     g = np.atleast_2d(np.asarray(g, dtype=np.float64))
     bn, k = problem.target.basis, problem.k

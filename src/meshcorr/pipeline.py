@@ -8,28 +8,24 @@ returns its ``funcmap.MatchInput``) and matches the prepared meshes
 pairwise (``match_prepared``, which solves the ``FmapProblem`` of two
 MatchInputs); ``match_meshes`` is the two steps for a single pair.
 
-``match_meshes`` prepares the target while the source's dense
-eigensolve, most of a preparation, runs on a worker thread
-(``spectral.while_solving``; the solve releases the interpreter lock),
-so the two preparations overlap on two cores. The whole match runs with
-numpy's and scipy's bundled OpenBLAS each held to one thread: their
-default pools contend with each other and with the second preparation,
-and one thread gives the same maps whatever thread count the caller set.
+A preparation is mostly the mesh's eigensolve, of
+max(min(descriptor_k, n), k) eigenpairs (``spectral.eigenbasis`` picks
+the solver). ``match_meshes`` prepares the source, then the target, and
+runs the whole match with numpy's and scipy's bundled OpenBLAS each held
+to one thread (``blas.ONE_BLAS_THREAD``): their default pools contend
+with each other, and one thread gives the same maps whatever thread
+count the caller set.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import os
-import threading
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import spectral
+from .blas import ONE_BLAS_THREAD
 from .errors import ArgumentError
 from .features import FeatureField, concat_features, unit_normalize
 from .funcmap import (DEFAULT_MAX_ITER, RECOVERY_METHODS, FmapProblem,
@@ -139,73 +135,16 @@ def match_meshes(source: TriMesh, target: TriMesh, config: RunConfig,
                  source_features: FeatureField | None = None,
                  target_features: FeatureField | None = None) -> MatchResult:
     """Match two meshes; features default to the configured descriptor
-    stack when not supplied externally. The target is prepared while
-    the source's eigensolve runs on a worker thread; when both fail, the
-    source's error is raised."""
+    stack when not supplied externally. The source is prepared first, so
+    when both fail, the source's error is raised."""
     if (source_features is None) != (target_features is None):
         raise ArgumentError("provide features for both meshes or neither")
-    prepared = []
-
-    def prepare_target():
-        prepared.append(prepare_for_matching(target, config, target_features))
-
-    with _ONE_BLAS_THREAD:
-        with spectral.while_solving(prepare_target):
-            prepared_source = prepare_for_matching(source, config,
-                                                   source_features)
-        return match_prepared(prepared_source, prepared[0], config)
-
-
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """(get, set) of the thread count of each OpenBLAS that numpy's and
-    scipy's wheels bundle; a library or symbol that is not there is left
-    out."""
-    controls = []
-    for pkg, suffix in ((np, "64_"), (scipy, "")):
-        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
-        for lib in sorted(libs.glob("libscipy_openblas*.so*")):
-            handle, name = ctypes.CDLL(str(lib)), f"num_threads{suffix}"
-            try:
-                get = getattr(handle, f"scipy_openblas_get_{name}")
-                set_ = getattr(handle, f"scipy_openblas_set_{name}")
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((get, set_))
-    return tuple(controls)
-
-
-class _OneBlasThread:
-    """Holds each bundled OpenBLAS to one thread while entered. The thread
-    counts are process-wide, so entries may overlap across threads: the
-    counts the first entry found come back when the last one exits,
-    whether or not an exception is passing."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._entered = 0
-        self._saved = []
-
-    def __enter__(self):
-        with self._lock:
-            if not self._entered:
-                self._saved = [(set_, get())
-                               for get, set_ in _openblas_thread_controls()]
-                for set_, _ in self._saved:
-                    set_(1)
-            self._entered += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._entered -= 1
-            if not self._entered:
-                for set_, count in self._saved:
-                    set_(count)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
+    with ONE_BLAS_THREAD:
+        prepared_source = prepare_for_matching(source, config,
+                                               source_features)
+        prepared_target = prepare_for_matching(target, config,
+                                               target_features)
+        return match_prepared(prepared_source, prepared_target, config)
 
 
 def _standardize(stack: FeatureField, basis: spectral.SpectralBasis) -> FeatureField:

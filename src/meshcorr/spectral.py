@@ -2,45 +2,39 @@
 
 The generalized eigenproblem (-W) phi = lambda A phi is solved with the
 stiffness matrix from ``cotangent_weights`` (negative semidefinite, so
-the stored eigenvalues are nonnegative). For the dataset regime
-(n <= ~3000) a dense symmetric solve after diagonal-mass symmetrization
-is both simple and robust; larger meshes fall back to shift-invert
-Lanczos. The dense solve holds one n x n buffer: the symmetrized matrix
-is built sparse and densified once, and LAPACK overwrites it. LAPACK
-``dsyevr`` is called through scipy's Cython LAPACK API with the arguments
-``scipy.linalg.eigh(S, subset_by_index=[0, k-1])`` passes, so the
-eigenpairs are the same bits, but the call releases the interpreter
-lock. Within ``while_solving(work)`` the first dense eigensolve runs on
-a worker thread while ``work()`` runs on the calling thread:
-``pipeline.match_meshes`` prepares the target while the source's
-eigensolve runs, under one BLAS thread each. Every public function is
-still called on the calling thread, so a span tracer that keeps its
-parents per thread sees both preparations under the match. Inputs are
+the stored eigenvalues are nonnegative). The solver is chosen from n and
+k: shift-invert Lanczos (ARPACK) when n >= LANCZOS_N_PER_K * k and n >=
+LANCZOS_MIN_N, a dense symmetric solve after diagonal-mass
+symmetrization otherwise. Measured at one BLAS thread on bumpy grids and
+spheres, Lanczos is at least twice as fast past that ratio from n = 784
+on; below 700 vertices it saves at most about 10 ms and is slower on the
+sphere's degenerate spectrum. k > n/2 (a full-rank basis) stays dense.
+Lanczos starts from a fixed-seed vector, so repeat calls give the same
+bits. The dense solve holds one n x n buffer: the symmetrized matrix is
+built sparse and densified once, and LAPACK overwrites it. Inputs are
 checked in O(n + nnz) before anything is built: a vertex area that is
 not finite and positive (an unreferenced vertex, say), or a stiffness
-entry that is not finite, raises DegenerateGeometryError.
+entry that is not finite, raises DegenerateGeometryError. A failed solve
+of either kind raises NumericError.
 """
 
 from __future__ import annotations
 
-import contextvars
-import ctypes
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cython_lapack
 
 from .errors import ArgumentError, DegenerateGeometryError, NumericError
 from .features import FeatureField
 from .mesh import TriMesh, VertexAreas
 
-DENSE_LIMIT = 3000
+LANCZOS_N_PER_K = 16     # Lanczos when n >= LANCZOS_N_PER_K * k
+LANCZOS_MIN_N = 700      # and n >= LANCZOS_MIN_N; dense otherwise
 DEFAULT_FMAP_K = 10      # basis size used by the map solver
-DEFAULT_DESC_K = 128     # basis size used for descriptors
+DEFAULT_DESC_K = 32      # basis size used for descriptors
 DEFAULT_HKS_TIMES = 16
 DEFAULT_WKS_ENERGIES = 100
 DEFAULT_POSENC_BANDS = 6
@@ -96,19 +90,12 @@ def eigenbasis(W: sp.spmatrix, A: VertexAreas, k: int) -> SpectralBasis:
     if not np.isfinite(W.data).all():
         raise DegenerateGeometryError("stiffness matrix has non-finite "
                                       "entries")
-    inv_sqrt = 1.0 / np.sqrt(a)
-    if n <= DENSE_LIMIT or k > n // 2:
+    if n < max(LANCZOS_MIN_N, LANCZOS_N_PER_K * k):
+        inv_sqrt = 1.0 / np.sqrt(a)
         vals, vecs = _dense_eigh(W, inv_sqrt, k)
         phi = vecs * inv_sqrt[:, None]
     else:
-        try:
-            vals, vecs = spla.eigsh(-W.tocsc(), k=k, M=sp.diags(a).tocsc(),
-                                    sigma=-1e-8, which="LM")
-        except spla.ArpackNoConvergence as exc:
-            raise NumericError(
-                f"eigensolver did not converge after {exc.args}") from exc
-        order = np.argsort(vals)
-        vals, phi = vals[order], vecs[:, order]
+        vals, phi = _lanczos_eigh(W, a, k)
 
     vals = np.maximum(vals, 0.0)  # kernel eigenvalue may round negative
 
@@ -120,47 +107,6 @@ def eigenbasis(W: sp.spmatrix, A: VertexAreas, k: int) -> SpectralBasis:
     return SpectralBasis(phi, vals, A)
 
 
-def _nogil_lapack(name, *argtypes):
-    """The nogil function ``name`` of scipy.linalg.cython_lapack as a ctypes
-    function; ctypes releases the interpreter lock for each call."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
-                                ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *argtypes)(
-        pointer(capsule, capsule_name(capsule)))
-
-
-_CHAR, _BUF = ctypes.c_char_p, ctypes.c_void_p
-_INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-# jobz range uplo n a lda vl vu il iu abstol m w z ldz isuppz work lwork
-# iwork liwork info, as declared in scipy/linalg/cython_lapack.pxd
-_DSYEVR = _nogil_lapack("dsyevr", _CHAR, _CHAR, _CHAR, _INT, _BUF, _INT,
-                        _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _BUF,
-                        _BUF, _INT, _BUF, _BUF, _INT, _BUF, _INT, _INT)
-
-
-_WHILE_SOLVING = contextvars.ContextVar("while_solving", default=None)
-
-
-@contextmanager
-def while_solving(work):
-    """Within the block, the first dense eigensolve runs LAPACK on a worker
-    thread and calls ``work()`` on this thread meanwhile; if no dense
-    eigensolve took it, ``work()`` runs when the block ends without an
-    error. When both fail, the eigensolve's error is raised."""
-    pending = [work]
-    token = _WHILE_SOLVING.set(pending)
-    try:
-        yield
-    finally:
-        _WHILE_SOLVING.reset(token)
-    if pending:
-        pending.pop()()
-
-
 def _dense_eigh(W, inv_sqrt, k):
     """First k eigenpairs of S = A^-1/2 (-W) A^-1/2, an ordinary symmetric
     problem. S is scaled and symmetrized sparse, then densified once into
@@ -169,49 +115,27 @@ def _dense_eigh(W, inv_sqrt, k):
     D = sp.diags(inv_sqrt)
     S = D @ (-W) @ D
     S = (0.5 * (S + S.T)).toarray(order="F")
-    pending = _WHILE_SOLVING.get()
-    if not pending:
-        return _dsyevr(S, k)
-    work = pending.pop()
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        solving = pool.submit(_dsyevr, S, k)
-        try:
-            work()
-        except BaseException:
-            solving.result()  # the eigensolve's error comes first
-            raise
-        return solving.result()
+    try:
+        return scipy.linalg.eigh(S, subset_by_index=[0, k - 1],
+                                 overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericError(f"dense eigensolver failed: {exc}") from exc
 
 
-def _dsyevr(S, k):
-    """The call ``scipy.linalg.eigh(S, subset_by_index=[0, k-1],
-    overwrite_a=True)`` makes: jobz V, range I, lower triangle, abstol 0,
-    and the workspace sizes LAPACK asks for. S is overwritten when it is
-    a writable Fortran-ordered float64 array, as ``_dense_eigh`` makes it;
-    any other array is copied into one, since LAPACK gets a bare pointer."""
-    S = np.require(S, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
-    n = S.shape[0]
-    c_int, c_double = ctypes.c_int, ctypes.c_double
-    n_, il, iu, m, info = c_int(n), c_int(1), c_int(k), c_int(0), c_int(0)
-    unused, abstol = c_double(0.0), c_double(0.0)
-    w = np.empty(n)
-    z = np.empty((n, k), order="F")
-    isuppz = np.empty(2 * n, dtype=np.intc)
-
-    def call(work, lwork, iwork, liwork):
-        _DSYEVR(b"V", b"I", b"L", n_, S.ctypes.data, n_, unused, unused, il,
-                iu, abstol, m, w.ctypes.data, z.ctypes.data, n_,
-                isuppz.ctypes.data, work.ctypes.data, c_int(lwork),
-                iwork.ctypes.data, c_int(liwork), info)
-
-    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
-    call(work, -1, iwork, -1)  # workspace query
-    lwork, liwork = int(work[0]), int(iwork[0])
-    call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.intc), liwork)
-    if info.value != 0:
-        raise NumericError(f"dense eigensolver failed: LAPACK dsyevr "
-                           f"returned info={info.value}")
-    return w[:k], z
+def _lanczos_eigh(W, a, k):
+    """First k eigenpairs of (-W, A), ascending, by shift-invert Lanczos
+    just below zero. ARPACK starts from a fixed-seed vector: its own
+    random start changes from call to call, and so would the last bits.
+    An ARPACK error (no convergence, say) or a singular shift-invert
+    factorization raises NumericError."""
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, len(a))
+    try:
+        vals, vecs = spla.eigsh(-W.tocsc(), k=k, M=sp.diags(a).tocsc(),
+                                sigma=-1e-8, which="LM", v0=v0)
+    except RuntimeError as exc:  # ArpackError, or splu's singular factor
+        raise NumericError(f"Lanczos eigensolver failed: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def _nonzero_spectrum(basis: SpectralBasis):

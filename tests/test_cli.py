@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from click.testing import CliRunner
 
 from meshcorr import funcmap, spectral
@@ -234,6 +235,30 @@ def test_descriptors_degenerate_spectrum_exits_4(runner, tmp_path):
     assert res.exit_code == 4, all_output(res)
     assert "degenerate spectrum" in all_output(res)
     assert not feat.exists()
+
+
+@pytest.mark.parametrize("error", [
+    spla.ArpackNoConvergence("No convergence (3000 iterations, 5/32 "
+                             "eigenvectors converged)", [], []),
+    spla.ArpackError(-9999),
+    RuntimeError("Factor is exactly singular"),
+], ids=["no-convergence", "arpack-error", "singular-factor"])
+def test_lanczos_failure_exits_4(runner, tmp_path, monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(spectral.spla, "eigsh", failing)
+    m = strong_bump_grid(32)
+    assert m.n_vertices >= max(spectral.LANCZOS_MIN_N,
+                               spectral.LANCZOS_N_PER_K * 32)  # Lanczos
+    p, out = tmp_path / "m.ply", tmp_path / "map.json"
+    save_mesh(p, m)
+    res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                               str(p), "-o", str(out)])
+    assert res.exit_code == 4, all_output(res)
+    assert f"Lanczos eigensolver failed: {error}" in all_output(res)
+    assert "Traceback" not in all_output(res)
+    assert not out.exists()
 
 
 def make_instance(root, category, name, mesh, groups):

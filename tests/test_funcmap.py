@@ -13,6 +13,7 @@ import pytest
 import meshcorr.funcmap as funcmap
 import meshcorr.pipeline as pipeline
 import meshcorr.spectral as spectral
+from meshcorr.blas import ONE_BLAS_THREAD, openblas_thread_controls
 from meshcorr.errors import ArgumentError, NumericError
 from meshcorr.mesh import TriMesh, cotangent_weights, vertex_areas
 from meshcorr.spectral import eigenbasis
@@ -149,8 +150,8 @@ def test_prepared_problem_is_build_problems(monkeypatch):
 @contextmanager
 def blas_threads(count):
     """Both bundled OpenBLAS libraries at ``count`` threads in the block,
-    set and restored through the setters ``match_meshes`` uses."""
-    controls = pipeline._openblas_thread_controls()
+    set and restored through the setters ``ONE_BLAS_THREAD`` uses."""
+    controls = openblas_thread_controls()
     assert len(controls) == 2, "numpy's and scipy's OpenBLAS not found"
     saved = [get() for get, _ in controls]
     for _, set_ in controls:
@@ -163,7 +164,7 @@ def blas_threads(count):
 
 
 def blas_thread_counts():
-    return [get() for get, _ in pipeline._openblas_thread_controls()]
+    return [get() for get, _ in openblas_thread_controls()]
 
 
 def test_match_meshes_output_does_not_depend_on_blas_threads():
@@ -180,14 +181,15 @@ def test_match_meshes_output_does_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-def test_match_meshes_restores_blas_threads_and_joins_its_worker(monkeypatch):
-    dsyevr, during = spectral._dsyevr, []
+def test_match_meshes_restores_blas_threads_and_leaves_no_thread(
+        monkeypatch):
+    eigenbasis_, during = spectral.eigenbasis, []
 
-    def recorded(S, k):
+    def recorded(W, A, k):
         during.append(blas_thread_counts())
-        return dsyevr(S, k)
+        return eigenbasis_(W, A, k)
 
-    monkeypatch.setattr(spectral, "_dsyevr", recorded)
+    monkeypatch.setattr(spectral, "eigenbasis", recorded)
     mesh = grid_patch(8, 8, z_fn=wavy)
     config = pipeline.RunConfig(descriptors=("hks",), max_iter=5)
     threads = threading.active_count()
@@ -195,7 +197,7 @@ def test_match_meshes_restores_blas_threads_and_joins_its_worker(monkeypatch):
         pipeline.match_meshes(mesh, mesh, config)
         assert blas_thread_counts() == [2, 2]
         assert threading.active_count() == threads
-        # the target fails while the source's eigensolve runs: k > 9
+        # the target fails after the source's eigensolve: k > 9
         with pytest.raises(ArgumentError, match="exceeds mesh vertex count 9"):
             pipeline.match_meshes(mesh, grid_patch(3, 3), config)
         assert blas_thread_counts() == [2, 2]
@@ -210,7 +212,7 @@ def test_overlapping_blas_pins_restore_the_first_counts():
 
     def enter_and_exit():
         for _ in range(200):
-            with pipeline._ONE_BLAS_THREAD:
+            with ONE_BLAS_THREAD:
                 inside.append(blas_thread_counts())
 
     sys.setswitchinterval(1e-6)
@@ -230,15 +232,21 @@ def test_overlapping_blas_pins_restore_the_first_counts():
 
 
 def test_match_meshes_raises_the_source_error_first(monkeypatch):
-    def failing(S, k):
-        raise NumericError("the source's eigensolve failed")
+    eigenbasis_ = spectral.eigenbasis
 
-    monkeypatch.setattr(spectral, "_dsyevr", failing)
+    def failing_on_source(W, A, k):
+        if A.areas.size == 64:
+            raise NumericError("the source's eigensolve failed")
+        return eigenbasis_(W, A, k)
+
+    monkeypatch.setattr(spectral, "eigenbasis", failing_on_source)
     mesh = grid_patch(8, 8, z_fn=wavy)
     config = pipeline.RunConfig(descriptors=("hks",), max_iter=5)
-    # the target's preparation fails too, while the source's solve runs
+    # the target's preparation would fail too: k > 9
     with pytest.raises(NumericError, match="source's eigensolve"):
         pipeline.match_meshes(mesh, grid_patch(3, 3), config)
+    with pytest.raises(ArgumentError, match="exceeds mesh vertex count 9"):
+        pipeline.match_meshes(grid_patch(3, 3), mesh, config)
 
 
 def with_zero_area_triangle(m):
@@ -373,6 +381,35 @@ def test_solve_nonfinite_objective_keeps_last_valid_C(monkeypatch):
     assert len(evaluated) == 2
     assert info.value.last_valid.shape == (4, 4)
     np.testing.assert_array_equal(info.value.last_valid, evaluated[0])
+
+
+def test_solve_without_entropy_is_the_closed_form(monkeypatch):
+    # the quadratic part alone: its minimizer, returned with no optimizer
+    # call, is where L-BFGS-B started from it stops, to roundoff
+    config = pipeline.RunConfig(weights=FmapWeights(w_entropy=0.0))
+    prob = FmapProblem(*(pipeline.prepare_for_matching(
+        grid_patch(n, n, z_fn=wavy), config) for n in (8, 10)),
+        config.weights)
+    to_C, lower = funcmap._whitening(prob)
+
+    def fun(y):
+        value, grad = fmap_objective(to_C(y), prob)
+        return value, lower(grad.ravel())
+
+    iterated = funcmap._minimize(fun, lower(prob.quadratic[1]), to_C,
+                                 funcmap.DEFAULT_MAX_ITER)
+    assert iterated.success
+
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("the optimizer was called")
+
+    monkeypatch.setattr(funcmap.scipy.optimize, "minimize", no_optimizer)
+    fm = solve_fmap(prob)
+    assert fm.converged is True and fm.iterations == 0
+    assert fm.final_objective == fmap_objective(fm.C, prob)[0]
+    assert fm.final_objective == pytest.approx(iterated.fun, rel=1e-12)
+    C = to_C(iterated.x)
+    np.testing.assert_allclose(fm.C, C, rtol=0, atol=1e-6 * np.abs(C).max())
 
 
 def test_solve_rank_deficient_quadratic():
@@ -533,6 +570,26 @@ def test_solve_partial_objective_is_J():
     H, b, _ = masked_problem(prob, g, eta0).quadratic
     C0 = np.linalg.solve(H, b).reshape(prob.k, prob.k)
     assert sol.objective <= partial_objective(prob, g, edges, C0, eta0)
+
+
+def test_solve_partial_runs_at_one_blas_thread(monkeypatch):
+    # the caller's counts come back, and (C, eta) do not depend on them
+    objective, during = funcmap.fmap_objective, []
+
+    def recorded(C, problem):
+        during.append(blas_thread_counts())
+        return objective(C, problem)
+
+    monkeypatch.setattr(funcmap, "fmap_objective", recorded)
+    prob, g, edges = corner_cut()
+    solutions = []
+    for count in (1, 2):
+        with blas_threads(count):
+            solutions.append(solve_partial(prob, g, edges))
+            assert blas_thread_counts() == [count, count]
+    assert during and all(c == [1, 1] for c in during)
+    assert np.array_equal(solutions[0].C, solutions[1].C)
+    assert np.array_equal(solutions[0].eta, solutions[1].eta)
 
 
 def test_solve_partial_larger_source_saturates():

@@ -8,15 +8,24 @@ from meshcorr.errors import (ArgumentError, DegenerateGeometryError,
                              NumericError)
 from meshcorr.mesh import (TriMesh, VertexAreas, cotangent_weights,
                            normalize_mesh, vertex_areas)
+from meshcorr.pipeline import RunConfig, match_meshes
 from meshcorr.spectral import (SpectralBasis, eigenbasis, hks,
                                positional_encoding, wks)
 
 from conftest import (bumpy_grid, grid_patch, icosphere,
-                      reference_eigenbasis, torus)
+                      reference_eigenbasis, rotation_matrix, torus)
 
 
 def basis_of(mesh, k):
     return eigenbasis(cotangent_weights(mesh), vertex_areas(mesh), k)
+
+
+def force(monkeypatch, solver):
+    """Make ``eigenbasis`` take the dense or the Lanczos path at any n
+    and k < n, through the constants its rule reads."""
+    ratio, min_n = {"dense": (np.inf, np.inf), "lanczos": (1, 0)}[solver]
+    monkeypatch.setattr(spectral, "LANCZOS_N_PER_K", ratio)
+    monkeypatch.setattr(spectral, "LANCZOS_MIN_N", min_n)
 
 
 def test_a_orthonormality(sphere2):
@@ -57,8 +66,9 @@ def test_deterministic_signs(sphere2):
 
 def test_dense_and_sparse_paths_agree(monkeypatch):
     m = torus(18, 10)
+    force(monkeypatch, "dense")
     b_dense = basis_of(m, 8)
-    monkeypatch.setattr(spectral, "DENSE_LIMIT", 10)
+    force(monkeypatch, "lanczos")
     b_sparse = basis_of(m, 8)
     np.testing.assert_allclose(b_sparse.lam, b_dense.lam, rtol=1e-8, atol=1e-10)
     # eigenspaces of the torus are degenerate, so compare the heat kernel
@@ -87,9 +97,10 @@ def permuted(m, seed=0):
     (lambda: grid_patch(15, 10), 150),
 ], ids=["bumpy576-permuted", "sphere642-k10", "sphere642-k128", "torus180",
         "grid150-k1", "grid150-k75", "grid150-k-equals-n"])
-def test_dense_path_equals_reference_formula(mesh, k):
+def test_dense_path_equals_reference_formula(monkeypatch, mesh, k):
     # bit for bit: LAPACK gets the same matrix, so degenerate eigenspaces
     # (sphere, torus) come back as the same vectors too
+    force(monkeypatch, "dense")
     m = mesh()
     W, A = cotangent_weights(m), vertex_areas(m)
     b = eigenbasis(W, A, k)
@@ -100,6 +111,7 @@ def test_dense_path_equals_reference_formula(mesh, k):
 
 def test_dense_path_holds_one_n_by_n_buffer():
     m = grid_patch(30, 30)
+    assert m.n_vertices < spectral.LANCZOS_N_PER_K * 128  # dense
     W, A = cotangent_weights(m), vertex_areas(m)
     W_before, a_before = W.copy(), A.areas.copy()
     n = m.n_vertices
@@ -114,6 +126,41 @@ def test_dense_path_holds_one_n_by_n_buffer():
     # the solve overwrites its own buffer, never the caller's inputs
     assert (W != W_before).nnz == 0
     assert np.array_equal(A.areas, a_before)
+
+
+@pytest.mark.parametrize("mesh, k", [
+    (lambda: bumpy_grid(32), 32),
+    (lambda: torus(18, 10), 8),
+    (lambda: icosphere(3), 10),
+], ids=["bumpy1024-k32", "torus180-k8", "sphere642-k10"])
+def test_lanczos_repeats_bit_for_bit(monkeypatch, mesh, k):
+    # ARPACK's own random start moves the last bits from call to call,
+    # and rotates a degenerate eigenspace (torus, sphere) as a whole
+    force(monkeypatch, "lanczos")
+    m = mesh()
+    W, A = cotangent_weights(m), vertex_areas(m)
+    first = eigenbasis(W, A, k)
+    for _ in range(2):
+        again = eigenbasis(W, A, k)
+        assert np.array_equal(again.phi, first.phi)
+        assert np.array_equal(again.lam, first.lam)
+
+
+def test_dense_and_lanczos_give_the_same_map(monkeypatch):
+    # a rotated, permuted copy: the exact isometry of criterion 4, which
+    # the bounding-box normalization treats like the original
+    m = bumpy_grid(20)
+    R = rotation_matrix([0, 0, 1], np.pi / 2) @ rotation_matrix(
+        [1, 0, 0], np.pi)
+    target = permuted(TriMesh(m.vertices @ R.T, m.triangles), seed=3)
+    truth = np.random.default_rng(3).permutation(m.n_vertices)
+    config = RunConfig(descriptors=("hks", "wks"))
+    maps = []
+    for solver in ("dense", "lanczos"):
+        force(monkeypatch, solver)
+        maps.append(match_meshes(m, target, config).pmap.target_to_source)
+    assert np.array_equal(maps[0], maps[1])
+    assert np.array_equal(maps[0], truth)
 
 
 def test_non_finite_or_zero_area_inputs_raise():
