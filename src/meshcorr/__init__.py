@@ -6,7 +6,7 @@ from .errors import (ArgumentError, DataError, DegenerateGeometryError,
                      FormatError, MeshCorrError, NumericError, ShapeError,
                      TopologyError)
 from .features import (FeatureField, concat_features, load_features,
-                       unit_normalize, write_features)
+                       write_features)
 from .funcmap import (FmapProblem, FmapWeights, FunctionalMap, MatchInput,
                       PartialSolution, PointMap, build_problem,
                       fmap_from_pointmap, fmap_objective,

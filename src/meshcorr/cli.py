@@ -20,7 +20,6 @@ from . import evalbench, funcmap, pipeline, spectral, transfer
 from .errors import ArgumentError, MeshCorrError, NumericError
 from .features import load_features, write_features
 from .funcmap import FmapWeights
-from .mesh import normalize_mesh
 from .meshio import load_mesh, save_mesh
 
 EXIT_ARGUMENT = 2
@@ -103,12 +102,11 @@ def _solver_options(fn):
     return fn
 
 
-def _make_config(options, preprocess):
+def _make_config(options, cleanup):
     """RunConfig from the parsed ``_solver_options`` values."""
     weights = FmapWeights(**{f.name: options.pop(f.name)
                              for f in dataclasses.fields(FmapWeights)})
-    return pipeline.RunConfig(weights=weights, preprocess=preprocess,
-                              **options)
+    return pipeline.RunConfig(weights=weights, cleanup=cleanup, **options)
 
 
 @main.command("match")
@@ -124,7 +122,7 @@ def cmd_match(source, target, source_features, target_features, output,
               log_json, **options):
     """Compute a dense map between two meshes and write it as JSON."""
     external = source_features is not None or target_features is not None
-    config = _make_config(options, preprocess=not external)
+    config = _make_config(options, cleanup=not external)  # rows fit the file
     src = load_mesh(source)
     tgt = load_mesh(target)
     sf = tf = None  # only the files given; match_meshes wants both or neither
@@ -175,9 +173,8 @@ class _BenchmarkMatcher:
         key = (inst.category, inst.name)
         if key not in self._outcomes:
             try:
-                # dataset vertex order carries the annotation; only rescale
                 self._outcomes[key] = (pipeline.prepare_for_matching(
-                    normalize_mesh(inst.remeshed), self.config), None)
+                    inst.remeshed, self.config), None)
             except Exception as exc:  # recorded for each pair it fails
                 self._outcomes[key] = (None, exc)
         prepared, exc = self._outcomes[key]
@@ -209,7 +206,8 @@ class _BenchmarkMatcher:
 def cmd_benchmark(dataset_root, category, split, jobs, csv_path, json_path,
                   max_threshold, log_json, **options):
     """Run the all-pairs protocol over dataset categories."""
-    config = _make_config(options, preprocess=False)
+    # dataset vertex order carries the annotation: no cleanup
+    config = _make_config(options, cleanup=False)
 
     instances = evalbench.load_dataset(dataset_root, split=split)
     categories = sorted({i.category for i in instances})
@@ -288,7 +286,8 @@ def cmd_transfer_keypoints(source, target, keypoints, map_path, output):
 @click.option("-k", "--basis-size", type=int,
               default=spectral.DEFAULT_DESC_K, show_default=True)
 @click.option("--no-preprocess", is_flag=True,
-              help="skip cleanup/normalization (keeps vertex order)")
+              help="skip cleanup only, keeping the vertex order; the mesh "
+                   "is still normalized")
 @click.option("-o", "--output", required=True, type=click.Path(),
               callback=_output_path)
 @_handle_errors
@@ -303,7 +302,7 @@ def cmd_descriptors(mesh_path, hks_times, wks_energies, posenc_bands,
     # no map is solved, so C's size k = 1 leaves the basis min(-k, n)
     config = pipeline.RunConfig(
         k=1, descriptors=tuple(key.split("_")[0] for key in sizes),
-        descriptor_k=basis_size, preprocess=not no_preprocess, **sizes)
+        descriptor_k=basis_size, cleanup=not no_preprocess, **sizes)
     mesh = load_mesh(mesh_path)
     stack = pipeline.descriptor_stack(*pipeline.prepare_mesh(mesh, config),
                                       config)

@@ -95,16 +95,6 @@ def write_features(path, field: FeatureField) -> None:
         fh.write(np.ascontiguousarray(field.values, dtype="<f4").tobytes())
 
 
-def unit_normalize(field: FeatureField) -> FeatureField:
-    """Scale each nonzero row to unit L2 norm; zero rows stay zero
-    (the convention for never-visible vertices)."""
-    values = field.values
-    norms = np.linalg.norm(values, axis=1, keepdims=True)
-    out = np.divide(values, norms, out=np.zeros_like(values),
-                    where=norms > 0)
-    return FeatureField(out)
-
-
 def concat_features(fields) -> FeatureField:
     fields = list(fields)
     if not fields:

@@ -277,10 +277,15 @@ def _whitening(problem: FmapProblem):
     and the ridge WHITEN_RIDGE times its mean diagonal (so a singular H
     factors). In y = L^T vec(C) the quadratic part has unit curvature:
     to_C(y) is that C, and lower(v) = L^-1 v maps a gradient in vec(C) to
-    one in y, and b to the quadratic part's minimizer in y."""
+    one in y, and b to the quadratic part's minimizer in y. Pivots with
+    L_ii^2 <= 100 ridges are directions only the ridge pins: NumericError."""
     H, k = problem.quadratic[0], problem.k
     ridge = WHITEN_RIDGE * (np.trace(H) / len(H) or 1.0)
     L = np.linalg.cholesky(H + ridge * np.eye(len(H)))
+    free = int((np.diag(L) ** 2 <= 100.0 * ridge).sum())
+    if free:
+        raise NumericError(f"underdetermined map: {free} of {len(H)} "
+                           "directions of C are unconstrained")
     lower = partial(scipy.linalg.solve_triangular, L, lower=True,
                     check_finite=False)
     return (lambda y: lower(y, trans="T").reshape(k, k)), lower
@@ -319,8 +324,8 @@ def solve_fmap(problem: FmapProblem,
     <= TOL or the relative decrease falls to 1e-12; max_iter iterations
     or a failed line search leave it False. With w_entropy == 0 the
     objective is the quadratic part, so its minimizer is returned after
-    0 iterations, converged. A max_iter below 1 raises ArgumentError; a
-    non-finite objective raises NumericError (``_minimize``).
+    0 iterations, converged. A max_iter below 1 raises ArgumentError; an
+    underdetermined H or a non-finite objective raises NumericError.
     """
     if max_iter < 1:
         raise ArgumentError(f"max_iter must be >= 1, got {max_iter}")

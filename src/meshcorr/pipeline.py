@@ -1,6 +1,8 @@
-"""End-to-end matching pipeline: preprocess meshes, build descriptor
-stacks or ingest external features, project them into the spectral
-basis, solve the functional map, and recover the dense point map.
+"""End-to-end matching pipeline: prepare meshes (``prepare_mesh``, the
+one place a mesh is normalized), build descriptor stacks or ingest
+external features, standardize either (``_standardize``), project them
+into the spectral basis, solve the functional map, and recover the dense
+point map.
 
 Preparing a mesh depends on that mesh alone, so a caller matching one
 mesh against many prepares it once (``prepare_for_matching``, which
@@ -27,7 +29,7 @@ import numpy as np
 from . import spectral
 from .blas import ONE_BLAS_THREAD
 from .errors import ArgumentError
-from .features import FeatureField, concat_features, unit_normalize
+from .features import FeatureField, concat_features
 from .funcmap import (DEFAULT_MAX_ITER, RECOVERY_METHODS, FmapProblem,
                       FmapWeights, FunctionalMap, MatchInput, PointMap,
                       project_features, recover_pointmap, solve_fmap)
@@ -48,7 +50,7 @@ class RunConfig:
     """Settings of one match; the CLI takes its defaults from here. A
     basis size below 1, an empty descriptor list or a name outside
     DESCRIPTOR_NAMES, or a k whose solve would outgrow the machine's
-    physical memory, raises ArgumentError."""
+    physical memory, raises ArgumentError. ``cleanup`` only gates cleanup."""
     k: int = spectral.DEFAULT_FMAP_K
     weights: FmapWeights = field(default_factory=FmapWeights)
     descriptors: tuple = DESCRIPTOR_NAMES
@@ -58,7 +60,7 @@ class RunConfig:
     posenc_bands: int = spectral.DEFAULT_POSENC_BANDS
     max_iter: int = DEFAULT_MAX_ITER
     recovery: str = RECOVERY_METHODS[0]
-    preprocess: bool = True
+    cleanup: bool = True
 
     def __post_init__(self):
         if min(self.k, self.descriptor_k) < 1:
@@ -80,10 +82,11 @@ class RunConfig:
 
 def prepare_mesh(mesh: TriMesh,
                  config: RunConfig) -> tuple[TriMesh, spectral.SpectralBasis]:
-    """(preprocessed mesh, basis), the basis large enough for the
-    descriptor stack and for C."""
-    if config.preprocess:
-        mesh = normalize_mesh(cleanup_mesh(mesh))
+    """(mesh, basis): the mesh cleaned up if ``config.cleanup``, then
+    normalized, and a basis large enough for the descriptor stack and C."""
+    if config.cleanup:
+        mesh = cleanup_mesh(mesh)
+    mesh = normalize_mesh(mesh)
     if config.k > mesh.n_vertices:
         raise ArgumentError(
             f"k={config.k} exceeds mesh vertex count {mesh.n_vertices}")
@@ -106,17 +109,17 @@ class MatchResult:
 
 def prepare_for_matching(mesh: TriMesh, config: RunConfig,
                          features: FeatureField | None = None) -> MatchInput:
-    """Preprocess one mesh, compute its basis and features, and project
-    the features into the k-sized basis; features default to the
-    standardized descriptor stack, and external ones are unit-normalized
-    per row. With external features nothing reads more than the k
-    eigenpairs C lives in, so only those are solved."""
-    external = features is not None
-    if external:
+    """Prepare one mesh (``prepare_mesh``), compute its basis and
+    features, standardize them (``_standardize``) and project them into
+    the k-sized basis; features default to the descriptor stack. With
+    external features nothing reads more than the k eigenpairs C lives
+    in, so only those are solved."""
+    if features is not None:
         config = replace(config, descriptor_k=config.k)
     mesh, basis = prepare_mesh(mesh, config)
-    features = (unit_normalize(features) if external else
-                _standardize(descriptor_stack(mesh, basis, config), basis))
+    if features is None:
+        features = descriptor_stack(mesh, basis, config)
+    features = _standardize(features, basis)
     return project_features(basis.truncate(config.k), features.values)
 
 
@@ -148,13 +151,15 @@ def match_meshes(source: TriMesh, target: TriMesh, config: RunConfig,
 
 
 def _standardize(stack: FeatureField, basis: spectral.SpectralBasis) -> FeatureField:
-    """Column-wise standardization of a descriptor stack under the mesh
-    area measure. Raw heat/energy/positional channels differ in scale by
-    orders of magnitude; centering and equalizing them keeps the data
-    term well conditioned. Columns are scaled to area-weighted norm
-    sqrt(n)/10 so the data term grows with mesh size the same way the
-    map-matrix penalties do."""
+    """Column-wise standardization of a feature set under the mesh area
+    measure. Raw channels differ in scale by orders of magnitude, and
+    external ones come in any units; centering and equalizing them keeps
+    the data term well conditioned. Columns are scaled to area-weighted
+    norm sqrt(n)/10 so the data term grows with mesh size the same way
+    the map-matrix penalties do. Rows other than n raise ArgumentError."""
     a = basis.areas.areas
+    if stack.n != len(a):
+        raise ArgumentError(f"feature rows {stack.n} != vertex count {len(a)}")
     vals = stack.values - (a @ stack.values) / a.sum()
     norms = np.sqrt(a @ (vals ** 2))
     norms[norms == 0.0] = 1.0

@@ -8,18 +8,19 @@ import pytest
 import scipy.sparse.linalg as spla
 from click.testing import CliRunner
 
-from meshcorr import funcmap, spectral
+from meshcorr import funcmap, pipeline, spectral
 from meshcorr.cli import main
 from meshcorr.evalbench import (benchmark_category, load_dataset,
                                 write_results_csv)
 from meshcorr.features import FeatureField, write_features
 from meshcorr.funcmap import FmapWeights, FunctionalMap, PointMap, save_map
 from meshcorr.geodesics import save_groups
-from meshcorr.mesh import TriMesh, normalize_mesh
+from meshcorr.mesh import TriMesh
 from meshcorr.meshio import load_mesh, save_mesh
 from meshcorr.pipeline import RunConfig, match_meshes, prepare_for_matching
 
-from conftest import grid_patch, icosphere, octant_groups
+from conftest import (bumpy_grid, grid_patch, icosphere, octant_groups,
+                      rotation_matrix, torus)
 
 
 NESTED = "[" * 100000  # deeper than json's parser recurses
@@ -187,6 +188,55 @@ def test_descriptors_command_and_external_features(runner, tmp_path):
     res = runner.invoke(main, ["descriptors", "--mesh", str(p),
                                "-o", str(feat)])
     assert res.exit_code == 2  # no descriptor family chosen
+
+
+def test_descriptor_files_give_the_default_map(runner, tmp_path):
+    # descriptors --no-preprocess writes the default stack of the normalized
+    # mesh in file order, and match standardizes it as it does its own
+    # stack. Not on a torus: k = 10 cuts a 2-fold eigenspace there, and the
+    # two paths' 10- and 32-eigenpair solves keep different vectors of it
+    # (ROADMAP item 3(a))
+    m = bumpy_grid(20)
+    p = np.random.default_rng(5).permutation(m.n_vertices)
+    rotated = m.vertices @ rotation_matrix([0.2, 1.0, 0.4], 0.07).T
+    target = TriMesh(rotated[p], np.argsort(p)[m.triangles])
+    maps = {}
+    for name, mesh in (("source", m), ("target", target)):
+        save_mesh(tmp_path / f"{name}.ply", mesh)
+        res = runner.invoke(main, [
+            "descriptors", "--mesh", str(tmp_path / f"{name}.ply"),
+            "--hks", "16", "--wks", "100", "--posenc", "6", "--no-preprocess",
+            "-o", str(tmp_path / f"{name}.dmf")])
+        assert res.exit_code == 0, all_output(res)
+    meshes = ["--source", str(tmp_path / "source.ply"),
+              "--target", str(tmp_path / "target.ply")]
+    files = ["--source-features", str(tmp_path / "source.dmf"),
+             "--target-features", str(tmp_path / "target.dmf")]
+    for name, extra in (("default", []), ("files", files)):
+        res = runner.invoke(main, ["match", *meshes, *extra,
+                                   "-o", str(tmp_path / f"{name}.json")])
+        assert res.exit_code == 0, all_output(res)
+        maps[name] = funcmap.load_map(tmp_path / f"{name}.json")[1]
+    assert np.array_equal(maps["files"].target_to_source,
+                          maps["default"].target_to_source)
+
+
+@pytest.mark.parametrize("mesh", [lambda: torus(32, 32),
+                                  lambda: icosphere(3)],
+                         ids=["torus1024", "sphere642"])
+def test_low_rank_feature_files_exit_4(runner, tmp_path, mesh):
+    m = mesh()
+    config = RunConfig(cleanup=False)
+    feat, out = tmp_path / "m.dmf", tmp_path / "o.json"
+    write_features(feat, spectral.hks(pipeline.prepare_mesh(m, config)[1], 16))
+    save_mesh(tmp_path / "m.ply", m)
+    res = runner.invoke(main, [
+        "match", "--source", str(tmp_path / "m.ply"), "--target",
+        str(tmp_path / "m.ply"), "--source-features", str(feat),
+        "--target-features", str(feat), "-o", str(out)])
+    assert res.exit_code == 4, all_output(res)
+    assert "directions of C are unconstrained" in all_output(res)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--hks", "--wks"])
@@ -523,11 +573,10 @@ def test_benchmark_prepares_each_instance_once(runner, grid_dataset,
     assert calls == {"eigenbasis": 3, "multiplication_operator": 3 * d}
 
     # the same rows as matching every pair from scratch
-    config = RunConfig(preprocess=False)
+    config = RunConfig(cleanup=False)
 
     def per_pair(src, tgt):
-        return match_meshes(normalize_mesh(src.remeshed),
-                            normalize_mesh(tgt.remeshed), config).pmap
+        return match_meshes(src.remeshed, tgt.remeshed, config).pmap
 
     results, _ = benchmark_category(load_dataset(grid_dataset), "grids",
                                     per_pair, jobs=jobs)

@@ -7,7 +7,7 @@ import pytest
 from meshcorr.errors import (ArgumentError, DataError, FormatError,
                              ShapeError)
 from meshcorr.features import (FeatureField, concat_features, load_features,
-                               unit_normalize, write_features)
+                               write_features)
 
 
 def field(values):
@@ -71,14 +71,6 @@ def test_dmf_header_promising_too_much(tmp_path, data):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-
-
-def test_unit_normalize():
-    b = field([[3.0, 4.0], [0.0, 0.0], [0.0, 2.0]])
-    out = unit_normalize(b)
-    np.testing.assert_allclose(out.values[0], [0.6, 0.8])
-    np.testing.assert_allclose(out.values[1], [0.0, 0.0])  # zero rows stay
-    np.testing.assert_allclose(out.values[2], [0.0, 1.0])
 
 
 def test_concat_features():

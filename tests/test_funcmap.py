@@ -15,6 +15,7 @@ import meshcorr.pipeline as pipeline
 import meshcorr.spectral as spectral
 from meshcorr.blas import ONE_BLAS_THREAD, openblas_thread_controls
 from meshcorr.errors import ArgumentError, NumericError
+from meshcorr.features import FeatureField
 from meshcorr.mesh import TriMesh, cotangent_weights, vertex_areas
 from meshcorr.spectral import eigenbasis
 from meshcorr.funcmap import (FmapProblem, FmapWeights, build_problem,
@@ -23,7 +24,7 @@ from meshcorr.funcmap import (FmapProblem, FmapWeights, build_problem,
                               recover_pointmap, save_map, solve_fmap,
                               solve_partial)
 
-from conftest import grid_patch, icosphere
+from conftest import bumpy_grid, grid_patch, icosphere, torus
 
 
 def wavy(x, y):
@@ -249,6 +250,48 @@ def test_match_meshes_raises_the_source_error_first(monkeypatch):
         pipeline.match_meshes(grid_patch(3, 3), mesh, config)
 
 
+def test_external_features_match_at_any_mesh_or_feature_scale():
+    # the mesh is normalized and the features standardized on the external
+    # path too, so neither the mesh's units nor the features' change the map
+    m = bumpy_grid(20)
+    config = pipeline.RunConfig(cleanup=False)
+    prepared, basis = pipeline.prepare_mesh(m, config)
+    f = pipeline.descriptor_stack(prepared, basis, config).values
+    maps = []
+    for scale in (0.01, 1.0, 100.0):
+        mesh = TriMesh(scale * m.vertices, m.triangles)
+        for feature_scale in (1e-3, 1.0, 1e3):
+            field = FeatureField(feature_scale * f)
+            maps.append(pipeline.match_meshes(mesh, mesh, config, field,
+                                              field).pmap.target_to_source)
+    assert all(np.array_equal(match, maps[0]) for match in maps)
+    assert np.array_equal(maps[0], np.arange(m.n_vertices))
+
+
+def test_external_feature_rows_must_fit_the_mesh():
+    mesh = grid_patch(10, 10, z_fn=wavy)
+    f = FeatureField(np.random.default_rng(0).random((mesh.n_vertices, 4)))
+    extra = FeatureField(np.random.default_rng(0).random((101, 4)))
+    config = pipeline.RunConfig(cleanup=False)
+    for source, target in ((extra, f), (f, extra)):
+        with pytest.raises(ArgumentError,
+                           match="feature rows 101 != vertex count 100"):
+            pipeline.match_meshes(mesh, mesh, config, source, target)
+
+
+@pytest.mark.parametrize("mesh", [lambda: torus(32, 32),
+                                  lambda: icosphere(3)],
+                         ids=["torus1024", "sphere642"])
+def test_low_rank_external_features_are_refused(mesh):
+    # HKS is invariant under these meshes' symmetries, so it projects onto
+    # few eigenfunctions, and inside repeated eigenvalues no term pins C
+    m = mesh()
+    config = pipeline.RunConfig(cleanup=False)
+    f = spectral.hks(pipeline.prepare_mesh(m, config)[1], 16)
+    with pytest.raises(NumericError, match="directions of C are unconstrained"):
+        pipeline.match_meshes(m, m, config, f, f)
+
+
 def with_zero_area_triangle(m):
     """``m`` plus a triangle over its first three vertices, on one line."""
     return TriMesh(m.vertices, np.vstack([m.triangles, [[0, 1, 2]]]))
@@ -412,18 +455,22 @@ def test_solve_without_entropy_is_the_closed_form(monkeypatch):
     np.testing.assert_allclose(fm.C, C, rtol=0, atol=1e-6 * np.abs(C).max())
 
 
-def test_solve_rank_deficient_quadratic():
-    # with only the data and entropy terms and fewer features than basis
-    # functions, the quadratic part is singular; the solver must still
-    # whiten it and not end worse than the zero map
+def test_solve_refuses_rank_deficient_quadratic(monkeypatch):
+    # with only the data and entropy terms and 4 features for 6 basis
+    # functions, H = I kron F F^T leaves 6 x 2 directions of C free; only
+    # the whitening ridge would pin them, so the solve refuses to start
     w = FmapWeights(alpha=0.0, beta=0.0, w_sum=0.0)
     prob = random_problem(k=6, d=4, seed=3, weights=w)
     H, _, _ = prob.quadratic
-    assert np.linalg.matrix_rank(H) < H.shape[0]
-    fm = solve_fmap(prob)
-    assert np.isfinite(fm.C).all()
-    assert fm.final_objective == pytest.approx(fmap_objective(fm.C, prob)[0])
-    assert fm.final_objective <= fmap_objective(np.zeros((6, 6)), prob)[0]
+    assert np.linalg.matrix_rank(H) == 24
+
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("the optimizer was called")
+
+    monkeypatch.setattr(funcmap.scipy.optimize, "minimize", no_optimizer)
+    for weights in (w, replace(w, w_entropy=0.0)):
+        with pytest.raises(NumericError, match="12 of 36 directions"):
+            solve_fmap(replace(prob, weights=weights))
 
 
 def test_recover_pointmap_methods_and_dense():
