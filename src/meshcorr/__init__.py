@@ -14,8 +14,8 @@ from .funcmap import (FmapProblem, FmapWeights, FunctionalMap, MatchInput,
                       recover_pointmap, solve_fmap, solve_partial)
 from .geodesics import (GeodesicMatrix, SemanticGroups, geodesic_matrix,
                         min_cost_assignment, semantic_distance)
-from .mesh import (TriMesh, VertexAreas, cleanup_mesh, cotangent_weights,
-                   normalize_mesh, vertex_areas)
+from .mesh import (TriMesh, VertexAreas, cotangent_weights, normalize_mesh,
+                   vertex_areas, weld_mesh)
 from .meshio import load_mesh, save_mesh
 from .spectral import (SpectralBasis, eigenbasis, hks, positional_encoding,
                        wks)

@@ -18,7 +18,7 @@ import click
 
 from . import evalbench, funcmap, pipeline, spectral, transfer
 from .errors import ArgumentError, MeshCorrError, NumericError
-from .features import load_features, write_features
+from .features import FeatureField, load_features, write_features
 from .funcmap import FmapWeights
 from .meshio import load_mesh, save_mesh
 
@@ -102,11 +102,11 @@ def _solver_options(fn):
     return fn
 
 
-def _make_config(options, cleanup):
+def _make_config(options):
     """RunConfig from the parsed ``_solver_options`` values."""
     weights = FmapWeights(**{f.name: options.pop(f.name)
                              for f in dataclasses.fields(FmapWeights)})
-    return pipeline.RunConfig(weights=weights, cleanup=cleanup, **options)
+    return pipeline.RunConfig(weights=weights, **options)
 
 
 @main.command("match")
@@ -121,8 +121,7 @@ def _make_config(options, cleanup):
 def cmd_match(source, target, source_features, target_features, output,
               log_json, **options):
     """Compute a dense map between two meshes and write it as JSON."""
-    external = source_features is not None or target_features is not None
-    config = _make_config(options, cleanup=not external)  # rows fit the file
+    config = _make_config(options)
     src = load_mesh(source)
     tgt = load_mesh(target)
     sf = tf = None  # only the files given; match_meshes wants both or neither
@@ -206,8 +205,7 @@ class _BenchmarkMatcher:
 def cmd_benchmark(dataset_root, category, split, jobs, csv_path, json_path,
                   max_threshold, log_json, **options):
     """Run the all-pairs protocol over dataset categories."""
-    # dataset vertex order carries the annotation: no cleanup
-    config = _make_config(options, cleanup=False)
+    config = _make_config(options)
 
     instances = evalbench.load_dataset(dataset_root, split=split)
     categories = sorted({i.category for i in instances})
@@ -285,15 +283,13 @@ def cmd_transfer_keypoints(source, target, keypoints, map_path, output):
 @click.option("--posenc", "posenc_bands", type=int, default=None)
 @click.option("-k", "--basis-size", type=int,
               default=spectral.DEFAULT_DESC_K, show_default=True)
-@click.option("--no-preprocess", is_flag=True,
-              help="skip cleanup only, keeping the vertex order; the mesh "
-                   "is still normalized")
 @click.option("-o", "--output", required=True, type=click.Path(),
               callback=_output_path)
 @_handle_errors
 def cmd_descriptors(mesh_path, hks_times, wks_energies, posenc_bands,
-                    basis_size, no_preprocess, output):
-    """Compute a descriptor stack and write it as a DMF feature file."""
+                    basis_size, output):
+    """Compute a descriptor stack of the welded, normalized mesh and write
+    it as a DMF feature file, one row per vertex of the mesh file."""
     sizes = {"hks_times": hks_times, "wks_energies": wks_energies,
              "posenc_bands": posenc_bands}
     sizes = {key: n for key, n in sizes.items() if n is not None}
@@ -302,10 +298,10 @@ def cmd_descriptors(mesh_path, hks_times, wks_energies, posenc_bands,
     # no map is solved, so C's size k = 1 leaves the basis min(-k, n)
     config = pipeline.RunConfig(
         k=1, descriptors=tuple(key.split("_")[0] for key in sizes),
-        descriptor_k=basis_size, cleanup=not no_preprocess, **sizes)
-    mesh = load_mesh(mesh_path)
-    stack = pipeline.descriptor_stack(*pipeline.prepare_mesh(mesh, config),
-                                      config)
+        descriptor_k=basis_size, **sizes)
+    mesh, basis, index = pipeline.prepare_mesh(load_mesh(mesh_path), config)
+    stack = pipeline.descriptor_stack(mesh, basis, config)
+    stack = FeatureField(stack.values[index])
     write_features(output, stack)
     click.echo(f"wrote {output} ({stack.n}x{stack.d})")
 

@@ -1,8 +1,9 @@
 """Triangle meshes and the discrete operators built on them.
 
-A TriMesh is immutable after construction. ``vertex_areas`` and
-``cotangent_weights`` produce the mass/stiffness pair (A, W) that the
-spectral module consumes.
+A TriMesh is immutable after construction. ``weld_mesh`` merges
+duplicate vertices and returns the index from the input's vertices to
+the welded ones; ``vertex_areas`` and ``cotangent_weights`` produce the
+mass/stiffness pair (A, W) that the spectral module consumes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import DataError, DegenerateGeometryError, EmptyMeshError
 
 COT_CLAMP = 1.0e4  # bounds cotangents of near-degenerate triangles
 TARGET_SIDE = 0.3  # longest bounding-box side after normalize_mesh
-MERGE_TOL_FRACTION = 1e-5  # cleanup weld distance / bounding-box diagonal
+MERGE_TOL_FRACTION = 1e-5  # weld distance / bounding-box diagonal
 
 
 @dataclass(frozen=True)
@@ -155,72 +156,38 @@ def normalize_mesh(mesh: TriMesh) -> TriMesh:
     return TriMesh(verts, mesh.triangles, mesh.colors)
 
 
-def cleanup_mesh(mesh: TriMesh) -> TriMesh:
-    """Weld coincident vertices, keep the largest connected component
-    (by area), and drop unreferenced vertices.
+def weld_mesh(mesh: TriMesh) -> tuple[TriMesh, np.ndarray]:
+    """Weld coincident vertices: (welded mesh, index), where index[i] is
+    the welded vertex of input vertex i. Vertices within
+    MERGE_TOL_FRACTION of the bounding-box diagonal merge, so only
+    duplicates weld and no edge of a dense mesh collapses; the lowest
+    vertex index survives, colors are averaged and triangles that
+    collapse are dropped. Every other vertex and component is kept."""
+    if mesh.n_triangles == 0:
+        raise EmptyMeshError("mesh has no triangles")
 
-    Vertices within MERGE_TOL_FRACTION of the bounding-box diagonal
-    merge, so only duplicates weld and no edge of a dense mesh
-    collapses; the lowest vertex index survives and colors are averaged.
-    """
-    if mesh.n_vertices == 0:
-        raise EmptyMeshError("empty input mesh")
-
+    n = mesh.n_vertices
     lo, hi = mesh.bounding_box()
     tol = MERGE_TOL_FRACTION * float(np.linalg.norm(hi - lo))
-    verts, tris, colors = mesh.vertices, mesh.triangles, mesh.colors
+    pairs = cKDTree(mesh.vertices).query_pairs(tol, output_type="ndarray") \
+        if tol > 0.0 else ()
+    if not len(pairs):
+        return mesh, np.arange(n)
 
-    # merge each connected component of the close-pair graph
-    if tol > 0.0:
-        pairs = cKDTree(verts).query_pairs(tol, output_type="ndarray")
-        if len(pairs):
-            n = len(verts)
-            close = sp.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(n, n))
-            n_comp, labels = connected_components(close, directed=False)
-            # lowest index per component, in ascending order
-            keep = np.sort(np.unique(labels, return_index=True)[1])
-            rank = np.empty(n_comp, dtype=np.int64)
-            rank[labels[keep]] = np.arange(n_comp)
-            new_index = rank[labels]
-            verts = verts[keep]
-            if colors is not None:
-                summed = np.zeros((len(keep), 3))
-                counts = np.zeros(len(keep))
-                np.add.at(summed, new_index, colors)
-                np.add.at(counts, new_index, 1.0)
-                colors = summed / counts[:, None]
-            tris = new_index[tris]
-
-    # drop triangles that collapsed in the merge
-    if tris.size:
-        ok = (tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2]) \
-            & (tris[:, 0] != tris[:, 2])
-        tris = tris[ok]
-    if len(tris) == 0:
-        raise EmptyMeshError("no triangles left after cleanup")
-
-    # largest connected component by surface area
-    e = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    adj = sp.csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
-                        shape=(len(verts), len(verts)))
-    n_comp, labels = connected_components(adj, directed=False)
-    if n_comp > 1:
-        probe = TriMesh(verts, tris)
-        tri_a = triangle_areas(probe)
-        tri_label = labels[tris[:, 0]]
-        comp_area = np.zeros(n_comp)
-        np.add.at(comp_area, tri_label, tri_a)
-        best = int(np.argmax(comp_area))
-        tris = tris[tri_label == best]
-    if len(tris) == 0:
-        raise EmptyMeshError("no triangles left after component filtering")
-
-    # drop unreferenced vertices
-    used = np.zeros(len(verts), dtype=bool)
-    used[tris.ravel()] = True
-    remap = np.cumsum(used) - 1
-    verts = verts[used]
+    # each connected component of the close-pair graph welds to its
+    # lowest vertex, its root; the roots keep their order
+    close = sp.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(n, n))
+    labels = connected_components(close, directed=False)[1]
+    root = np.unique(labels, return_index=True)[1][labels]
+    keep, index = np.unique(root, return_inverse=True)
+    colors = mesh.colors
     if colors is not None:
-        colors = colors[used]
-    tris = remap[tris]
-    return TriMesh(verts, tris, colors)
+        summed = np.zeros((len(keep), 3))
+        np.add.at(summed, index, colors)
+        colors = summed / np.bincount(index)[:, None]
+    tris = index[mesh.triangles]
+    tris = tris[(tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
+                & (tris[:, 0] != tris[:, 2])]
+    if len(tris) == 0:
+        raise EmptyMeshError("no triangles left after welding")
+    return TriMesh(mesh.vertices[keep], tris, colors), index

@@ -1,8 +1,10 @@
 """End-to-end matching pipeline: prepare meshes (``prepare_mesh``, the
-one place a mesh is normalized), build descriptor stacks or ingest
-external features, standardize either (``_standardize``), project them
-into the spectral basis, solve the functional map, and recover the dense
-point map.
+one place a mesh is welded and normalized), build descriptor stacks or
+ingest external features, standardize either (``_standardize``), project
+them into the spectral basis, solve the functional map, and recover the
+dense point map. The weld (``mesh.weld_mesh``) is the only change to a
+mesh's vertices, so per-vertex inputs and outputs index the input file's
+vertices, carried across through the weld's index.
 
 Preparing a mesh depends on that mesh alone, so a caller matching one
 mesh against many prepares it once (``prepare_for_matching``, which
@@ -12,11 +14,11 @@ MatchInputs); ``match_meshes`` is the two steps for a single pair.
 
 A preparation is mostly the mesh's eigensolve, of
 max(min(descriptor_k, n), k) eigenpairs (``spectral.eigenbasis`` picks
-the solver). ``match_meshes`` prepares the source, then the target, and
-runs the whole match with numpy's and scipy's bundled OpenBLAS each held
-to one thread (``blas.ONE_BLAS_THREAD``): their default pools contend
-with each other, and one thread gives the same maps whatever thread
-count the caller set.
+the solver). It runs with numpy's and scipy's bundled OpenBLAS each held
+to one thread (``blas.ONE_BLAS_THREAD``), and so does the whole of
+``match_meshes``, which prepares the source, then the target: their
+default pools contend with each other, and one thread gives the same
+bases and maps whatever thread count the caller set.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .features import FeatureField, concat_features
 from .funcmap import (DEFAULT_MAX_ITER, RECOVERY_METHODS, FmapProblem,
                       FmapWeights, FunctionalMap, MatchInput, PointMap,
                       project_features, recover_pointmap, solve_fmap)
-from .mesh import TriMesh, cleanup_mesh, cotangent_weights, normalize_mesh, vertex_areas
+from .mesh import TriMesh, cotangent_weights, normalize_mesh, vertex_areas, weld_mesh
 
 _DESCRIPTORS = {  # name -> its feature field of (mesh, basis, config)
     "hks": lambda mesh, basis, c: spectral.hks(basis, c.hks_times),
@@ -50,7 +52,7 @@ class RunConfig:
     """Settings of one match; the CLI takes its defaults from here. A
     basis size below 1, an empty descriptor list or a name outside
     DESCRIPTOR_NAMES, or a k whose solve would outgrow the machine's
-    physical memory, raises ArgumentError. ``cleanup`` only gates cleanup."""
+    physical memory, raises ArgumentError."""
     k: int = spectral.DEFAULT_FMAP_K
     weights: FmapWeights = field(default_factory=FmapWeights)
     descriptors: tuple = DESCRIPTOR_NAMES
@@ -60,7 +62,6 @@ class RunConfig:
     posenc_bands: int = spectral.DEFAULT_POSENC_BANDS
     max_iter: int = DEFAULT_MAX_ITER
     recovery: str = RECOVERY_METHODS[0]
-    cleanup: bool = True
 
     def __post_init__(self):
         if min(self.k, self.descriptor_k) < 1:
@@ -80,19 +81,20 @@ class RunConfig:
                 f"more than the {memory / 2 ** 30:.3g} GiB of physical memory")
 
 
-def prepare_mesh(mesh: TriMesh,
-                 config: RunConfig) -> tuple[TriMesh, spectral.SpectralBasis]:
-    """(mesh, basis): the mesh cleaned up if ``config.cleanup``, then
-    normalized, and a basis large enough for the descriptor stack and C."""
-    if config.cleanup:
-        mesh = cleanup_mesh(mesh)
+@ONE_BLAS_THREAD
+def prepare_mesh(mesh: TriMesh, config: RunConfig
+                 ) -> tuple[TriMesh, spectral.SpectralBasis, np.ndarray]:
+    """(mesh, basis, index): the mesh welded (``weld_mesh``, whose index
+    gives the welded vertex of each input vertex), then normalized, and a
+    basis large enough for the descriptor stack and C."""
+    mesh, index = weld_mesh(mesh)
     mesh = normalize_mesh(mesh)
     if config.k > mesh.n_vertices:
         raise ArgumentError(
             f"k={config.k} exceeds mesh vertex count {mesh.n_vertices}")
     k = max(min(config.descriptor_k, mesh.n_vertices), config.k)
     return mesh, spectral.eigenbasis(cotangent_weights(mesh),
-                                     vertex_areas(mesh), k)
+                                     vertex_areas(mesh), k), index
 
 
 def descriptor_stack(mesh: TriMesh, basis: spectral.SpectralBasis,
@@ -107,31 +109,52 @@ class MatchResult:
     pmap: PointMap
 
 
+@dataclass(frozen=True)
+class PreparedInput(MatchInput):
+    """The MatchInput of a welded mesh and the weld's index: the welded
+    vertex of each input vertex."""
+    index: np.ndarray
+
+
+def _survivors(index: np.ndarray) -> np.ndarray:
+    """The input vertex each welded vertex keeps: the lowest welded to it."""
+    return np.unique(index, return_index=True)[1]
+
+
 def prepare_for_matching(mesh: TriMesh, config: RunConfig,
-                         features: FeatureField | None = None) -> MatchInput:
+                         features: FeatureField | None = None) -> PreparedInput:
     """Prepare one mesh (``prepare_mesh``), compute its basis and
     features, standardize them (``_standardize``) and project them into
-    the k-sized basis; features default to the descriptor stack. With
-    external features nothing reads more than the k eigenpairs C lives
-    in, so only those are solved."""
+    the k-sized basis. Features default to the descriptor stack; external
+    ones need a row per input vertex, and a welded vertex reads the row
+    of the input vertex it keeps. With external features nothing reads
+    more than the k eigenpairs C lives in, so only those are solved."""
     if features is not None:
+        if features.n != mesh.n_vertices:
+            raise ArgumentError(f"feature rows {features.n} != vertex count "
+                                f"{mesh.n_vertices}")
         config = replace(config, descriptor_k=config.k)
-    mesh, basis = prepare_mesh(mesh, config)
+    mesh, basis, index = prepare_mesh(mesh, config)
     if features is None:
         features = descriptor_stack(mesh, basis, config)
+    else:
+        features = FeatureField(features.values[_survivors(index)])
     features = _standardize(features, basis)
-    return project_features(basis.truncate(config.k), features.values)
+    prepared = project_features(basis.truncate(config.k), features.values)
+    return PreparedInput(**vars(prepared), index=index)
 
 
-def match_prepared(source: MatchInput, target: MatchInput,
+def match_prepared(source: PreparedInput, target: PreparedInput,
                    config: RunConfig) -> MatchResult:
     """Solve the functional map between two prepared meshes and recover
-    the dense point map."""
+    the dense point map over both meshes' input vertices."""
     fmap = solve_fmap(FmapProblem(source, target, config.weights),
                       max_iter=config.max_iter)
     pmap = recover_pointmap(fmap.C, source.basis, target.basis,
                             method=config.recovery)
-    return MatchResult(fmap, pmap)
+    j = target.index  # each target input vertex goes where its weld goes
+    match = _survivors(source.index)[pmap.target_to_source[j]]
+    return MatchResult(fmap, PointMap(match, pmap.confidence[j]))
 
 
 def match_meshes(source: TriMesh, target: TriMesh, config: RunConfig,
@@ -156,10 +179,8 @@ def _standardize(stack: FeatureField, basis: spectral.SpectralBasis) -> FeatureF
     external ones come in any units; centering and equalizing them keeps
     the data term well conditioned. Columns are scaled to area-weighted
     norm sqrt(n)/10 so the data term grows with mesh size the same way
-    the map-matrix penalties do. Rows other than n raise ArgumentError."""
+    the map-matrix penalties do."""
     a = basis.areas.areas
-    if stack.n != len(a):
-        raise ArgumentError(f"feature rows {stack.n} != vertex count {len(a)}")
     vals = stack.values - (a @ stack.values) / a.sum()
     norms = np.sqrt(a @ (vals ** 2))
     norms[norms == 0.0] = 1.0

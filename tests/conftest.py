@@ -1,14 +1,44 @@
+import warnings
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from scipy.sparse.csgraph import dijkstra
 
+from meshcorr.blas import openblas_thread_controls
 from meshcorr.mesh import TriMesh
 
 # Property tests draw the same examples on every run and stay fast.
 settings.register_profile("meshcorr", derandomize=True, deadline=None,
                           max_examples=100, database=None)
 settings.load_profile("meshcorr")
+
+# hypothesis reports a failing example through this module, whose libcst
+# import warns; imported first under filterwarnings = error, the warning
+# would abort the whole session instead of failing the one test
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
+
+
+@contextmanager
+def blas_threads(count):
+    """Both bundled OpenBLAS libraries at ``count`` threads in the block,
+    set and restored through the setters ``blas.ONE_BLAS_THREAD`` uses."""
+    controls = openblas_thread_controls()
+    assert len(controls) == 2, "numpy's and scipy's OpenBLAS not found"
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(count)
+    try:
+        yield
+    finally:
+        for (_, set_), old in zip(controls, saved):
+            set_(old)
 
 
 def icosphere(subdivisions=2, radius=1.0):

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from meshcorr import funcmap, pipeline, spectral
 from meshcorr.cli import main
+from meshcorr.errors import DegenerateGeometryError
 from meshcorr.evalbench import (benchmark_category, load_dataset,
                                 write_results_csv)
 from meshcorr.features import FeatureField, write_features
@@ -19,8 +20,8 @@ from meshcorr.mesh import TriMesh
 from meshcorr.meshio import load_mesh, save_mesh
 from meshcorr.pipeline import RunConfig, match_meshes, prepare_for_matching
 
-from conftest import (bumpy_grid, grid_patch, icosphere, octant_groups,
-                      rotation_matrix, torus)
+from conftest import (blas_threads, bumpy_grid, grid_patch, icosphere,
+                      octant_groups, rotation_matrix, torus)
 
 
 NESTED = "[" * 100000  # deeper than json's parser recurses
@@ -170,8 +171,7 @@ def test_descriptors_command_and_external_features(runner, tmp_path):
     save_mesh(p, m)
     feat = tmp_path / "m.dmf"
     res = runner.invoke(main, ["descriptors", "--mesh", str(p), "--hks",
-                               "16", "-k", "40", "--no-preprocess",
-                               "-o", str(feat)])
+                               "16", "-k", "40", "-o", str(feat)])
     assert res.exit_code == 0, all_output(res)
     from meshcorr.features import load_features
     bundle = load_features(feat, expected_n=m.n_vertices)
@@ -190,22 +190,15 @@ def test_descriptors_command_and_external_features(runner, tmp_path):
     assert res.exit_code == 2  # no descriptor family chosen
 
 
-def test_descriptor_files_give_the_default_map(runner, tmp_path):
-    # descriptors --no-preprocess writes the default stack of the normalized
-    # mesh in file order, and match standardizes it as it does its own
-    # stack. Not on a torus: k = 10 cuts a 2-fold eigenspace there, and the
-    # two paths' 10- and 32-eigenpair solves keep different vectors of it
-    # (ROADMAP item 3(a))
-    m = bumpy_grid(20)
-    p = np.random.default_rng(5).permutation(m.n_vertices)
-    rotated = m.vertices @ rotation_matrix([0.2, 1.0, 0.4], 0.07).T
-    target = TriMesh(rotated[p], np.argsort(p)[m.triangles])
+def default_and_descriptor_file_maps(runner, tmp_path, source, target):
+    """The target_to_source of ``match`` with the default stack, and of
+    ``match`` given the default stack as ``descriptors`` files."""
     maps = {}
-    for name, mesh in (("source", m), ("target", target)):
+    for name, mesh in (("source", source), ("target", target)):
         save_mesh(tmp_path / f"{name}.ply", mesh)
         res = runner.invoke(main, [
             "descriptors", "--mesh", str(tmp_path / f"{name}.ply"),
-            "--hks", "16", "--wks", "100", "--posenc", "6", "--no-preprocess",
+            "--hks", "16", "--wks", "100", "--posenc", "6",
             "-o", str(tmp_path / f"{name}.dmf")])
         assert res.exit_code == 0, all_output(res)
     meshes = ["--source", str(tmp_path / "source.ply"),
@@ -217,8 +210,107 @@ def test_descriptor_files_give_the_default_map(runner, tmp_path):
                                    "-o", str(tmp_path / f"{name}.json")])
         assert res.exit_code == 0, all_output(res)
         maps[name] = funcmap.load_map(tmp_path / f"{name}.json")[1]
-    assert np.array_equal(maps["files"].target_to_source,
-                          maps["default"].target_to_source)
+    return maps["default"].target_to_source, maps["files"].target_to_source
+
+
+def test_descriptor_files_give_the_default_map(runner, tmp_path):
+    # descriptors writes the default stack of the prepared mesh in file
+    # order, and match standardizes it as it does its own stack. Not on a
+    # torus: k = 10 cuts a 2-fold eigenspace there, and the two paths' 10-
+    # and 32-eigenpair solves keep different vectors of it (ROADMAP item
+    # 3(a))
+    m = bumpy_grid(20)
+    p = np.random.default_rng(5).permutation(m.n_vertices)
+    rotated = m.vertices @ rotation_matrix([0.2, 1.0, 0.4], 0.07).T
+    target = TriMesh(rotated[p], np.argsort(p)[m.triangles])
+    default, files = default_and_descriptor_file_maps(runner, tmp_path, m,
+                                                      target)
+    assert np.array_equal(files, default)
+
+
+def seam_split_grid(nx=20, column=10):
+    """``bumpy_grid(nx)`` with the vertices of one column duplicated for
+    the triangles to its right. The duplicates, appended in order, lie on
+    their originals, so the weld merges them back."""
+    m = bumpy_grid(nx)
+    tris = m.triangles.copy()
+    on_seam = (tris.min(axis=1) // nx == column)[:, None] \
+        & (tris // nx == column)
+    tris[on_seam] += m.n_vertices - column * nx
+    seam = m.vertices[column * nx:(column + 1) * nx]
+    return TriMesh(np.vstack([m.vertices, seam]), tris)
+
+
+def test_seam_split_descriptor_files_give_the_default_map(runner, tmp_path):
+    # a duplicate's row is its original's, the row match reads for it
+    m = seam_split_grid()
+    default, files = default_and_descriptor_file_maps(runner, tmp_path, m, m)
+    assert len(default) == m.n_vertices == 420
+    assert np.array_equal(files, default)
+
+
+def test_seam_split_map_indexes_every_file_vertex(runner, tmp_path):
+    # the weld merges the duplicates, and the map is taken back to the
+    # file's vertices: a duplicate goes where its original goes
+    m = seam_split_grid()
+    n = m.n_vertices
+    mesh, textured = str(tmp_path / "m.ply"), str(tmp_path / "tex.ply")
+    map_path, kp_path = str(tmp_path / "map.json"), tmp_path / "kp.json"
+    save_mesh(mesh, m)
+    save_mesh(textured,
+              m.with_colors(np.random.default_rng(0).random((n, 3))))
+    res = runner.invoke(main, ["match", "--source", mesh, "--target", mesh,
+                               "-o", map_path])
+    assert res.exit_code == 0, all_output(res)
+    match = funcmap.load_map(map_path)[1].target_to_source
+    assert len(match) == n == 420
+    assert np.array_equal(match[:400], np.arange(400))
+    assert np.array_equal(match[400:], match[200:220])
+
+    kp_path.write_text(json.dumps([{"label": "seam", "vertex": 210}]))
+    res = runner.invoke(main, [
+        "transfer-keypoints", "--source", mesh, "--target", mesh,
+        "--keypoints", str(kp_path), "--map", map_path,
+        "-o", str(tmp_path / "kp_out.json")])
+    assert res.exit_code == 0, all_output(res)
+    res = runner.invoke(main, [
+        "transfer-color", "--source-textured", textured, "--source", mesh,
+        "--target", mesh, "--map", map_path, "-o", str(tmp_path / "o.ply")])
+    assert res.exit_code == 0, all_output(res)
+    colors = load_mesh(tmp_path / "o.ply").colors
+    assert np.array_equal(colors[400:], colors[200:220])
+
+
+def test_two_component_mesh_is_matched_whole(runner, tmp_path):
+    grid = bumpy_grid(20)
+    m = TriMesh(np.vstack([grid.vertices, [[2.0, 2.0, 0.0], [2.1, 2.0, 0.0],
+                                           [2.0, 2.1, 0.0]]]),
+                np.vstack([grid.triangles, [[400, 401, 402]]]))
+    p, out = tmp_path / "m.ply", tmp_path / "map.json"
+    save_mesh(p, m)
+    res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                               str(p), "-o", str(out)])
+    assert res.exit_code == 0, all_output(res)
+    match = funcmap.load_map(out)[1].target_to_source
+    assert len(match) == 403
+    assert np.array_equal(match[:400], np.arange(400))
+
+
+def test_descriptors_do_not_depend_on_blas_threads(runner, tmp_path):
+    # preparation runs at one BLAS thread: at two, the sphere's basis
+    # keeps other vectors of an eigenspace it cuts (ROADMAP item 3(a))
+    p = tmp_path / "m.ply"
+    save_mesh(p, icosphere(3))
+    written = []
+    for count in (1, 2):
+        feat = tmp_path / f"m{count}.dmf"
+        with blas_threads(count):
+            res = runner.invoke(main, [
+                "descriptors", "--mesh", str(p), "--hks", "16", "--wks",
+                "100", "--posenc", "6", "-o", str(feat)])
+        assert res.exit_code == 0, all_output(res)
+        written.append(feat.read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("mesh", [lambda: torus(32, 32),
@@ -226,7 +318,7 @@ def test_descriptor_files_give_the_default_map(runner, tmp_path):
                          ids=["torus1024", "sphere642"])
 def test_low_rank_feature_files_exit_4(runner, tmp_path, mesh):
     m = mesh()
-    config = RunConfig(cleanup=False)
+    config = RunConfig()
     feat, out = tmp_path / "m.dmf", tmp_path / "o.json"
     write_features(feat, spectral.hks(pipeline.prepare_mesh(m, config)[1], 16))
     save_mesh(tmp_path / "m.ply", m)
@@ -264,8 +356,7 @@ def test_descriptors_basis_is_k_eigenpairs(runner, tmp_path, monkeypatch):
         p, feat = tmp_path / "m.ply", tmp_path / f"m{len(written)}.dmf"
         save_mesh(p, mesh)
         res = runner.invoke(main, ["descriptors", "--mesh", str(p), "--hks",
-                                   "2", "-k", str(k), "--no-preprocess",
-                                   "-o", str(feat)])
+                                   "2", "-k", str(k), "-o", str(feat)])
         assert res.exit_code == 0, all_output(res)
         written.append(feat.read_bytes())
     assert asked == [4, 6, 4, 6]  # min(-k, n); n = 6 on the 3x2 grid
@@ -280,8 +371,7 @@ def test_descriptors_degenerate_spectrum_exits_4(runner, tmp_path):
     p, feat = tmp_path / "m.ply", tmp_path / "m.dmf"
     save_mesh(p, m)
     res = runner.invoke(main, ["descriptors", "--mesh", str(p), "--hks",
-                               "4", "-k", "10", "--no-preprocess",
-                               "-o", str(feat)])
+                               "4", "-k", "10", "-o", str(feat)])
     assert res.exit_code == 4, all_output(res)
     assert "degenerate spectrum" in all_output(res)
     assert not feat.exists()
@@ -573,7 +663,7 @@ def test_benchmark_prepares_each_instance_once(runner, grid_dataset,
     assert calls == {"eigenbasis": 3, "multiplication_operator": 3 * d}
 
     # the same rows as matching every pair from scratch
-    config = RunConfig(cleanup=False)
+    config = RunConfig()
 
     def per_pair(src, tgt):
         return match_meshes(src.remeshed, tgt.remeshed, config).pmap
@@ -1033,25 +1123,29 @@ def with_unreferenced_vertex(m):
 
 
 def test_zero_area_vertex_exits_3(runner, tmp_path):
+    # the weld keeps every vertex, so every path meets the unreferenced one
     m = with_unreferenced_vertex(strong_bump_grid(8))
     p, feat = tmp_path / "m.ply", tmp_path / "f.dmf"
     save_mesh(p, m)
     res = runner.invoke(main, ["descriptors", "--mesh", str(p), "--hks", "4",
-                               "--no-preprocess", "-o", str(feat)])
+                               "-o", str(feat)])
     assert res.exit_code == 3, all_output(res)
     assert "1 vertices have zero or non-finite area" in all_output(res)
     assert not feat.exists()
 
-    write_features(feat, FeatureField(np.random.default_rng(0).random(
-        (m.n_vertices, 4))))
+    f = FeatureField(np.random.default_rng(0).random((m.n_vertices, 4)))
+    write_features(feat, f)
     out = tmp_path / "o.json"
-    res = runner.invoke(main, ["match", "--source", str(p), "--target",
-                               str(p), "--source-features", str(feat),
-                               "--target-features", str(feat), "-o",
-                               str(out)])
-    assert res.exit_code == 3, all_output(res)
-    assert "zero or non-finite area" in all_output(res)
-    assert not out.exists()
+    for files in ([], ["--source-features", str(feat),
+                       "--target-features", str(feat)]):
+        res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                                   str(p), *files, "-o", str(out)])
+        assert res.exit_code == 3, all_output(res)
+        assert "1 vertices have zero or non-finite area" in all_output(res)
+        assert not out.exists()
+    with pytest.raises(DegenerateGeometryError,
+                       match="1 vertices have zero or non-finite area"):
+        match_meshes(m, m, RunConfig(), f, f)
 
 
 @pytest.mark.parametrize("source, target, code, message", [
@@ -1065,13 +1159,8 @@ def test_match_reports_the_source_error(runner, tmp_path, source, target,
               "unreferenced": with_unreferenced_vertex(strong_bump_grid(8))}
     args = ["match", "-o", str(tmp_path / "o.json")]
     for side, name in (("source", source), ("target", target)):
-        p, feat = tmp_path / f"{side}.ply", tmp_path / f"{side}.dmf"
-        save_mesh(p, meshes[name])
-        args += [f"--{side}", str(p)]
-        if "unreferenced" in (source, target):  # no cleanup drops the vertex
-            write_features(feat, FeatureField(np.random.default_rng(0).random(
-                (meshes[name].n_vertices, 4))))
-            args += [f"--{side}-features", str(feat)]
+        save_mesh(tmp_path / f"{side}.ply", meshes[name])
+        args += [f"--{side}", str(tmp_path / f"{side}.ply")]
     res = runner.invoke(main, args)
     assert res.exit_code == code, all_output(res)
     assert message in all_output(res)

@@ -4,7 +4,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +23,7 @@ from meshcorr.funcmap import (FmapProblem, FmapWeights, build_problem,
                               recover_pointmap, save_map, solve_fmap,
                               solve_partial)
 
-from conftest import bumpy_grid, grid_patch, icosphere, torus
+from conftest import blas_threads, bumpy_grid, grid_patch, icosphere, torus
 
 
 def wavy(x, y):
@@ -124,7 +123,7 @@ def test_prepared_problem_is_build_problems(monkeypatch):
                       for m in meshes)
     features = []
     for m in meshes:
-        mesh, basis = pipeline.prepare_mesh(m, config)
+        mesh, basis, _ = pipeline.prepare_mesh(m, config)
         features.append(pipeline._standardize(
             pipeline.descriptor_stack(mesh, basis, config), basis).values)
     built = []
@@ -146,22 +145,6 @@ def test_prepared_problem_is_build_problems(monkeypatch):
                                   getattr(getattr(want, side), name)), name
     for part, want_part in zip(got.quadratic, want.quadratic):
         assert np.array_equal(part, want_part)
-
-
-@contextmanager
-def blas_threads(count):
-    """Both bundled OpenBLAS libraries at ``count`` threads in the block,
-    set and restored through the setters ``ONE_BLAS_THREAD`` uses."""
-    controls = openblas_thread_controls()
-    assert len(controls) == 2, "numpy's and scipy's OpenBLAS not found"
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(count)
-    try:
-        yield
-    finally:
-        for (_, set_), old in zip(controls, saved):
-            set_(old)
 
 
 def blas_thread_counts():
@@ -254,8 +237,8 @@ def test_external_features_match_at_any_mesh_or_feature_scale():
     # the mesh is normalized and the features standardized on the external
     # path too, so neither the mesh's units nor the features' change the map
     m = bumpy_grid(20)
-    config = pipeline.RunConfig(cleanup=False)
-    prepared, basis = pipeline.prepare_mesh(m, config)
+    config = pipeline.RunConfig()
+    prepared, basis, _ = pipeline.prepare_mesh(m, config)
     f = pipeline.descriptor_stack(prepared, basis, config).values
     maps = []
     for scale in (0.01, 1.0, 100.0):
@@ -272,7 +255,7 @@ def test_external_feature_rows_must_fit_the_mesh():
     mesh = grid_patch(10, 10, z_fn=wavy)
     f = FeatureField(np.random.default_rng(0).random((mesh.n_vertices, 4)))
     extra = FeatureField(np.random.default_rng(0).random((101, 4)))
-    config = pipeline.RunConfig(cleanup=False)
+    config = pipeline.RunConfig()
     for source, target in ((extra, f), (f, extra)):
         with pytest.raises(ArgumentError,
                            match="feature rows 101 != vertex count 100"):
@@ -286,7 +269,7 @@ def test_low_rank_external_features_are_refused(mesh):
     # HKS is invariant under these meshes' symmetries, so it projects onto
     # few eigenfunctions, and inside repeated eigenvalues no term pins C
     m = mesh()
-    config = pipeline.RunConfig(cleanup=False)
+    config = pipeline.RunConfig()
     f = spectral.hks(pipeline.prepare_mesh(m, config)[1], 16)
     with pytest.raises(NumericError, match="directions of C are unconstrained"):
         pipeline.match_meshes(m, m, config, f, f)

@@ -6,8 +6,8 @@ from scipy.spatial import cKDTree
 
 from meshcorr.errors import DataError, EmptyMeshError
 from meshcorr.mesh import (COT_CLAMP, MERGE_TOL_FRACTION, TriMesh,
-                           cleanup_mesh, cotangent_weights, normalize_mesh,
-                           triangle_areas, vertex_areas)
+                           cotangent_weights, normalize_mesh, triangle_areas,
+                           vertex_areas, weld_mesh)
 
 from conftest import grid_patch, icosphere, torus
 
@@ -121,17 +121,18 @@ def test_cleanup_merges_duplicates_lowest_index_survives():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1e-5, 0, 0]])
     tris = np.array([[0, 1, 2], [3, 2, 1]])
     colors = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [0.0, 0, 0]])
-    out = cleanup_mesh(TriMesh(verts, tris, colors))
+    out, index = weld_mesh(TriMesh(verts, tris, colors))
     assert out.n_vertices == 3
+    np.testing.assert_array_equal(index, [0, 1, 2, 0])
     np.testing.assert_array_equal(out.vertices[0], verts[0])
     np.testing.assert_allclose(out.colors[0], [0.5, 0, 0])
     assert out.n_triangles == 2
 
 
 def union_find_merge(mesh):
-    """Reference vertex merge: union-find over the pairs within the
-    tolerance, the lowest index of each class survives, colors are
-    averaged, and triangles that collapse are dropped."""
+    """Reference vertex merge, (mesh, index): union-find over the pairs
+    within the tolerance, the lowest index of each class survives, colors
+    are averaged, and triangles that collapse are dropped."""
     lo, hi = mesh.bounding_box()
     tol = MERGE_TOL_FRACTION * float(np.linalg.norm(hi - lo))
     parent = list(range(mesh.n_vertices))
@@ -155,7 +156,7 @@ def union_find_merge(mesh):
         colors = np.zeros((len(keep), 3))
         np.add.at(colors, new_index, mesh.colors)
         colors /= np.bincount(new_index)[:, None]
-    return TriMesh(mesh.vertices[keep], tris, colors)
+    return TriMesh(mesh.vertices[keep], tris, colors), new_index
 
 
 @st.composite
@@ -185,15 +186,13 @@ def clustered_meshes(draw):
 
 @given(mesh=clustered_meshes())
 def test_cleanup_merge_matches_union_find(mesh):
-    # after the reference merge no pair is left within the tolerance, so
-    # cleaning the merged mesh only applies the steps that follow merging
-    try:
-        want = cleanup_mesh(union_find_merge(mesh))
-    except EmptyMeshError:
+    want, want_index = union_find_merge(mesh)
+    if want.n_triangles == 0:
         with pytest.raises(EmptyMeshError):
-            cleanup_mesh(mesh)
+            weld_mesh(mesh)
         return
-    got = cleanup_mesh(mesh)
+    got, index = weld_mesh(mesh)
+    np.testing.assert_array_equal(index, want_index)
     np.testing.assert_array_equal(got.vertices, want.vertices)
     np.testing.assert_array_equal(got.triangles, want.triangles)
     if mesh.colors is None:
@@ -206,30 +205,15 @@ def test_cleanup_merge_matches_union_find(mesh):
                                   icosphere(5)],
                          ids=["grid72", "torus7200", "sphere10242"])
 def test_cleanup_keeps_every_vertex_of_a_dense_mesh(mesh):
-    out = cleanup_mesh(mesh)
+    out, index = weld_mesh(mesh)
     np.testing.assert_array_equal(out.vertices, mesh.vertices)
     np.testing.assert_array_equal(out.triangles, mesh.triangles)
-
-
-def test_cleanup_keeps_largest_component_by_area():
-    big = grid_patch(6, 6, scale=10.0)
-    small = grid_patch(3, 3, scale=0.1)
-    verts = np.vstack([big.vertices, small.vertices + [50.0, 0, 0]])
-    tris = np.vstack([big.triangles, small.triangles + big.n_vertices])
-    out = cleanup_mesh(TriMesh(verts, tris))
-    assert out.n_vertices == big.n_vertices
-    assert out.n_triangles == big.n_triangles
-
-
-def test_cleanup_drops_unreferenced_vertices():
-    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [5.0, 5, 5]])
-    out = cleanup_mesh(TriMesh(verts, np.array([[0, 1, 2]])))
-    assert out.n_vertices == 3
+    np.testing.assert_array_equal(index, np.arange(mesh.n_vertices))
 
 
 def test_cleanup_idempotent():
     m = icosphere(2)
-    once = cleanup_mesh(m)
-    twice = cleanup_mesh(once)
+    once, _ = weld_mesh(m)
+    twice, _ = weld_mesh(once)
     np.testing.assert_array_equal(once.vertices, twice.vertices)
     np.testing.assert_array_equal(once.triangles, twice.triangles)
