@@ -3,7 +3,7 @@ semantic features.
 
 External features arrive through the DMF container ("DMF1" magic,
 u32 n, u32 d, f32 little-endian row-major) or a whitespace text matrix
-with a "# n d" header.
+with a "# n d" header. A file must have at least one channel (d >= 1).
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ def load_features(path, expected_n: int | None = None) -> FeatureField:
             values = values.reshape(n, d).astype(np.float64)
         else:
             values = _load_text_matrix(path)
+    if values.shape[1] == 0:  # a text file with d = 0 fails above on its body
+        raise FormatError(f"{path}: feature file has no channels (d = 0)")
     if expected_n is not None and values.shape[0] != expected_n:
         raise ShapeError(
             f"{path}: feature rows {values.shape[0]} != mesh vertices "

@@ -42,7 +42,6 @@ from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 from scipy.spatial import cKDTree
 
 from .blas import ONE_BLAS_THREAD
@@ -295,6 +294,8 @@ def _minimize(fun, x0, to_C, max_iter, **kwargs):
     """L-BFGS-B (history 30) on fun(x) -> (value, gradient). The first
     non-finite value raises NumericError; its ``last_valid`` is to_C of
     the last x whose value was finite (x0 until one was)."""
+    # imported here, so eval and transfer never load scipy.optimize
+    import scipy.optimize
     last_valid = [x0]
 
     def checked(x):

@@ -5,7 +5,9 @@ Geodesics are shortest paths over the edge graph with Euclidean edge
 lengths; at the ~2000-vertex dataset regime the edge-graph error is well
 inside every evaluation tolerance. Evaluation needs only one distance
 field per group, a multi-source Dijkstra in f64, so nothing of size
-n x n is built or stored.
+n x n is built or stored. The graph is built on the welded mesh and read
+through the weld's index, so vertices a file duplicates along a seam
+are one graph vertex.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import (ArgumentError, DataError, DisconnectedMeshError,
                      json_array, read_json, write_json)
-from .mesh import TriMesh
+from .mesh import TriMesh, weld_mesh
 
 
 @dataclass(frozen=True)
@@ -29,14 +30,17 @@ class GeodesicMatrix:
     `graph` must be symmetric, as `edge_graph` builds it: every edge is
     stored in both directions with the same length. Dijkstra then runs
     directed, which gives the undirected distances without transposing
-    the graph on every call.
+    the graph on every call. `index[i]` is the graph vertex of mesh
+    vertex i, so vertices that share a graph vertex share distances;
+    members are given, and distances returned, over the mesh's vertices.
     """
-    graph: sp.csr_matrix  # (n, n) symmetric Euclidean edge lengths
+    graph: sp.csr_matrix  # (m, m) symmetric Euclidean edge lengths
+    index: np.ndarray     # (n,) graph vertex of each mesh vertex
 
     def distance_to(self, members) -> np.ndarray:
         """(n,) distance from every vertex to its nearest member."""
-        return dijkstra(self.graph, directed=True, indices=members,
-                        min_only=True)
+        return dijkstra(self.graph, directed=True,
+                        indices=self.index[members], min_only=True)[self.index]
 
 
 @dataclass(frozen=True)
@@ -73,14 +77,16 @@ def edge_graph(mesh: TriMesh) -> sp.csr_matrix:
 
 
 def geodesic_matrix(mesh: TriMesh) -> GeodesicMatrix:
-    """Edge graph of a connected mesh."""
-    graph = edge_graph(mesh)
+    """Edge graph of a mesh that is connected once welded, so that a seam
+    whose vertices the file duplicates does not cut it."""
+    welded, index = weld_mesh(mesh)
+    graph = edge_graph(welded)
     n_comp, labels = connected_components(graph, directed=False)
     if n_comp > 1:
         sizes = np.bincount(labels)
         raise DisconnectedMeshError(
             f"mesh has {n_comp} components with sizes {sizes.tolist()}")
-    return GeodesicMatrix(graph)
+    return GeodesicMatrix(graph, index)
 
 
 def min_cost_assignment(cost):
@@ -90,6 +96,8 @@ def min_cost_assignment(cost):
     ascending; the matched index sequence is the lexicographically
     smallest among all optimal matchings.
     """
+    # imported here, so eval and transfer never load scipy.optimize
+    from scipy.optimize import linear_sum_assignment
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
         raise ArgumentError("cost must be a non-empty 2-D matrix")
@@ -107,6 +115,8 @@ def _lex_smallest(cost, total):
     row is only left unmatched (m > n case) when no column keeps the
     total optimal.
     """
+    # imported here, so eval and transfer never load scipy.optimize
+    from scipy.optimize import linear_sum_assignment
     m, n = cost.shape
     size = min(m, n)
     tol = 1e-9 * max(1.0, abs(total))  # ties within roundoff of optimal
@@ -139,10 +149,13 @@ def semantic_distance(groups: SemanticGroups, geo: GeodesicMatrix,
                       a: int, b: int) -> float:
     """Assignment-averaged geodesic distance between two groups:
     optimal injective matching cost divided by the smaller group size."""
+    # imported here, so eval and transfer never load scipy.optimize
+    from scipy.optimize import linear_sum_assignment
     ga, gb = groups.members(a), groups.members(b)
     if a == b:
         return 0.0
-    cost = dijkstra(geo.graph, directed=True, indices=ga)[:, gb]
+    cost = dijkstra(geo.graph, directed=True,
+                    indices=geo.index[ga])[:, geo.index[gb]]
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()) / min(len(ga), len(gb))
 

@@ -105,7 +105,9 @@ def transfer_keypoints(keypoints, pmap: PointMap, source: TriMesh):
     for label, i in keypoints:
         conf = pmap.confidence
         if not covered[i]:
-            d = GeodesicMatrix(edge_graph(source)).distance_to(i)
+            geo = GeodesicMatrix(edge_graph(source),
+                                 np.arange(source.n_vertices))
+            d = geo.distance_to(i)
             if np.isinf(d[covered]).all():  # i's part has no covered vertex
                 d = np.linalg.norm(source.vertices - source.vertices[i], axis=1)
             i = np.flatnonzero(covered)[np.argmin(d[covered])]

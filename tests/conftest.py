@@ -123,12 +123,12 @@ def torus(n_major=24, n_minor=12, R=1.0, r=0.35):
 
 def all_pairs_geodesics(geo):
     """(n, n) all-pairs distances over a GeodesicMatrix's edge graph,
-    symmetric with zero diagonal: the reference the per-group distance
-    fields are checked against."""
+    read through its index, symmetric with zero diagonal: the reference
+    the per-group distance fields are checked against."""
     d = dijkstra(geo.graph, directed=False)
     d = 0.5 * (d + d.T)  # exact symmetry despite float round-off
     np.fill_diagonal(d, 0.0)
-    return d
+    return d[np.ix_(geo.index, geo.index)]
 
 
 def reference_eigenbasis(W, A, k):
@@ -180,6 +180,19 @@ def bumpy_grid(nx, ny=None):
     return grid_patch(nx, ny,
                       z_fn=lambda x, y: 0.25 * np.sin(3 * x + 0.7)
                       * np.cos(2 * y - 0.4) + 0.1 * np.sin(7 * x * y))
+
+
+def seam_split_grid(nx=20, column=10):
+    """``bumpy_grid(nx)`` with the vertices of one column duplicated for
+    the triangles to its right. The duplicates, appended in order, lie on
+    their originals, so the weld merges them back."""
+    m = bumpy_grid(nx)
+    tris = m.triangles.copy()
+    on_seam = (tris.min(axis=1) // nx == column)[:, None] \
+        & (tris // nx == column)
+    tris[on_seam] += m.n_vertices - column * nx
+    seam = m.vertices[column * nx:(column + 1) * nx]
+    return TriMesh(np.vstack([m.vertices, seam]), tris)
 
 
 def ellipsoid(subdivisions):

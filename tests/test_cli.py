@@ -1,7 +1,11 @@
 import csv
 import json
 import os
+import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from meshcorr.meshio import load_mesh, save_mesh
 from meshcorr.pipeline import RunConfig, match_meshes, prepare_for_matching
 
 from conftest import (blas_threads, bumpy_grid, grid_patch, icosphere,
-                      octant_groups, rotation_matrix, torus)
+                      octant_groups, rotation_matrix, seam_split_grid, torus)
 
 
 NESTED = "[" * 100000  # deeper than json's parser recurses
@@ -127,6 +131,24 @@ def test_match_text_features_not_filling_header_exit_3(runner, tmp_path,
     assert not caught
 
 
+@pytest.mark.parametrize("fmt", ["dmf", "txt"])
+def test_match_feature_file_without_channels_exits_3(runner, tmp_path, fmt):
+    m = bumpy_grid(6)  # 36 vertices
+    p, out = tmp_path / "m.ply", tmp_path / "o.json"
+    bad = tmp_path / f"f.{fmt}"
+    save_mesh(p, m)
+    if fmt == "dmf":
+        bad.write_bytes(b"DMF1" + struct.pack("<II", m.n_vertices, 0))
+    else:
+        bad.write_text(f"# {m.n_vertices} 0\n")
+    res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                               str(p), "--source-features", str(bad),
+                               "--target-features", str(bad), "-o", str(out)])
+    assert res.exit_code == 3, all_output(res)
+    assert f"f.{fmt}" in all_output(res)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("side", ["--source-features", "--target-features"])
 def test_match_one_feature_file_exits_2(runner, tmp_path, side):
     m = strong_bump_grid(6)
@@ -226,19 +248,6 @@ def test_descriptor_files_give_the_default_map(runner, tmp_path):
     default, files = default_and_descriptor_file_maps(runner, tmp_path, m,
                                                       target)
     assert np.array_equal(files, default)
-
-
-def seam_split_grid(nx=20, column=10):
-    """``bumpy_grid(nx)`` with the vertices of one column duplicated for
-    the triangles to its right. The duplicates, appended in order, lie on
-    their originals, so the weld merges them back."""
-    m = bumpy_grid(nx)
-    tris = m.triangles.copy()
-    on_seam = (tris.min(axis=1) // nx == column)[:, None] \
-        & (tris // nx == column)
-    tris[on_seam] += m.n_vertices - column * nx
-    seam = m.vertices[column * nx:(column + 1) * nx]
-    return TriMesh(np.vstack([m.vertices, seam]), tris)
 
 
 def test_seam_split_descriptor_files_give_the_default_map(runner, tmp_path):
@@ -447,6 +456,30 @@ def test_eval_reads_only_the_source_geodesics(runner, sphere_dataset,
     # the target's groups are still checked against its mesh
     save_groups(dirs[1] / "groups.json", octant_groups(icosphere(0)))
     assert runner.invoke(main, args).exit_code == 3
+
+
+def test_seam_split_instance_is_evaluated_through_the_weld(runner, tmp_path):
+    # the file duplicates a seam; evaluation welds it, as match does
+    m = seam_split_grid()
+    n = m.n_vertices
+    groups = octant_groups(m)  # a duplicate lies on its original
+    assert np.array_equal(groups.group_of[400:], groups.group_of[200:220])
+    root = tmp_path / "data"
+    inst = str(make_instance(root, "grids", "seam", m, groups))
+    map_path = tmp_path / "ident.json"
+    save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
+             PointMap(np.arange(n), np.ones(n)), FmapWeights())
+    res = runner.invoke(main, ["eval", "--map", str(map_path),
+                               "--source-instance", inst,
+                               "--target-instance", inst])
+    assert res.exit_code == 0, all_output(res)
+    assert "err 0.0000" in res.output and "auc 1.0000" in res.output
+    csv_path = tmp_path / "r.csv"
+    res = runner.invoke(main, ["benchmark", "--dataset", str(root), "--csv",
+                               str(csv_path), "--json",
+                               str(tmp_path / "agg.json")])
+    assert res.exit_code == 0, all_output(res)
+    assert [row["failed"] for row in benchmark_rows(csv_path)] == ["0"]
 
 
 @pytest.mark.parametrize("names", [["head", "arm"], {"x": "head"}],
@@ -820,6 +853,52 @@ def test_transfer_keypoints_command(runner, tmp_path, monkeypatch):
     assert asked == []  # no eigensolve
     res = runner.invoke(main, ["transfer-keypoints", "--help"])
     assert "--basis-size" not in res.output
+
+
+OPTIMIZER_PROBE = """
+import json, sys
+from meshcorr.cli import main
+commands, solve = json.loads(sys.argv[1])
+for args in commands:
+    main(args, standalone_mode=False)
+    if "scipy.optimize" in sys.modules:
+        sys.exit(f"{args[0]} loaded scipy.optimize")
+main(solve, standalone_mode=False)
+if "scipy.optimize" not in sys.modules:
+    sys.exit("match did not load scipy.optimize")
+"""
+
+
+def test_only_solving_commands_load_the_optimizer(sphere_dataset, tmp_path):
+    # a fresh interpreter, since this session has loaded scipy.optimize
+    root, dirs, m = sphere_dataset
+    n, mesh = m.n_vertices, str(dirs[0] / "remeshed.ply")
+    map_path, tex, kps = (str(tmp_path / name) for name in
+                          ("map.json", "tex.ply", "kp.json"))
+    save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
+             PointMap(np.arange(n), np.ones(n)), FmapWeights())
+    save_mesh(tex, m.with_colors(np.random.default_rng(0).random((n, 3))))
+    Path(kps).write_text(json.dumps([{"label": "tip", "vertex": 5}]))
+    out = str(tmp_path / "out")
+    commands = [
+        ["eval", "--map", map_path, "--source-instance", str(dirs[0]),
+         "--target-instance", str(dirs[1])],
+        ["transfer-color", "--source-textured", tex, "--source", mesh,
+         "--target", mesh, "--map", map_path, "-o", out + ".ply"],
+        ["transfer-keypoints", "--source", mesh, "--target", mesh,
+         "--keypoints", kps, "--map", map_path, "-o", out + ".json"],
+        ["descriptors", "--mesh", mesh, "--hks", "4", "-k", "8",
+         "-o", out + ".dmf"],
+    ]
+    solve = ["match", "--source", mesh, "--target", mesh, "--max-iter", "5",
+             "-o", out + "-match.json"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", OPTIMIZER_PROBE,
+         json.dumps([commands, solve])],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("text, code", [

@@ -11,7 +11,8 @@ from meshcorr.geodesics import (GeodesicMatrix, SemanticGroups,
                                 semantic_distance)
 from meshcorr.mesh import TriMesh
 
-from conftest import all_pairs_geodesics, bumpy_grid, grid_patch, torus
+from conftest import (all_pairs_geodesics, bumpy_grid, grid_patch,
+                      seam_split_grid, torus)
 
 
 def brute_force_assignment(cost):
@@ -55,6 +56,22 @@ def test_geodesic_disconnected():
     tris = np.vstack([a.triangles, a.triangles + 9])
     with pytest.raises(DisconnectedMeshError):
         geodesic_matrix(TriMesh(verts, tris))
+
+
+def test_seam_split_mesh_has_the_welded_distances():
+    # each duplicated seam vertex is its original's graph vertex, so the
+    # split grid has the whole grid's distances, read through the weld
+    split = geodesic_matrix(seam_split_grid())
+    whole = geodesic_matrix(bumpy_grid(20))
+    original = np.r_[np.arange(400), np.arange(200, 220)]
+    assert np.array_equal(split.index, original)
+    for members in ([0], [405], np.arange(190, 230, 3)):
+        assert np.array_equal(
+            split.distance_to(members),
+            whole.distance_to(original[members])[original])
+    labels = np.full(420, 2)
+    labels[[205, 405]] = [0, 1]  # a vertex and its duplicate
+    assert semantic_distance(SemanticGroups(labels), split, 0, 1) == 0.0
 
 
 def permuted(mesh, seed):
