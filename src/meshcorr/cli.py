@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import evalbench, funcmap, pipeline, spectral, transfer
-from .errors import ArgumentError, MeshCorrError, NumericError
+from .errors import ArgumentError, DataError, MeshCorrError, NumericError
 from .features import FeatureField, load_features, write_features
 from .funcmap import FmapWeights
 from .meshio import load_mesh, save_mesh
@@ -208,6 +208,9 @@ def cmd_benchmark(dataset_root, category, split, jobs, csv_path, json_path,
     config = _make_config(options)
 
     instances = evalbench.load_dataset(dataset_root, split=split)
+    if not instances:
+        raise DataError(f"no instance of split '{split}' under "
+                        f"{dataset_root}")
     categories = sorted({i.category for i in instances})
     if category is not None:
         if category not in categories:

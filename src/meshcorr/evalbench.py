@@ -118,7 +118,7 @@ def load_dataset(root, split: str | None = None):
     splits = {}
     split_file = root / "splits.json"
     if split_file.exists():
-        splits = read_json(split_file, "splits", _object)
+        splits = read_json(split_file, "splits", _splits)
     instances = []
     for cat_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         for inst_dir in sorted(p for p in cat_dir.iterdir() if p.is_dir()):
@@ -128,9 +128,13 @@ def load_dataset(root, split: str | None = None):
     return instances
 
 
-def _object(doc):
+def _splits(doc):
+    """A splits.json document: an object whose values are split names."""
     if not isinstance(doc, dict):
         raise TypeError("not a JSON object")
+    for key, value in doc.items():
+        if not isinstance(value, str):
+            raise TypeError(f"split of {key!r} is not a string: {value!r:.60}")
     return doc
 
 

@@ -203,10 +203,12 @@ def multiplication_operator(basis: SpectralBasis, channel) -> np.ndarray:
     return basis.phi.T @ weighted
 
 
+@ONE_BLAS_THREAD
 def project_features(basis: SpectralBasis, f) -> MatchInput:
     """One mesh's MatchInput: its basis, the (k, d) spectral features
     Phi^+ f of per-vertex features f (n, d), and their d multiplication
-    operators Phi^+ Diag(f_p) Phi as one (d, k, k) array."""
+    operators Phi^+ Diag(f_p) Phi as one (d, k, k) array. It runs at one
+    BLAS thread: Phi^+ f sums over n."""
     f = np.atleast_2d(np.asarray(f, dtype=np.float64))
     if f.shape[0] != basis.n:
         raise ArgumentError(
@@ -314,6 +316,7 @@ def _minimize(fun, x0, to_C, max_iter, **kwargs):
         **kwargs)
 
 
+@ONE_BLAS_THREAD
 def solve_fmap(problem: FmapProblem,
                max_iter: int = DEFAULT_MAX_ITER) -> FunctionalMap:
     """Minimize the regularized objective with limited-memory
@@ -326,7 +329,8 @@ def solve_fmap(problem: FmapProblem,
     or a failed line search leave it False. With w_entropy == 0 the
     objective is the quadratic part, so its minimizer is returned after
     0 iterations, converged. A max_iter below 1 raises ArgumentError; an
-    underdetermined H or a non-finite objective raises NumericError.
+    underdetermined H or a non-finite objective raises NumericError. It
+    runs at one BLAS thread, as ``solve_partial`` does.
     """
     if max_iter < 1:
         raise ArgumentError(f"max_iter must be >= 1, got {max_iter}")

@@ -14,11 +14,7 @@ MatchInputs); ``match_meshes`` is the two steps for a single pair.
 
 A preparation is mostly the mesh's eigensolve, of
 max(min(descriptor_k, n), k) eigenpairs (``spectral.eigenbasis`` picks
-the solver). It runs with numpy's and scipy's bundled OpenBLAS each held
-to one thread (``blas.ONE_BLAS_THREAD``), and so does the whole of
-``match_meshes``, which prepares the source, then the target: their
-default pools contend with each other, and one thread gives the same
-bases and maps whatever thread count the caller set.
+the solver).
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectral
-from .blas import ONE_BLAS_THREAD
 from .errors import ArgumentError
 from .features import FeatureField, concat_features
 from .funcmap import (DEFAULT_MAX_ITER, RECOVERY_METHODS, FmapProblem,
@@ -45,6 +40,7 @@ _DESCRIPTORS = {  # name -> its feature field of (mesh, basis, config)
 }
 DESCRIPTOR_NAMES = tuple(_DESCRIPTORS)
 SOLVE_BYTES_PER_K4 = 5 * 8  # a solve's peak: about five k^2 x k^2 float64s
+CONSTANT_CHANNEL = 1e-9  # centered norm at most this of the raw: constant
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,6 @@ class RunConfig:
                 f"more than the {memory / 2 ** 30:.3g} GiB of physical memory")
 
 
-@ONE_BLAS_THREAD
 def prepare_mesh(mesh: TriMesh, config: RunConfig
                  ) -> tuple[TriMesh, spectral.SpectralBasis, np.ndarray]:
     """(mesh, basis, index): the mesh welded (``weld_mesh``, whose index
@@ -165,12 +160,9 @@ def match_meshes(source: TriMesh, target: TriMesh, config: RunConfig,
     when both fail, the source's error is raised."""
     if (source_features is None) != (target_features is None):
         raise ArgumentError("provide features for both meshes or neither")
-    with ONE_BLAS_THREAD:
-        prepared_source = prepare_for_matching(source, config,
-                                               source_features)
-        prepared_target = prepare_for_matching(target, config,
-                                               target_features)
-        return match_prepared(prepared_source, prepared_target, config)
+    prepared_source = prepare_for_matching(source, config, source_features)
+    prepared_target = prepare_for_matching(target, config, target_features)
+    return match_prepared(prepared_source, prepared_target, config)
 
 
 def _standardize(stack: FeatureField, basis: spectral.SpectralBasis) -> FeatureField:
@@ -179,10 +171,14 @@ def _standardize(stack: FeatureField, basis: spectral.SpectralBasis) -> FeatureF
     external ones come in any units; centering and equalizing them keeps
     the data term well conditioned. Columns are scaled to area-weighted
     norm sqrt(n)/10 so the data term grows with mesh size the same way
-    the map-matrix penalties do."""
+    the map-matrix penalties do. A constant column, one whose centered
+    norm is at most CONSTANT_CHANNEL of its raw norm (``posenc``'s z on a
+    flat mesh, say), is zero: its centered values are roundoff, which
+    scaling would raise to full weight."""
     a = basis.areas.areas
     vals = stack.values - (a @ stack.values) / a.sum()
     norms = np.sqrt(a @ (vals ** 2))
-    norms[norms == 0.0] = 1.0
+    constant = norms <= CONSTANT_CHANNEL * np.sqrt(a @ stack.values ** 2)
+    norms[constant] = np.inf  # so the division zeroes the column
     vals = vals / norms * (np.sqrt(len(a)) / 10.0)
     return FeatureField(vals)

@@ -27,6 +27,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .blas import ONE_BLAS_THREAD
 from .errors import ArgumentError, DegenerateGeometryError, NumericError
 from .features import FeatureField
 from .mesh import TriMesh, VertexAreas
@@ -65,11 +66,14 @@ class SpectralBasis:
         return SpectralBasis(self.phi[:, :k], self.lam[:k], self.areas)
 
 
+@ONE_BLAS_THREAD
 def eigenbasis(W: sp.spmatrix, A: VertexAreas, k: int) -> SpectralBasis:
     """First k generalized eigenpairs of (-W, A).
 
     Eigenvector signs are fixed so each column's largest-magnitude entry
-    is positive, keeping downstream maps reproducible.
+    is positive, keeping downstream maps reproducible. It runs at one
+    BLAS thread (``blas.ONE_BLAS_THREAD``), so the basis does not depend
+    on the caller's thread count.
     """
     n = A.areas.shape[0]
     if k > n:

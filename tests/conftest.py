@@ -149,6 +149,14 @@ def reference_eigenbasis(W, A, k):
     return phi * signs, vals
 
 
+def permuted(mesh, seed=0):
+    """``mesh`` with its vertices reordered by
+    ``default_rng(seed).permutation(n)``: new vertex j is old vertex
+    perm[j], so a perfect match of the copy to ``mesh`` is perm."""
+    perm = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    return TriMesh(mesh.vertices[perm], np.argsort(perm)[mesh.triangles])
+
+
 def rotation_matrix(axis, angle):
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)

@@ -306,7 +306,7 @@ def test_two_component_mesh_is_matched_whole(runner, tmp_path):
 
 
 def test_descriptors_do_not_depend_on_blas_threads(runner, tmp_path):
-    # preparation runs at one BLAS thread: at two, the sphere's basis
+    # the eigensolve runs at one BLAS thread: at two, the sphere's basis
     # keeps other vectors of an eigenspace it cuts (ROADMAP item 3(a))
     p = tmp_path / "m.ply"
     save_mesh(p, icosphere(3))
@@ -542,9 +542,10 @@ def test_eval_overflowing_groups_exits_3(runner, sphere_dataset, tmp_path,
     assert "groups.json" in all_output(res)
 
 
-@pytest.mark.parametrize("text", ["{not json", '["spheres/a"]', None, NESTED],
+@pytest.mark.parametrize("text", ["{not json", '["spheres/a"]', None, NESTED,
+                                  '{"spheres/a": 5, "spheres/b": ["test"]}'],
                          ids=["not-json", "not-an-object", "directory",
-                              "nested"])
+                              "nested", "not-a-split-name"])
 def test_benchmark_bad_splits_exits_3(runner, sphere_dataset, tmp_path,
                                       text):
     root, _, _ = sphere_dataset
@@ -557,6 +558,23 @@ def test_benchmark_bad_splits_exits_3(runner, sphere_dataset, tmp_path,
                                str(tmp_path / "agg.json")])
     assert res.exit_code == 3, all_output(res)
     assert "splits.json" in all_output(res)
+
+
+@pytest.mark.parametrize("empty, split", [(True, "test"), (False, "train")],
+                         ids=["empty-root", "no-train-instance"])
+def test_benchmark_selecting_no_instance_exits_3(runner, sphere_dataset,
+                                                 tmp_path, empty, split):
+    root = sphere_dataset[0]
+    if empty:
+        root = tmp_path / "empty"
+        root.mkdir()
+    res = runner.invoke(main, ["benchmark", "--dataset", str(root),
+                               "--split", split, "--csv",
+                               str(tmp_path / "r.csv"), "--json",
+                               str(tmp_path / "agg.json")])
+    assert res.exit_code == 3, all_output(res)
+    assert f"no instance of split '{split}' under {root}" in all_output(res)
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_benchmark_command(runner, sphere_dataset, tmp_path):

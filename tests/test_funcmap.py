@@ -23,7 +23,8 @@ from meshcorr.funcmap import (FmapProblem, FmapWeights, build_problem,
                               recover_pointmap, save_map, solve_fmap,
                               solve_partial)
 
-from conftest import blas_threads, bumpy_grid, grid_patch, icosphere, torus
+from conftest import (blas_threads, bumpy_grid, grid_patch, icosphere,
+                      permuted, torus)
 
 
 def wavy(x, y):
@@ -137,6 +138,8 @@ def test_prepared_problem_is_build_problems(monkeypatch):
     pipeline.match_prepared(source, target, config)
     want = build_problem(source.basis, target.basis, *features,
                          config.weights)
+    with ONE_BLAS_THREAD:  # as solve_fmap builds got.quadratic
+        want.quadratic
     got, = built
     assert got.source is source and got.target is target
     for side in ("source", "target"):
@@ -152,28 +155,39 @@ def blas_thread_counts():
 
 
 def test_match_meshes_output_does_not_depend_on_blas_threads():
-    # the whole match runs at one BLAS thread, whatever the caller set
-    source = grid_patch(10, 10, z_fn=wavy)
-    target = grid_patch(12, 12, z_fn=wavy)
-    outputs = []
-    for count in (1, 2):
-        with blas_threads(count):
-            result = pipeline.match_meshes(source, target,
-                                           pipeline.RunConfig())
-        outputs.append((result.fmap.C.tobytes(),
-                        result.pmap.target_to_source.tobytes()))
-    assert outputs[0] == outputs[1]
+    # each eigensolve, projection and solve runs at one BLAS thread,
+    # whatever the caller set: through match_meshes, and through the
+    # benchmark's prepare_for_matching and match_prepared
+    config = pipeline.RunConfig()
+
+    def benchmark_path(source, target):
+        return pipeline.match_prepared(
+            pipeline.prepare_for_matching(source, config),
+            pipeline.prepare_for_matching(target, config), config)
+
+    m = bumpy_grid(32)
+    for match, source, target in [
+            (lambda s, t: pipeline.match_meshes(s, t, config),
+             grid_patch(10, 10, z_fn=wavy), grid_patch(12, 12, z_fn=wavy)),
+            (benchmark_path, m, permuted(m))]:
+        outputs = []
+        for count in (1, 2):
+            with blas_threads(count):
+                result = match(source, target)
+            outputs.append((result.fmap.C.tobytes(),
+                            result.pmap.target_to_source.tobytes()))
+        assert outputs[0] == outputs[1]
 
 
 def test_match_meshes_restores_blas_threads_and_leaves_no_thread(
         monkeypatch):
-    eigenbasis_, during = spectral.eigenbasis, []
+    dense_eigh, during = spectral._dense_eigh, []
 
-    def recorded(W, A, k):
+    def recorded(W, inv_sqrt, k):  # inside eigenbasis' pin
         during.append(blas_thread_counts())
-        return eigenbasis_(W, A, k)
+        return dense_eigh(W, inv_sqrt, k)
 
-    monkeypatch.setattr(spectral, "eigenbasis", recorded)
+    monkeypatch.setattr(spectral, "_dense_eigh", recorded)
     mesh = grid_patch(8, 8, z_fn=wavy)
     config = pipeline.RunConfig(descriptors=("hks",), max_iter=5)
     threads = threading.active_count()
@@ -249,6 +263,18 @@ def test_external_features_match_at_any_mesh_or_feature_scale():
                                               field).pmap.target_to_source)
     assert all(np.array_equal(match, maps[0]) for match in maps)
     assert np.array_equal(maps[0], np.arange(m.n_vertices))
+
+
+def test_flat_grid_matches_its_permuted_copies():
+    # posenc's z and cos(0) columns are constant on a flat mesh; scaled to
+    # full weight, their roundoff would make the map depend on vertex order
+    m = grid_patch(30, 30)
+    for seed in range(4):
+        result = pipeline.match_meshes(m, permuted(m, seed),
+                                       pipeline.RunConfig())
+        truth = np.random.default_rng(seed).permutation(m.n_vertices)
+        identity = (result.pmap.target_to_source == truth).mean()
+        assert identity >= 0.95, (seed, identity)
 
 
 def test_external_feature_rows_must_fit_the_mesh():

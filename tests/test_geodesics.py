@@ -12,7 +12,7 @@ from meshcorr.geodesics import (GeodesicMatrix, SemanticGroups,
 from meshcorr.mesh import TriMesh
 
 from conftest import (all_pairs_geodesics, bumpy_grid, grid_patch,
-                      seam_split_grid, torus)
+                      permuted, seam_split_grid, torus)
 
 
 def brute_force_assignment(cost):
@@ -72,11 +72,6 @@ def test_seam_split_mesh_has_the_welded_distances():
     labels = np.full(420, 2)
     labels[[205, 405]] = [0, 1]  # a vertex and its duplicate
     assert semantic_distance(SemanticGroups(labels), split, 0, 1) == 0.0
-
-
-def permuted(mesh, seed):
-    perm = np.random.default_rng(seed).permutation(mesh.n_vertices)
-    return TriMesh(mesh.vertices[perm], np.argsort(perm)[mesh.triangles])
 
 
 @pytest.mark.parametrize("mesh", [bumpy_grid(12), torus(16, 8),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import meshcorr.spectral as spectral
+from meshcorr.blas import ONE_BLAS_THREAD, openblas_thread_controls
 from meshcorr.errors import (ArgumentError, DegenerateGeometryError,
                              NumericError)
 from meshcorr.mesh import (TriMesh, VertexAreas, cotangent_weights,
@@ -12,8 +13,9 @@ from meshcorr.pipeline import RunConfig, match_meshes
 from meshcorr.spectral import (SpectralBasis, eigenbasis, hks,
                                positional_encoding, wks)
 
-from conftest import (bumpy_grid, grid_patch, icosphere,
-                      reference_eigenbasis, rotation_matrix, torus)
+from conftest import (blas_threads, bumpy_grid, grid_patch, icosphere,
+                      permuted, reference_eigenbasis, rotation_matrix,
+                      torus)
 
 
 def basis_of(mesh, k):
@@ -82,11 +84,6 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
     np.testing.assert_allclose(kernel(b_sparse), kernel(b_dense), atol=1e-8)
 
 
-def permuted(m, seed=0):
-    p = np.random.default_rng(seed).permutation(m.n_vertices)
-    return TriMesh(m.vertices[p], np.argsort(p)[m.triangles])
-
-
 @pytest.mark.parametrize("mesh, k", [
     (lambda: permuted(bumpy_grid(24)), 128),
     (lambda: icosphere(3), 10),
@@ -98,15 +95,32 @@ def permuted(m, seed=0):
 ], ids=["bumpy576-permuted", "sphere642-k10", "sphere642-k128", "torus180",
         "grid150-k1", "grid150-k75", "grid150-k-equals-n"])
 def test_dense_path_equals_reference_formula(monkeypatch, mesh, k):
-    # bit for bit: LAPACK gets the same matrix, so degenerate eigenspaces
-    # (sphere, torus) come back as the same vectors too
+    # bit for bit: LAPACK gets the same matrix and one BLAS thread, so
+    # degenerate eigenspaces (sphere, torus) come back as the same
+    # vectors too
     force(monkeypatch, "dense")
     m = mesh()
     W, A = cotangent_weights(m), vertex_areas(m)
     b = eigenbasis(W, A, k)
-    phi, lam = reference_eigenbasis(W, A, k)
+    with ONE_BLAS_THREAD:
+        phi, lam = reference_eigenbasis(W, A, k)
     assert np.array_equal(b.phi, phi)
     assert np.array_equal(b.lam, lam)
+
+
+def test_eigenbasis_does_not_depend_on_blas_threads():
+    # at two BLAS threads LAPACK would return other vectors of the
+    # sphere's repeated eigenspaces; the caller's counts come back
+    m = icosphere(3)
+    W, A = cotangent_weights(m), vertex_areas(m)
+    bases = []
+    for count in (1, 2):
+        with blas_threads(count):
+            bases.append(eigenbasis(W, A, 10))
+            assert [get() for get, _ in openblas_thread_controls()] \
+                == [count, count]
+    assert np.array_equal(bases[0].phi, bases[1].phi)
+    assert np.array_equal(bases[0].lam, bases[1].lam)
 
 
 def test_dense_path_holds_one_n_by_n_buffer():
