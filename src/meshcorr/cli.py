@@ -84,7 +84,9 @@ def _solver_options(fn):
         click.option("--beta", type=float, default=funcmap.DEFAULT_BETA,
                      show_default=True, help="pointwise commutativity weight"),
         click.option("--w-entropy", type=float,
-                     default=funcmap.DEFAULT_W_ENTROPY, show_default=True),
+                     default=funcmap.DEFAULT_W_ENTROPY, show_default=True,
+                     help="soft-map entropy weight; above 0 the solve runs "
+                          "L-BFGS-B, at 0 it is one closed-form solve"),
         click.option("--w-sum", type=float, default=funcmap.DEFAULT_W_SUM,
                      show_default=True),
         click.option("--descriptors",

@@ -25,8 +25,11 @@ Every term but the entropy is a fixed quadratic in c = vec(C) (row-major
 C.ravel()): c^T H c - 2 b^T c + const, with a k^2 x k^2 matrix H built
 once per problem (``FmapProblem.quadratic``). The solver whitens with the
 Cholesky factor H = L L^T, so the smooth part has unit curvature in
-y = L^T c, starts from its minimizer and stops on L-BFGS-B's own test.
-Without the entropy term that minimizer is the solution.
+y = L^T c. The default weights leave the entropy term out
+(DEFAULT_W_ENTROPY = 0), so the default solve is that quadratic's
+minimizer in closed form: one Cholesky solve, no optimizer and no read of
+Pi. A weight above 0 starts L-BFGS-B from the minimizer and stops on its
+own test.
 
 ``solve_partial`` matches a partial source: over C and a target mask
 eta in [0, 1]^n_N it minimizes J(C, eta) = the objective above with
@@ -55,7 +58,7 @@ WHITEN_RIDGE = 1e-10            # relative to the mean diagonal of H
 
 DEFAULT_ALPHA = 1e-2
 DEFAULT_BETA = 1e-4
-DEFAULT_W_ENTROPY = 1e-5
+DEFAULT_W_ENTROPY = 0.0
 DEFAULT_W_SUM = 1e-3
 DEFAULT_MAX_ITER = 500
 TOL = 1e-7                      # L-BFGS-B's projected-gradient gtol
@@ -319,18 +322,19 @@ def _minimize(fun, x0, to_C, max_iter, **kwargs):
 @ONE_BLAS_THREAD
 def solve_fmap(problem: FmapProblem,
                max_iter: int = DEFAULT_MAX_ITER) -> FunctionalMap:
-    """Minimize the regularized objective with limited-memory
-    quasi-Newton (L-BFGS-B, history 30) in whitened coordinates.
+    """Minimize the regularized objective.
 
-    It runs on y = L^T vec(C) (``_whitening``) from the quadratic part's
-    minimizer. There is one stop test, L-BFGS-B's own: ``converged`` is
-    scipy's success flag, set when the projected gradient in y has norm
-    <= TOL or the relative decrease falls to 1e-12; max_iter iterations
-    or a failed line search leave it False. With w_entropy == 0 the
-    objective is the quadratic part, so its minimizer is returned after
-    0 iterations, converged. A max_iter below 1 raises ArgumentError; an
-    underdetermined H or a non-finite objective raises NumericError. It
-    runs at one BLAS thread, as ``solve_partial`` does.
+    With w_entropy == 0, the default, the objective is the quadratic
+    part, so its minimizer, one Cholesky solve (``_whitening``), is
+    returned after 0 iterations, converged; nothing reads Pi or loads
+    scipy.optimize. With w_entropy > 0, limited-memory quasi-Newton
+    (L-BFGS-B, history 30) runs on y = L^T vec(C) from that minimizer.
+    There is one stop test, L-BFGS-B's own: ``converged`` is scipy's
+    success flag, set when the projected gradient in y has norm <= TOL
+    or the relative decrease falls to 1e-12; max_iter iterations or a
+    failed line search leave it False. A max_iter below 1 raises
+    ArgumentError; an underdetermined H or a non-finite objective raises
+    NumericError. It runs at one BLAS thread, as ``solve_partial`` does.
     """
     if max_iter < 1:
         raise ArgumentError(f"max_iter must be >= 1, got {max_iter}")

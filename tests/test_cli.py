@@ -907,9 +907,13 @@ def test_only_solving_commands_load_the_optimizer(sphere_dataset, tmp_path):
          "--keypoints", kps, "--map", map_path, "-o", out + ".json"],
         ["descriptors", "--mesh", mesh, "--hks", "4", "-k", "8",
          "-o", out + ".dmf"],
+        ["match", "--source", mesh, "--target", mesh,
+         "-o", out + "-default.json"],
+        ["benchmark", "--dataset", str(root), "--csv", out + ".csv",
+         "--json", out + "-agg.json"],
     ]
-    solve = ["match", "--source", mesh, "--target", mesh, "--max-iter", "5",
-             "-o", out + "-match.json"]
+    solve = ["match", "--source", mesh, "--target", mesh, "--w-entropy",
+             "1e-5", "--max-iter", "5", "-o", out + "-match.json"]
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", OPTIMIZER_PROBE,

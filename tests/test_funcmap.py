@@ -407,7 +407,7 @@ def test_solve_identity_self_match():
 
 
 def test_solve_reports_unconverged_at_max_iter():
-    prob = random_problem(k=4, d=3, seed=2)
+    prob = random_problem(k=4, d=3, seed=2, weights=FmapWeights(w_entropy=1e-5))
     assert solve_fmap(prob).iterations > 1
     fm = solve_fmap(prob, max_iter=1)
     assert fm.converged is False
@@ -418,7 +418,7 @@ def test_solve_nonfinite_objective_keeps_last_valid_C(monkeypatch):
     # the objective turns NaN after the first evaluation: the solver
     # stops there, and the error carries the one C whose objective was
     # finite
-    prob = random_problem(k=4, d=3, seed=2)
+    prob = random_problem(k=4, d=3, seed=2, weights=FmapWeights(w_entropy=1e-5))
     evaluated = []
 
     def nan_after_first(C, problem):
@@ -464,11 +464,30 @@ def test_solve_without_entropy_is_the_closed_form(monkeypatch):
     np.testing.assert_allclose(fm.C, C, rtol=0, atol=1e-6 * np.abs(C).max())
 
 
+def test_default_match_never_reads_the_soft_map(monkeypatch):
+    # the default solve is the quadratic's closed form: no n_N x n_M entry
+    # of Pi is read, so a match stays O(n k) in memory and time
+    def no_soft_map(*args):
+        raise AssertionError("the default match read Pi")
+
+    monkeypatch.setattr(funcmap, "_pi_rows", no_soft_map)
+    config = pipeline.RunConfig()
+    m = bumpy_grid(20)
+    source, target = (pipeline.prepare_for_matching(mesh, config)
+                      for mesh in (m, permuted(m)))
+    fm = pipeline.match_prepared(source, target, config).fmap
+    assert fm.iterations == 0 and fm.converged is True
+    prob = FmapProblem(source, target, config.weights)
+    to_C, lower = funcmap._whitening(prob)
+    np.testing.assert_allclose(fm.C, to_C(lower(prob.quadratic[1])),
+                               rtol=0, atol=1e-12)
+
+
 def test_solve_refuses_rank_deficient_quadratic(monkeypatch):
     # with only the data and entropy terms and 4 features for 6 basis
     # functions, H = I kron F F^T leaves 6 x 2 directions of C free; only
     # the whitening ridge would pin them, so the solve refuses to start
-    w = FmapWeights(alpha=0.0, beta=0.0, w_sum=0.0)
+    w = FmapWeights(alpha=0.0, beta=0.0, w_entropy=1e-5, w_sum=0.0)
     prob = random_problem(k=6, d=4, seed=3, weights=w)
     H, _, _ = prob.quadratic
     assert np.linalg.matrix_rank(H) == 24

@@ -10,7 +10,7 @@ from meshcorr.transfer import (load_keypoints, make_keypoints, snap_to_vertex,
                                save_transferred_keypoints, transfer_colors,
                                transfer_keypoints)
 
-from conftest import grid_patch, icosphere
+from conftest import bumpy_grid, grid_patch, icosphere
 
 
 def colored_sphere():
@@ -62,6 +62,25 @@ def test_transfer_colors_permutation():
     pmap = PointMap(perm, np.ones(n))
     out = transfer_colors(src, plain, plain, pmap)
     np.testing.assert_array_equal(out.colors, src.colors[perm])
+
+
+def test_transfer_colors_reads_the_nearest_textured_vertex():
+    # a brute-force nearest-vertex oracle over a jittered (tie-free)
+    # textured mesh far denser than the simplified ones
+    rng = np.random.default_rng(2)
+    dense = bumpy_grid(60)
+    textured = TriMesh(dense.vertices + rng.normal(scale=1e-3,
+                                                   size=dense.vertices.shape),
+                       dense.triangles,
+                       rng.uniform(size=(dense.n_vertices, 3)))
+    source, target = bumpy_grid(13), bumpy_grid(11)
+    match = rng.integers(source.n_vertices, size=target.n_vertices)
+    out = transfer_colors(textured, source, target,
+                          PointMap(match, np.ones(target.n_vertices)))
+    d = np.linalg.norm(source.vertices[:, None] - textured.vertices[None],
+                       axis=2)
+    np.testing.assert_array_equal(out.colors,
+                                  textured.colors[d.argmin(axis=1)][match])
 
 
 def test_transfer_colors_validation():
