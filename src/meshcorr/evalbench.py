@@ -70,7 +70,9 @@ def auc(errors, max_threshold: float = DEFAULT_MAX_THRESHOLD):
     if errors.size == 0:
         raise ArgumentError("cannot compute AUC of an empty error list")
     thresholds = np.linspace(0.0, max_threshold, NUM_THRESHOLDS)
-    accuracy = (errors[None, :] <= thresholds[:, None]).mean(axis=1)
+    # the count of errors at or below each threshold
+    accuracy = np.searchsorted(np.sort(errors), thresholds,
+                               side="right") / errors.size
     area = float(np.trapezoid(accuracy, thresholds) / max_threshold)
     return list(zip(thresholds.tolist(), accuracy.tolist())), area
 

@@ -105,6 +105,11 @@ class FmapProblem:
             raise ArgumentError("spectral features must have k rows")
         if F.shape[1] != G.shape[1]:
             raise ArgumentError("F and G must share the feature dimension")
+        for side in (self.source, self.target):
+            shape = np.shape(side.mult_ops)
+            if len(shape) != 3 or shape[1:] != (k, k):
+                raise ArgumentError(
+                    f"mult_ops must be (d, {k}, {k}), got {shape}")
         if len(self.source.mult_ops) != len(self.target.mult_ops):
             raise ArgumentError("operator lists must have equal length")
 
@@ -118,34 +123,47 @@ class FmapProblem:
         c^T H c - 2 b^T c + const for c = C.ravel(). Each term is added
         whatever its weight; a zero weight adds exact zeros.
 
-        Row-major vec gives vec(A C B) = (A kron B^T) c; H is k^2 x k^2.
+        H is k^2 x k^2, built as its (k, k, k, k) view H[i, j, a, b],
+        the coefficient of C[i, j] C[a, b]. A term |A C B|^2 adds
+        (A^T A)[i, a] (B B^T)[j, b] (``_outer4``). With A = I it touches
+        only i == a, with B = I only j == b, and the isometry only the
+        diagonal, so those are added through index views of H. The
+        cross terms of sum_p |C X_p - Y_p C|^2 add -(Y_p[i, a] X_p[j, b]
+        + Y_p[a, i] X_p[b, j]), summed over p as one GEMM.
         """
         k, w = self.k, self.weights
         bm, bn = self.source.basis, self.target.basis
         F, G = self.source.spectral_features, self.target.spectral_features
-        eye = np.eye(k)
-        # data: |CF - G|^2
-        H = np.kron(eye, F @ F.T)
-        b = (G @ F.T).ravel()
-        const = float((G ** 2).sum())
-        diff = bn.lam[:, None] - bm.lam[None, :]
-        H[np.diag_indices_from(H)] += w.alpha * (diff ** 2).ravel()
-        # sum_p A_p^T A_p with A_p = I kron X_p^T - Y_p kron I
         X, Y = self.source.mult_ops, self.target.mult_ops
-        cross = np.einsum("pij,pab->iajb", Y, X,           # sum_p Y_p kron X_p
-                          optimize=True).reshape(k * k, k * k)
-        H += w.beta * (np.kron(eye, np.einsum("pij,pkj->ik", X, X))
-                       + np.kron(np.einsum("pji,pjk->ik", Y, Y), eye)
-                       - cross - cross.T)
+        d = len(X)
+        H = np.zeros((k, k, k, k))
+        # A = I, B = F (data |CF - G|^2) or X_p: sum_p X_p X_p^T as a GEMM
+        Xs = X.transpose(1, 0, 2).reshape(k, d * k)        # [i, (p, j)]
+        np.einsum("ijib->ijb", H)[...] += F @ F.T + w.beta * (Xs @ Xs.T)
+        # B = I, A = Y_p: sum_p Y_p^T Y_p as a GEMM
+        Ys = Y.reshape(d * k, k)                           # [(p, i), j]
+        np.einsum("ijaj->jia", H)[...] += w.beta * (Ys.T @ Ys)
+        diff = bn.lam[:, None] - bm.lam[None, :]
+        np.einsum("ijij->ij", H)[...] += w.alpha * diff ** 2
+        # cross[i, a, j, b] = sum_p Y_p[i, a] X_p[j, b]
+        cross = (Y.reshape(d, k * k).T @ X.reshape(d, k * k)).reshape(
+            k, k, k, k).transpose(0, 2, 1, 3)
+        H -= w.beta * (cross + cross.transpose(2, 3, 0, 1))
         # rows Pi 1 - 1 = Phi_N C s - 1; columns 1^T Pi - r = t^T C P - r
         P = bm.pinv()                                       # (k, n_M)
         s, t = P.sum(axis=1), bn.phi.sum(axis=0)
         r = bn.n / bm.n
-        H += w.w_sum * (np.kron(bn.phi.T @ bn.phi, np.outer(s, s))
-                        + np.kron(np.outer(t, t), P @ P.T))
+        H += w.w_sum * (_outer4(bn.phi.T @ bn.phi, np.outer(s, s))
+                        + _outer4(np.outer(t, t), P @ P.T))
+        b = (G @ F.T).ravel()
         b += w.w_sum * (1.0 + r) * np.outer(t, s).ravel()
-        const += w.w_sum * (bn.n + r * r * bm.n)
-        return H, b, const
+        const = float((G ** 2).sum()) + w.w_sum * (bn.n + r * r * bm.n)
+        return H.reshape(k * k, k * k), b, const
+
+
+def _outer4(A, B):
+    """(k, k, k, k) array [i, j, a, b] = A[i, a] B[j, b]: A kron B."""
+    return A[:, None, :, None] * B[None, :, None, :]
 
 
 @dataclass(frozen=True)

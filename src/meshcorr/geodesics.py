@@ -4,15 +4,16 @@ semantic distance between groups.
 Geodesics are shortest paths over the edge graph with Euclidean edge
 lengths; at the ~2000-vertex dataset regime the edge-graph error is well
 inside every evaluation tolerance. Evaluation needs only one distance
-field per group, a multi-source Dijkstra in f64, so nothing of size
-n x n is built or stored. The graph is built on the welded mesh and read
-through the weld's index, so vertices a file duplicates along a seam
-are one graph vertex.
+field per group, a multi-source Dijkstra in f64 that the
+``GeodesicMatrix`` keeps once computed, so nothing of size n x n is
+built or stored. The graph is built on the welded mesh and read through
+the weld's index, so vertices a file duplicates along a seam are one
+graph vertex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,11 +37,24 @@ class GeodesicMatrix:
     """
     graph: sp.csr_matrix  # (m, m) symmetric Euclidean edge lengths
     index: np.ndarray     # (n,) graph vertex of each mesh vertex
+    _fields: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)  # member-set bytes -> its field
 
     def distance_to(self, members) -> np.ndarray:
-        """(n,) distance from every vertex to its nearest member."""
-        return dijkstra(self.graph, directed=True,
-                        indices=self.index[members], min_only=True)[self.index]
+        """(n,) distance from every vertex to its nearest member,
+        read-only. Each member set's field is computed once and kept, so
+        scoring many maps against one source mesh runs one Dijkstra per
+        group and holds O(n·groups) floats."""
+        members = np.asarray(members, dtype=np.int64)
+        key = members.tobytes()
+        dist = self._fields.get(key)
+        if dist is None:
+            dist = dijkstra(self.graph, directed=True,
+                            indices=self.index[members],
+                            min_only=True)[self.index]
+            dist.setflags(write=False)
+            self._fields[key] = dist
+        return dist
 
 
 @dataclass(frozen=True)

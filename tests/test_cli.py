@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from click.testing import CliRunner
 
-from meshcorr import funcmap, pipeline, spectral
+from meshcorr import funcmap, geodesics, pipeline, spectral
 from meshcorr.cli import main
 from meshcorr.errors import DegenerateGeometryError
 from meshcorr.evalbench import (benchmark_category, load_dataset,
@@ -694,7 +694,9 @@ def test_benchmark_prepares_each_instance_once(runner, grid_dataset,
                                                tmp_path, monkeypatch, jobs):
     # feature channels per instance: one multiplication operator each
     d = len(prepare_for_matching(grid_patch(10, 10), RunConfig()).mult_ops)
-    calls = {"eigenbasis": 0, "multiplication_operator": 0}
+    # one ground-truth distance field per group of each source instance
+    fields = sum(len(inst.groups.ids()) for inst in load_dataset(grid_dataset))
+    calls = {"eigenbasis": 0, "multiplication_operator": 0, "dijkstra": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -706,12 +708,14 @@ def test_benchmark_prepares_each_instance_once(runner, grid_dataset,
 
     counted(spectral, "eigenbasis")
     counted(funcmap, "multiplication_operator")
+    counted(geodesics, "dijkstra")
     res = runner.invoke(main, [
         "benchmark", "--dataset", str(grid_dataset), "--csv",
         str(tmp_path / "r.csv"), "--json", str(tmp_path / "a.json"),
         "--jobs", str(jobs)])
     assert res.exit_code == 0, all_output(res)
-    assert calls == {"eigenbasis": 3, "multiplication_operator": 3 * d}
+    assert calls == {"eigenbasis": 3, "multiplication_operator": 3 * d,
+                     "dijkstra": fields}
 
     # the same rows as matching every pair from scratch
     config = RunConfig()

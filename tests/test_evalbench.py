@@ -84,6 +84,20 @@ def test_auc_perfect_and_uniform():
             auc([1.0], max_threshold=bad)
 
 
+def test_auc_equals_the_broadcast_count():
+    # errors with ties, some on a threshold: the curve and the area are
+    # exactly those of comparing every error with every threshold
+    rng = np.random.default_rng(6)
+    thresholds = np.linspace(0.0, 25.0, 100)
+    for n in (1, 7, 420):
+        errors = np.round(rng.uniform(0.0, 30.0, size=n), 1)
+        errors[: n // 3] = rng.choice(thresholds, size=n // 3)
+        accuracy = (errors[None, :] <= thresholds[:, None]).mean(axis=1)
+        curve, area = auc(errors)
+        assert curve == list(zip(thresholds.tolist(), accuracy.tolist()))
+        assert area == float(np.trapezoid(accuracy, thresholds) / 25.0)
+
+
 def write_instance(root, category, name, mesh, groups):
     d = root / category / name
     d.mkdir(parents=True)

@@ -115,6 +115,65 @@ def test_quadratic_sums_every_term_whatever_its_weight():
                     err_msg=f"part {i} with {kept}")
 
 
+def kron_quadratic(prob):
+    """(H, b, const) assembled term by term with np.kron: the oracle of
+    FmapProblem.quadratic."""
+    k, w = prob.k, prob.weights
+    bm, bn = prob.source.basis, prob.target.basis
+    F, G = prob.source.spectral_features, prob.target.spectral_features
+    X, Y = prob.source.mult_ops, prob.target.mult_ops
+    eye = np.eye(k)
+    H = np.kron(eye, F @ F.T)
+    b = (G @ F.T).ravel()
+    const = float((G ** 2).sum())
+    diff = bn.lam[:, None] - bm.lam[None, :]
+    H[np.diag_indices_from(H)] += w.alpha * (diff ** 2).ravel()
+    # sum_p A_p^T A_p with A_p = I kron X_p^T - Y_p kron I
+    cross = np.einsum("pij,pab->iajb", Y, X).reshape(k * k, k * k)
+    H += w.beta * (np.kron(eye, np.einsum("pij,pkj->ik", X, X))
+                   + np.kron(np.einsum("pji,pjk->ik", Y, Y), eye)
+                   - cross - cross.T)
+    P = bm.pinv()
+    s, t = P.sum(axis=1), bn.phi.sum(axis=0)
+    r = bn.n / bm.n
+    H += w.w_sum * (np.kron(bn.phi.T @ bn.phi, np.outer(s, s))
+                    + np.kron(np.outer(t, t), P @ P.T))
+    b += w.w_sum * (1.0 + r) * np.outer(t, s).ravel()
+    const += w.w_sum * (bn.n + r * r * bm.n)
+    return H, b, const
+
+
+@pytest.mark.parametrize("weights", [
+    {"alpha": 0.3}, {"beta": 0.02}, {"w_sum": 0.05},
+    {"alpha": 0.3, "beta": 0.02, "w_sum": 0.05}])
+def test_quadratic_matches_kron_assembly(weights):
+    # two meshes of different sizes, d = 3 operators per side
+    k, rng = 6, np.random.default_rng(5)
+    (m, bm), (n, bn) = (basis_pair(k, grid_patch(s, s, z_fn=wavy))
+                        for s in (7, 9))
+    assert m.n_vertices != n.n_vertices
+    w = FmapWeights(**{**dict.fromkeys(("alpha", "beta", "w_sum"), 0.0),
+                       **weights})
+    prob = build_problem(bm, bn, rng.normal(size=(m.n_vertices, 3)),
+                         rng.normal(size=(n.n_vertices, 3)), w)
+    # operators that are not symmetric tell every index order apart
+    prob = replace(prob, **{side: replace(
+        getattr(prob, side), mult_ops=rng.normal(size=(3, k, k)))
+        for side in ("source", "target")})
+    for part, want in zip(prob.quadratic, kron_quadratic(prob)):
+        np.testing.assert_allclose(part, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def test_problem_refuses_operators_that_are_not_k_by_k():
+    prob = random_problem(k=6, d=3)
+    for side in ("source", "target"):
+        part = getattr(prob, side)
+        for ops in (part.mult_ops[:, :5, :5], part.mult_ops[0]):
+            with pytest.raises(ArgumentError, match="mult_ops"):
+                replace(prob, **{side: replace(part, mult_ops=ops)})
+
+
 def test_prepared_problem_is_build_problems(monkeypatch):
     # match_prepared solves the problem of the two records made in
     # preparation; build_problem projects the descriptor stack itself

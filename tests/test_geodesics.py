@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
+from meshcorr import geodesics
 from meshcorr.errors import ArgumentError, DataError, DisconnectedMeshError
 from meshcorr.geodesics import (GeodesicMatrix, SemanticGroups,
                                 geodesic_matrix, load_groups,
@@ -48,6 +49,23 @@ def test_geodesic_grid_axis_path():
     d = all_pairs_geodesics(geodesic_matrix(m))
     assert d[0, 4] == pytest.approx(4.0)   # 4 unit steps along y
     assert d[0, 20] == pytest.approx(4.0)  # 4 unit steps along x
+
+
+def test_distance_field_is_computed_once_and_read_only(monkeypatch):
+    geo = geodesic_matrix(bumpy_grid(8))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["indices"])
+        return dijkstra(*args, **kwargs)
+    monkeypatch.setattr(geodesics, "dijkstra", counted)
+    first = geo.distance_to(np.array([3, 9]))
+    again = geo.distance_to([3, 9])
+    other = geo.distance_to([4])
+    assert again is first and len(calls) == 2
+    assert not first.flags.writeable and not other.flags.writeable
+    np.testing.assert_allclose(
+        first, np.minimum(*all_pairs_geodesics(geo)[[3, 9]]), atol=1e-12)
 
 
 def test_geodesic_disconnected():
