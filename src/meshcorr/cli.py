@@ -83,10 +83,6 @@ def _solver_options(fn):
                      show_default=True, help="isometry weight"),
         click.option("--beta", type=float, default=funcmap.DEFAULT_BETA,
                      show_default=True, help="pointwise commutativity weight"),
-        click.option("--w-entropy", type=float,
-                     default=funcmap.DEFAULT_W_ENTROPY, show_default=True,
-                     help="soft-map entropy weight; above 0 the solve runs "
-                          "L-BFGS-B, at 0 it is one closed-form solve"),
         click.option("--w-sum", type=float, default=funcmap.DEFAULT_W_SUM,
                      show_default=True),
         click.option("--descriptors",
@@ -96,8 +92,6 @@ def _solver_options(fn):
                           "files are given"),
         click.option("--recovery", type=click.Choice(funcmap.RECOVERY_METHODS),
                      default=pipeline.RunConfig.recovery, show_default=True),
-        click.option("--max-iter", type=int,
-                     default=pipeline.RunConfig.max_iter, show_default=True),
         click.option("--log-json", is_flag=True),
     ]):
         fn = opt(fn)
@@ -105,9 +99,11 @@ def _solver_options(fn):
 
 
 def _make_config(options):
-    """RunConfig from the parsed ``_solver_options`` values."""
+    """RunConfig from the parsed ``_solver_options`` values; a weight
+    with no option keeps FmapWeights' default."""
     weights = FmapWeights(**{f.name: options.pop(f.name)
-                             for f in dataclasses.fields(FmapWeights)})
+                             for f in dataclasses.fields(FmapWeights)
+                             if f.name in options})
     return pipeline.RunConfig(weights=weights, **options)
 
 

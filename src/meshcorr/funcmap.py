@@ -23,13 +23,13 @@ array. A caller matching one mesh against many projects it once.
 
 Every term but the entropy is a fixed quadratic in c = vec(C) (row-major
 C.ravel()): c^T H c - 2 b^T c + const, with a k^2 x k^2 matrix H built
-once per problem (``FmapProblem.quadratic``). The solver whitens with the
-Cholesky factor H = L L^T, so the smooth part has unit curvature in
-y = L^T c. The default weights leave the entropy term out
-(DEFAULT_W_ENTROPY = 0), so the default solve is that quadratic's
-minimizer in closed form: one Cholesky solve, no optimizer and no read of
-Pi. A weight above 0 starts L-BFGS-B from the minimizer and stops on its
-own test.
+once per problem (``FmapProblem.quadratic``). ``solve_fmap`` returns that
+quadratic's minimizer in closed form: one Cholesky solve H = L L^T, no
+optimizer and no read of Pi. So it takes w_entropy = 0, the default. The
+entropy term lives on in ``fmap_objective``, which adds its value and
+gradient, and in ``solve_partial``, whose L-BFGS-B solve minimizes it
+with the rest of J in y = L^T c, where the quadratic part has unit
+curvature.
 
 ``solve_partial`` matches a partial source: over C and a target mask
 eta in [0, 1]^n_N it minimizes J(C, eta) = the objective above with
@@ -58,9 +58,8 @@ WHITEN_RIDGE = 1e-10            # relative to the mean diagonal of H
 
 DEFAULT_ALPHA = 1e-2
 DEFAULT_BETA = 1e-4
-DEFAULT_W_ENTROPY = 0.0
 DEFAULT_W_SUM = 1e-3
-DEFAULT_MAX_ITER = 500
+DEFAULT_MAX_ITER = 500          # solve_partial's L-BFGS-B iteration limit
 TOL = 1e-7                      # L-BFGS-B's projected-gradient gtol
 RECOVERY_METHODS = ("nearest", "argmax")  # the first is the default
 
@@ -69,7 +68,7 @@ RECOVERY_METHODS = ("nearest", "argmax")  # the first is the default
 class FmapWeights:
     alpha: float = DEFAULT_ALPHA
     beta: float = DEFAULT_BETA
-    w_entropy: float = DEFAULT_W_ENTROPY
+    w_entropy: float = 0.0
     w_sum: float = DEFAULT_W_SUM
 
     def __post_init__(self):
@@ -317,7 +316,7 @@ def _minimize(fun, x0, to_C, max_iter, **kwargs):
     """L-BFGS-B (history 30) on fun(x) -> (value, gradient). The first
     non-finite value raises NumericError; its ``last_valid`` is to_C of
     the last x whose value was finite (x0 until one was)."""
-    # imported here, so eval and transfer never load scipy.optimize
+    # imported here, so no CLI command loads scipy.optimize
     import scipy.optimize
     last_valid = [x0]
 
@@ -340,35 +339,20 @@ def _minimize(fun, x0, to_C, max_iter, **kwargs):
 @ONE_BLAS_THREAD
 def solve_fmap(problem: FmapProblem,
                max_iter: int = DEFAULT_MAX_ITER) -> FunctionalMap:
-    """Minimize the regularized objective.
-
-    With w_entropy == 0, the default, the objective is the quadratic
-    part, so its minimizer, one Cholesky solve (``_whitening``), is
-    returned after 0 iterations, converged; nothing reads Pi or loads
-    scipy.optimize. With w_entropy > 0, limited-memory quasi-Newton
-    (L-BFGS-B, history 30) runs on y = L^T vec(C) from that minimizer.
-    There is one stop test, L-BFGS-B's own: ``converged`` is scipy's
-    success flag, set when the projected gradient in y has norm <= TOL
-    or the relative decrease falls to 1e-12; max_iter iterations or a
-    failed line search leave it False. A max_iter below 1 raises
-    ArgumentError; an underdetermined H or a non-finite objective raises
-    NumericError. It runs at one BLAS thread, as ``solve_partial`` does.
+    """Minimize the regularized objective with w_entropy == 0: the
+    quadratic part, whose minimizer, one Cholesky solve (``_whitening``),
+    is returned after 0 iterations, converged. Nothing reads Pi or loads
+    scipy.optimize. A w_entropy above 0 raises ArgumentError; an
+    underdetermined H raises NumericError. It runs at one BLAS thread, as
+    ``solve_partial`` does. Nothing here reads ``max_iter``; it stays
+    only because the benchmark tracer reads it from the call.
     """
-    if max_iter < 1:
-        raise ArgumentError(f"max_iter must be >= 1, got {max_iter}")
+    if problem.weights.w_entropy != 0.0:
+        raise ArgumentError("solve_fmap is the closed-form solve and needs "
+                            f"w_entropy 0, got {problem.weights.w_entropy}")
     to_C, lower = _whitening(problem)
-    y0 = lower(problem.quadratic[1])
-    if problem.weights.w_entropy == 0.0:
-        C = to_C(y0)
-        return FunctionalMap(C, True, fmap_objective(C, problem)[0], 0)
-
-    def fun(y):
-        value, grad = fmap_objective(to_C(y), problem)
-        return value, lower(grad.ravel())
-
-    res = _minimize(fun, y0, to_C, max_iter)
-    return FunctionalMap(to_C(res.x), bool(res.success), float(res.fun),
-                         int(res.nit))
+    C = to_C(lower(problem.quadratic[1]))
+    return FunctionalMap(C, True, fmap_objective(C, problem)[0], 0)
 
 
 def recover_pointmap(C, basis_M: SpectralBasis, basis_N: SpectralBasis,
@@ -428,7 +412,7 @@ def solve_partial(problem: FmapProblem, g,
     vertex areas and w_e the mean area at the ends of each of ``edges``.
     One L-BFGS-B solve (Byrd et al., SISC 1995) runs on x = [L^T vec(C),
     sqrt(D) eta] from the quadratic part's minimizer at eta = min(1,
-    area_M / area_N): L whitens C as in ``solve_fmap``, and D is the
+    area_M / area_N): L is ``_whitening``'s Cholesky factor, and D is the
     diagonal of J's quadratic Hessian in eta. ``converged`` and
     ``reason`` are scipy's. It runs at one BLAS thread
     (``blas.ONE_BLAS_THREAD``), so (C, eta) do not depend on the caller's

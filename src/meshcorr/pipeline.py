@@ -56,7 +56,7 @@ class RunConfig:
     hks_times: int = spectral.DEFAULT_HKS_TIMES
     wks_energies: int = spectral.DEFAULT_WKS_ENERGIES
     posenc_bands: int = spectral.DEFAULT_POSENC_BANDS
-    max_iter: int = DEFAULT_MAX_ITER
+    max_iter: int = DEFAULT_MAX_ITER  # read by nothing; the benchmark passes it
     recovery: str = RECOVERY_METHODS[0]
 
     def __post_init__(self):
@@ -143,8 +143,7 @@ def match_prepared(source: PreparedInput, target: PreparedInput,
                    config: RunConfig) -> MatchResult:
     """Solve the functional map between two prepared meshes and recover
     the dense point map over both meshes' input vertices."""
-    fmap = solve_fmap(FmapProblem(source, target, config.weights),
-                      max_iter=config.max_iter)
+    fmap = solve_fmap(FmapProblem(source, target, config.weights))
     pmap = recover_pointmap(fmap.C, source.basis, target.basis,
                             method=config.recovery)
     j = target.index  # each target input vertex goes where its weld goes

@@ -75,7 +75,7 @@ def test_match_seed_determinism(runner, tmp_path):
         out = tmp_path / name
         res = runner.invoke(main, ["match", "--source", str(p), "--target",
                                    str(p), "-o", str(out), "--descriptors",
-                                   "hks", "--max-iter", "50"])
+                                   "hks"])
         assert res.exit_code == 0, all_output(res)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -93,6 +93,15 @@ def test_match_defaults_are_run_config(runner, tmp_path):
     want = match_meshes(m, m, RunConfig()).pmap.target_to_source
     doc = json.loads(out.read_text())
     np.testing.assert_array_equal(doc["target_to_source"], want)
+
+
+def test_solving_commands_offer_no_iteration_options(runner):
+    # the solve is the closed form: no entropy weight, no iterations
+    for command in ("match", "benchmark"):
+        res = runner.invoke(main, [command, "--help"])
+        assert res.exit_code == 0, all_output(res)
+        assert "--w-entropy" not in res.output
+        assert "--max-iter" not in res.output
 
 
 def test_match_missing_feature_file_exits_3(runner, tmp_path):
@@ -173,8 +182,7 @@ def test_match_bad_weight_exits_2(runner, tmp_path):
 
 
 @pytest.mark.parametrize("option, value", [
-    ("--alpha", "nan"), ("--w-entropy", "nan"), ("--beta", "inf"),
-    ("--w-sum", "-inf"),
+    ("--alpha", "nan"), ("--beta", "inf"), ("--w-sum", "-inf"),
 ])
 def test_match_non_finite_weight_exits_2(runner, tmp_path, option, value):
     p = tmp_path / "m.ply"
@@ -583,8 +591,7 @@ def test_benchmark_command(runner, sphere_dataset, tmp_path):
     json_path = tmp_path / "agg.json"
     res = runner.invoke(main, ["benchmark", "--dataset", str(root),
                                "--csv", str(csv_path), "--json",
-                               str(json_path), "--max-iter", "60",
-                               "--descriptors", "posenc",
+                               str(json_path), "--descriptors", "posenc",
                                "--recovery", "nearest"])
     assert res.exit_code == 0, all_output(res)
     with open(csv_path) as fh:
@@ -608,7 +615,7 @@ def test_benchmark_one_category(runner, sphere_dataset, tmp_path):
     res = runner.invoke(main, ["benchmark", "--dataset", str(root),
                                "--category", "spheres", "--csv",
                                str(csv_path), "--json", str(json_path),
-                               "--max-iter", "60", "--descriptors", "posenc"])
+                               "--descriptors", "posenc"])
     assert res.exit_code == 0, all_output(res)
     assert "spheres: pairs 4" in res.output and "others" not in res.output
     assert len(benchmark_rows(csv_path)) == 4
@@ -628,13 +635,13 @@ def test_log_json_prints_json_lines(runner, sphere_dataset, tmp_path,
     save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
              PointMap(np.arange(n), np.ones(n)), FmapWeights())
     args = {"match": ["--source", mesh, "--target", mesh, "-o",
-                      str(tmp_path / "o.json"), "--max-iter", "60"],
+                      str(tmp_path / "o.json")],
             "eval": ["--map", str(map_path), "--source-instance",
                      str(dirs[0]), "--target-instance", str(dirs[1])],
             "benchmark": ["--dataset", str(root), "--csv",
                           str(tmp_path / "r.csv"), "--json",
-                          str(tmp_path / "agg.json"), "--max-iter", "60",
-                          "--descriptors", "posenc"]}[command]
+                          str(tmp_path / "agg.json"), "--descriptors",
+                          "posenc"]}[command]
     res = runner.invoke(main, [command, *args, "--log-json"])
     assert res.exit_code == 0, all_output(res)
     lines = [json.loads(line) for line in res.output.splitlines()
@@ -880,18 +887,14 @@ def test_transfer_keypoints_command(runner, tmp_path, monkeypatch):
 OPTIMIZER_PROBE = """
 import json, sys
 from meshcorr.cli import main
-commands, solve = json.loads(sys.argv[1])
-for args in commands:
+for args in json.loads(sys.argv[1]):
     main(args, standalone_mode=False)
     if "scipy.optimize" in sys.modules:
         sys.exit(f"{args[0]} loaded scipy.optimize")
-main(solve, standalone_mode=False)
-if "scipy.optimize" not in sys.modules:
-    sys.exit("match did not load scipy.optimize")
 """
 
 
-def test_only_solving_commands_load_the_optimizer(sphere_dataset, tmp_path):
+def test_no_command_loads_the_optimizer(sphere_dataset, tmp_path):
     # a fresh interpreter, since this session has loaded scipy.optimize
     root, dirs, m = sphere_dataset
     n, mesh = m.n_vertices, str(dirs[0] / "remeshed.ply")
@@ -916,12 +919,10 @@ def test_only_solving_commands_load_the_optimizer(sphere_dataset, tmp_path):
         ["benchmark", "--dataset", str(root), "--csv", out + ".csv",
          "--json", out + "-agg.json"],
     ]
-    solve = ["match", "--source", mesh, "--target", mesh, "--w-entropy",
-             "1e-5", "--max-iter", "5", "-o", out + "-match.json"]
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", OPTIMIZER_PROBE,
-         json.dumps([commands, solve])],
+         json.dumps(commands)],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -1037,10 +1038,7 @@ def test_match_external_features_solve_k_eigenpairs(runner, tmp_path,
     ("descriptors", ["--hks", "4", "-k", "0"]),
     ("benchmark", ["--jobs", "0"]),
     ("benchmark", ["--jobs", "-3"]),
-    ("match", ["--max-iter", "0"]),
-    ("match", ["--max-iter", "-3"]),
-], ids=["match-k", "descriptors-k", "benchmark-jobs-0", "benchmark-jobs-neg",
-        "match-max-iter-0", "match-max-iter-neg"])
+], ids=["match-k", "descriptors-k", "benchmark-jobs-0", "benchmark-jobs-neg"])
 def test_sizes_below_one_exit_2(runner, sphere_dataset, tmp_path, command,
                                 args):
     root, dirs, _ = sphere_dataset

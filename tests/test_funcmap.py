@@ -248,7 +248,7 @@ def test_match_meshes_restores_blas_threads_and_leaves_no_thread(
 
     monkeypatch.setattr(spectral, "_dense_eigh", recorded)
     mesh = grid_patch(8, 8, z_fn=wavy)
-    config = pipeline.RunConfig(descriptors=("hks",), max_iter=5)
+    config = pipeline.RunConfig(descriptors=("hks",))
     threads = threading.active_count()
     with blas_threads(2):
         pipeline.match_meshes(mesh, mesh, config)
@@ -298,7 +298,7 @@ def test_match_meshes_raises_the_source_error_first(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigenbasis", failing_on_source)
     mesh = grid_patch(8, 8, z_fn=wavy)
-    config = pipeline.RunConfig(descriptors=("hks",), max_iter=5)
+    config = pipeline.RunConfig(descriptors=("hks",))
     # the target's preparation would fail too: k > 9
     with pytest.raises(NumericError, match="source's eigensolve"):
         pipeline.match_meshes(mesh, grid_patch(3, 3), config)
@@ -368,7 +368,7 @@ def with_zero_area_triangle(m):
 def test_source_warning_reaches_the_caller():
     source = with_zero_area_triangle(grid_patch(8, 8, z_fn=wavy))
     target = grid_patch(8, 8, z_fn=wavy)
-    config = pipeline.RunConfig(descriptors=("hks",), max_iter=5)
+    config = pipeline.RunConfig(descriptors=("hks",))
     threads, counts = threading.active_count(), blas_thread_counts()
     with pytest.warns(UserWarning, match="1 zero-area triangles"):
         pipeline.match_meshes(source, target, config)
@@ -465,33 +465,36 @@ def test_solve_identity_self_match():
     assert ident >= 0.95
 
 
+def whitened(prob):
+    """(fun, y0, to_C): prob's objective in y = L^T vec(C), as
+    ``_minimize`` takes it, and the quadratic part's minimizer in y."""
+    to_C, lower = funcmap._whitening(prob)
+
+    def fun(y):
+        value, grad = fmap_objective(to_C(y), prob)
+        return value, lower(grad.ravel())
+
+    return fun, lower(prob.quadratic[1]), to_C
+
+
 def test_solve_reports_unconverged_at_max_iter():
+    # L-BFGS-B on the entropy-weighted objective needs more than one
+    # iteration from the quadratic's minimizer; stopped after one, it
+    # reports that it did not converge
     prob = random_problem(k=4, d=3, seed=2, weights=FmapWeights(w_entropy=1e-5))
-    assert solve_fmap(prob).iterations > 1
-    fm = solve_fmap(prob, max_iter=1)
-    assert fm.converged is False
-    assert fm.iterations == 1
+    fun, y0, to_C = whitened(prob)
+    assert funcmap._minimize(fun, y0, to_C, funcmap.DEFAULT_MAX_ITER).nit > 1
+    res = funcmap._minimize(fun, y0, to_C, 1)
+    assert not res.success
+    assert res.nit == 1
 
 
-def test_solve_nonfinite_objective_keeps_last_valid_C(monkeypatch):
-    # the objective turns NaN after the first evaluation: the solver
-    # stops there, and the error carries the one C whose objective was
-    # finite
+def test_solve_refuses_an_entropy_weight():
+    # the full solve is the quadratic part's closed form; the entropy
+    # term is fmap_objective's and solve_partial's
     prob = random_problem(k=4, d=3, seed=2, weights=FmapWeights(w_entropy=1e-5))
-    evaluated = []
-
-    def nan_after_first(C, problem):
-        evaluated.append(np.array(C))
-        if len(evaluated) == 1:
-            return fmap_objective(C, problem)
-        return np.nan, np.full(C.shape, np.nan)
-
-    monkeypatch.setattr(funcmap, "fmap_objective", nan_after_first)
-    with pytest.raises(NumericError, match="last valid C") as info:
+    with pytest.raises(ArgumentError, match="w_entropy"):
         solve_fmap(prob)
-    assert len(evaluated) == 2
-    assert info.value.last_valid.shape == (4, 4)
-    np.testing.assert_array_equal(info.value.last_valid, evaluated[0])
 
 
 def test_solve_without_entropy_is_the_closed_form(monkeypatch):
@@ -501,14 +504,8 @@ def test_solve_without_entropy_is_the_closed_form(monkeypatch):
     prob = FmapProblem(*(pipeline.prepare_for_matching(
         grid_patch(n, n, z_fn=wavy), config) for n in (8, 10)),
         config.weights)
-    to_C, lower = funcmap._whitening(prob)
-
-    def fun(y):
-        value, grad = fmap_objective(to_C(y), prob)
-        return value, lower(grad.ravel())
-
-    iterated = funcmap._minimize(fun, lower(prob.quadratic[1]), to_C,
-                                 funcmap.DEFAULT_MAX_ITER)
+    fun, y0, to_C = whitened(prob)
+    iterated = funcmap._minimize(fun, y0, to_C, funcmap.DEFAULT_MAX_ITER)
     assert iterated.success
 
     def no_optimizer(*args, **kwargs):
@@ -542,22 +539,16 @@ def test_default_match_never_reads_the_soft_map(monkeypatch):
                                rtol=0, atol=1e-12)
 
 
-def test_solve_refuses_rank_deficient_quadratic(monkeypatch):
-    # with only the data and entropy terms and 4 features for 6 basis
-    # functions, H = I kron F F^T leaves 6 x 2 directions of C free; only
-    # the whitening ridge would pin them, so the solve refuses to start
-    w = FmapWeights(alpha=0.0, beta=0.0, w_entropy=1e-5, w_sum=0.0)
+def test_solve_refuses_rank_deficient_quadratic():
+    # with only the data term and 4 features for 6 basis functions,
+    # H = I kron F F^T leaves 6 x 2 directions of C free; only the
+    # whitening ridge would pin them, so the solve refuses
+    w = FmapWeights(alpha=0.0, beta=0.0, w_sum=0.0)
     prob = random_problem(k=6, d=4, seed=3, weights=w)
     H, _, _ = prob.quadratic
     assert np.linalg.matrix_rank(H) == 24
-
-    def no_optimizer(*args, **kwargs):
-        raise AssertionError("the optimizer was called")
-
-    monkeypatch.setattr(funcmap.scipy.optimize, "minimize", no_optimizer)
-    for weights in (w, replace(w, w_entropy=0.0)):
-        with pytest.raises(NumericError, match="12 of 36 directions"):
-            solve_fmap(replace(prob, weights=weights))
+    with pytest.raises(NumericError, match="12 of 36 directions"):
+        solve_fmap(prob)
 
 
 def test_recover_pointmap_methods_and_dense():
@@ -624,7 +615,7 @@ def test_fmap_from_pointmap_roundtrip():
 def test_save_load_map_roundtrip(tmp_path):
     m, b = basis_pair(5)
     rng = np.random.default_rng(9)
-    fm_in = solve_fmap(random_problem(k=5, d=3, seed=9), max_iter=30)
+    fm_in = solve_fmap(random_problem(k=5, d=3, seed=9))
     pmap = recover_pointmap(fm_in.C, b, b)
     p = tmp_path / "map.json"
     save_map(p, fm_in, pmap, FmapWeights(alpha=0.5))
@@ -704,6 +695,27 @@ def test_solve_partial_objective_is_J():
     H, b, _ = masked_problem(prob, g, eta0).quadratic
     C0 = np.linalg.solve(H, b).reshape(prob.k, prob.k)
     assert sol.objective <= partial_objective(prob, g, edges, C0, eta0)
+
+
+def test_solve_nonfinite_objective_keeps_last_valid_C(monkeypatch):
+    # the objective turns NaN after the first evaluation: the solver
+    # stops there, and the error carries the one C whose objective was
+    # finite
+    prob, g, edges = corner_cut()
+    evaluated, objective = [], funcmap.fmap_objective
+
+    def nan_after_first(C, problem):
+        evaluated.append(np.array(C))
+        if len(evaluated) == 1:
+            return objective(C, problem)
+        return np.nan, np.full(C.shape, np.nan)
+
+    monkeypatch.setattr(funcmap, "fmap_objective", nan_after_first)
+    with pytest.raises(NumericError, match="last valid C") as info:
+        solve_partial(prob, g, edges)
+    assert len(evaluated) == 2
+    assert info.value.last_valid.shape == (prob.k, prob.k)
+    np.testing.assert_array_equal(info.value.last_valid, evaluated[0])
 
 
 def test_solve_partial_runs_at_one_blas_thread(monkeypatch):
