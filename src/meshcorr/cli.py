@@ -90,8 +90,6 @@ def _solver_options(fn):
                      show_default=True, callback=_split_names,
                      help="comma-separated stack used when no feature "
                           "files are given"),
-        click.option("--recovery", type=click.Choice(funcmap.RECOVERY_METHODS),
-                     default=pipeline.RunConfig.recovery, show_default=True),
         click.option("--log-json", is_flag=True),
     ]):
         fn = opt(fn)
@@ -278,30 +276,30 @@ def cmd_transfer_keypoints(source, target, keypoints, map_path, output):
 
 @main.command("descriptors")
 @click.option("--mesh", "mesh_path", required=True, type=click.Path())
-@click.option("--hks", "hks_times", type=int, default=None,
+@click.option("--hks", type=click.IntRange(min=1), default=None,
               help="write an HKS stack with this many time samples")
-@click.option("--wks", "wks_energies", type=int, default=None)
-@click.option("--posenc", "posenc_bands", type=int, default=None)
-@click.option("-k", "--basis-size", type=int,
+@click.option("--wks", type=click.IntRange(min=1), default=None,
+              help="write a WKS stack with this many energies")
+@click.option("--posenc", type=click.IntRange(0, spectral.MAX_POSENC_BANDS),
+              default=None,
+              help="write a positional encoding with this many bands")
+@click.option("-k", "--basis-size", type=click.IntRange(min=1),
               default=spectral.DEFAULT_DESC_K, show_default=True)
 @click.option("-o", "--output", required=True, type=click.Path(),
               callback=_output_path)
 @_handle_errors
-def cmd_descriptors(mesh_path, hks_times, wks_energies, posenc_bands,
-                    basis_size, output):
+def cmd_descriptors(mesh_path, hks, wks, posenc, basis_size, output):
     """Compute a descriptor stack of the welded, normalized mesh and write
-    it as a DMF feature file, one row per vertex of the mesh file."""
-    sizes = {"hks_times": hks_times, "wks_energies": wks_energies,
-             "posenc_bands": posenc_bands}
-    sizes = {key: n for key, n in sizes.items() if n is not None}
+    it as a DMF feature file, one row per vertex of the mesh file. Sizes
+    out of range exit 2 before the mesh is read."""
+    sizes = {"hks": hks, "wks": wks, "posenc": posenc}
+    sizes = {name: n for name, n in sizes.items() if n is not None}
     if not sizes:
         raise ArgumentError("choose at least one of --hks/--wks/--posenc")
-    # no map is solved, so C's size k = 1 leaves the basis min(-k, n)
-    config = pipeline.RunConfig(
-        k=1, descriptors=tuple(key.split("_")[0] for key in sizes),
-        descriptor_k=basis_size, **sizes)
-    mesh, basis, index = pipeline.prepare_mesh(load_mesh(mesh_path), config)
-    stack = pipeline.descriptor_stack(mesh, basis, config)
+    # no map is solved, so the basis is min(-k, n) eigenpairs
+    mesh, basis, index = pipeline.prepare_mesh(load_mesh(mesh_path),
+                                               basis_size)
+    stack = pipeline.descriptor_stack(mesh, basis, tuple(sizes), sizes)
     stack = FeatureField(stack.values[index])
     write_features(output, stack)
     click.echo(f"wrote {output} ({stack.n}x{stack.d})")

@@ -12,31 +12,31 @@ returns its ``funcmap.MatchInput``) and matches the prepared meshes
 pairwise (``match_prepared``, which solves the ``FmapProblem`` of two
 MatchInputs); ``match_meshes`` is the two steps for a single pair.
 
-A preparation is mostly the mesh's eigensolve, of
-max(min(descriptor_k, n), k) eigenpairs (``spectral.eigenbasis`` picks
-the solver).
+A preparation is mostly the mesh's eigensolve (``spectral.eigenbasis``
+picks the solver), of max(min(spectral.DEFAULT_DESC_K, n), k) eigenpairs
+for the descriptor stack and k for external features.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import spectral
 from .errors import ArgumentError
 from .features import FeatureField, concat_features
-from .funcmap import (DEFAULT_MAX_ITER, RECOVERY_METHODS, FmapProblem,
-                      FmapWeights, FunctionalMap, MatchInput, PointMap,
-                      project_features, recover_pointmap, solve_fmap)
+from .funcmap import (DEFAULT_MAX_ITER, FmapProblem, FmapWeights,
+                      FunctionalMap, MatchInput, PointMap, project_features,
+                      recover_pointmap, solve_fmap)
 from .mesh import TriMesh, cotangent_weights, normalize_mesh, vertex_areas, weld_mesh
 
-_DESCRIPTORS = {  # name -> its feature field of (mesh, basis, config)
-    "hks": lambda mesh, basis, c: spectral.hks(basis, c.hks_times),
-    "wks": lambda mesh, basis, c: spectral.wks(basis, c.wks_energies),
-    "posenc": lambda mesh, basis, c: spectral.positional_encoding(
-        mesh, c.posenc_bands),
+_DESCRIPTORS = {  # name -> its feature field of (mesh, basis[, size])
+    "hks": lambda mesh, basis, *size: spectral.hks(basis, *size),
+    "wks": lambda mesh, basis, *size: spectral.wks(basis, *size),
+    "posenc": lambda mesh, basis, *size: spectral.positional_encoding(
+        mesh, *size),
 }
 DESCRIPTOR_NAMES = tuple(_DESCRIPTORS)
 SOLVE_BYTES_PER_K4 = 5 * 8  # a solve's peak: about five k^2 x k^2 float64s
@@ -46,22 +46,21 @@ CONSTANT_CHANNEL = 1e-9  # centered norm at most this of the raw: constant
 @dataclass(frozen=True)
 class RunConfig:
     """Settings of one match; the CLI takes its defaults from here. A
-    basis size below 1, an empty descriptor list or a name outside
-    DESCRIPTOR_NAMES, or a k whose solve would outgrow the machine's
-    physical memory, raises ArgumentError."""
+    basis size below 1, a nonzero entropy weight (the solve is the closed
+    form), an empty descriptor list or a name outside DESCRIPTOR_NAMES,
+    or a k whose solve would outgrow the machine's physical memory,
+    raises ArgumentError."""
     k: int = spectral.DEFAULT_FMAP_K
     weights: FmapWeights = field(default_factory=FmapWeights)
     descriptors: tuple = DESCRIPTOR_NAMES
-    descriptor_k: int = spectral.DEFAULT_DESC_K
-    hks_times: int = spectral.DEFAULT_HKS_TIMES
-    wks_energies: int = spectral.DEFAULT_WKS_ENERGIES
-    posenc_bands: int = spectral.DEFAULT_POSENC_BANDS
     max_iter: int = DEFAULT_MAX_ITER  # read by nothing; the benchmark passes it
-    recovery: str = RECOVERY_METHODS[0]
 
     def __post_init__(self):
-        if min(self.k, self.descriptor_k) < 1:
-            raise ArgumentError("basis sizes k and descriptor_k must be >= 1")
+        if self.k < 1:
+            raise ArgumentError("basis size k must be >= 1")
+        if self.weights.w_entropy != 0.0:
+            raise ArgumentError("the match is the closed-form solve and needs "
+                                f"w_entropy 0, got {self.weights.w_entropy}")
         if not self.descriptors or set(self.descriptors) - _DESCRIPTORS.keys():
             raise ArgumentError(
                 f"descriptors must be one or more of {DESCRIPTOR_NAMES}, "
@@ -77,25 +76,32 @@ class RunConfig:
                 f"more than the {memory / 2 ** 30:.3g} GiB of physical memory")
 
 
-def prepare_mesh(mesh: TriMesh, config: RunConfig
+def prepare_mesh(mesh: TriMesh, basis_k: int, k: int = 1
                  ) -> tuple[TriMesh, spectral.SpectralBasis, np.ndarray]:
     """(mesh, basis, index): the mesh welded (``weld_mesh``, whose index
-    gives the welded vertex of each input vertex), then normalized, and a
-    basis large enough for the descriptor stack and C."""
+    gives the welded vertex of each input vertex), then normalized, and
+    its basis of max(min(basis_k, n), k) eigenpairs, n the welded vertex
+    count. C's size k above n raises ArgumentError before the eigensolve."""
     mesh, index = weld_mesh(mesh)
     mesh = normalize_mesh(mesh)
-    if config.k > mesh.n_vertices:
+    if k > mesh.n_vertices:
         raise ArgumentError(
-            f"k={config.k} exceeds mesh vertex count {mesh.n_vertices}")
-    k = max(min(config.descriptor_k, mesh.n_vertices), config.k)
+            f"k={k} exceeds mesh vertex count {mesh.n_vertices}")
+    size = max(min(basis_k, mesh.n_vertices), k)
     return mesh, spectral.eigenbasis(cotangent_weights(mesh),
-                                     vertex_areas(mesh), k), index
+                                     vertex_areas(mesh), size), index
 
 
 def descriptor_stack(mesh: TriMesh, basis: spectral.SpectralBasis,
-                     config: RunConfig) -> FeatureField:
-    return concat_features(_DESCRIPTORS[name](mesh, basis, config)
-                           for name in config.descriptors)
+                     names, sizes=None) -> FeatureField:
+    """The named descriptors' fields side by side, in order. ``sizes``
+    maps a name to its sample count (hks times, wks energies or posenc
+    bands); a name it lacks takes spectral's default."""
+    sizes = sizes or {}
+    return concat_features(
+        _DESCRIPTORS[name](mesh, basis, *([sizes[name]] if name in sizes
+                                          else []))
+        for name in names)
 
 
 @dataclass(frozen=True)
@@ -128,10 +134,10 @@ def prepare_for_matching(mesh: TriMesh, config: RunConfig,
         if features.n != mesh.n_vertices:
             raise ArgumentError(f"feature rows {features.n} != vertex count "
                                 f"{mesh.n_vertices}")
-        config = replace(config, descriptor_k=config.k)
-    mesh, basis, index = prepare_mesh(mesh, config)
+    basis_k = spectral.DEFAULT_DESC_K if features is None else config.k
+    mesh, basis, index = prepare_mesh(mesh, basis_k, config.k)
     if features is None:
-        features = descriptor_stack(mesh, basis, config)
+        features = descriptor_stack(mesh, basis, config.descriptors)
     else:
         features = FeatureField(features.values[_survivors(index)])
     features = _standardize(features, basis)
@@ -144,8 +150,7 @@ def match_prepared(source: PreparedInput, target: PreparedInput,
     """Solve the functional map between two prepared meshes and recover
     the dense point map over both meshes' input vertices."""
     fmap = solve_fmap(FmapProblem(source, target, config.weights))
-    pmap = recover_pointmap(fmap.C, source.basis, target.basis,
-                            method=config.recovery)
+    pmap = recover_pointmap(fmap.C, source.basis, target.basis)
     j = target.index  # each target input vertex goes where its weld goes
     match = _survivors(source.index)[pmap.target_to_source[j]]
     return MatchResult(fmap, PointMap(match, pmap.confidence[j]))
@@ -155,10 +160,15 @@ def match_meshes(source: TriMesh, target: TriMesh, config: RunConfig,
                  source_features: FeatureField | None = None,
                  target_features: FeatureField | None = None) -> MatchResult:
     """Match two meshes; features default to the configured descriptor
-    stack when not supplied externally. The source is prepared first, so
-    when both fail, the source's error is raised."""
+    stack when not supplied externally. External features of different
+    widths are refused before either mesh is prepared. The source is
+    prepared first, so when both fail, the source's error is raised."""
     if (source_features is None) != (target_features is None):
         raise ArgumentError("provide features for both meshes or neither")
+    if source_features is not None and source_features.d != target_features.d:
+        raise ArgumentError(
+            "source and target features must share the feature dimension, "
+            f"got {source_features.d} and {target_features.d}")
     prepared_source = prepare_for_matching(source, config, source_features)
     prepared_target = prepare_for_matching(target, config, target_features)
     return match_prepared(prepared_source, prepared_target, config)

@@ -39,6 +39,8 @@ DEFAULT_DESC_K = 32      # basis size used for descriptors
 DEFAULT_HKS_TIMES = 16
 DEFAULT_WKS_ENERGIES = 100
 DEFAULT_POSENC_BANDS = 6
+# most bands whose top frequency pi 2^(bands - 1) is a finite float: 1023
+MAX_POSENC_BANDS = int(np.log2(np.finfo(np.float64).max / np.pi)) + 1
 ZERO_MODE = 1e-8         # lam * total area below it is a zero eigenvalue
 
 
@@ -212,10 +214,13 @@ def positional_encoding(mesh: TriMesh,
     """NeRF-style sinusoidal encoding of vertex XYZ.
 
     Returns [xyz, sin(2^b pi xyz), cos(2^b pi xyz) for b < bands],
-    d = 3 + 6 * bands. Extrinsic by design: moves with the mesh.
+    d = 3 + 6 * bands. Extrinsic by design: moves with the mesh. Bands
+    outside [0, MAX_POSENC_BANDS] raise ArgumentError: past it the top
+    frequency is not finite.
     """
-    if bands < 0:
-        raise ArgumentError("bands must be >= 0")
+    if not 0 <= bands <= MAX_POSENC_BANDS:
+        raise ArgumentError(f"bands must be in [0, {MAX_POSENC_BANDS}], "
+                            f"got {bands}")
     xyz = mesh.vertices
     cols = [xyz]
     for b in range(bands):

@@ -101,12 +101,14 @@ def transfer_keypoints(keypoints, pmap: PointMap, source: TriMesh):
     match = pmap.target_to_source
     check_map_fits(match, source.n_vertices)
     covered = np.bincount(match, minlength=source.n_vertices) > 0
+    geo = None  # the source's edge graph, built at the first uncovered keypoint
     results = []
     for label, i in keypoints:
         conf = pmap.confidence
         if not covered[i]:
-            geo = GeodesicMatrix(edge_graph(source),
-                                 np.arange(source.n_vertices))
+            if geo is None:
+                geo = GeodesicMatrix(edge_graph(source),
+                                     np.arange(source.n_vertices))
             d = geo.distance_to(i)
             if np.isinf(d[covered]).all():  # i's part has no covered vertex
                 d = np.linalg.norm(source.vertices - source.vertices[i], axis=1)

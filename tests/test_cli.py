@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import struct
@@ -58,7 +59,7 @@ def test_match_self_identity(runner, tmp_path):
     out = tmp_path / "map.json"
     res = runner.invoke(main, ["match", "--source", str(p), "--target",
                                str(p), "-o", str(out), "--descriptors",
-                               "hks", "--recovery", "nearest"])
+                               "hks"])
     assert res.exit_code == 0, all_output(res)
     doc = json.loads(out.read_text())
     match = np.asarray(doc["target_to_source"])
@@ -102,6 +103,25 @@ def test_solving_commands_offer_no_iteration_options(runner):
         assert res.exit_code == 0, all_output(res)
         assert "--w-entropy" not in res.output
         assert "--max-iter" not in res.output
+
+
+def test_solver_options_are_the_settable_run_config_fields(runner):
+    # the options match and benchmark share, --log-json aside, set a
+    # RunConfig one field each; max_iter is the benchmark's own, and
+    # w_entropy may only be 0
+    settable = {f.name for f in dataclasses.fields(RunConfig)} | {
+        f.name for f in dataclasses.fields(FmapWeights)}
+    settable -= {"weights", "max_iter", "w_entropy"}
+    commands = [main.commands[name] for name in ("match", "benchmark")]
+    shared = set.intersection(*({p.name for p in c.params} for c in commands))
+    assert shared - {"log_json"} == settable
+    for command in commands:
+        res = runner.invoke(main, [command.name, "--help"])
+        assert res.exit_code == 0, all_output(res)
+        assert "--recovery" not in res.output
+        for param in command.params:
+            if param.name in settable:
+                assert param.opts[-1] in res.output, param.name
 
 
 def test_match_missing_feature_file_exits_3(runner, tmp_path):
@@ -171,6 +191,27 @@ def test_match_one_feature_file_exits_2(runner, tmp_path, side):
     assert "both meshes or neither" in all_output(res)
 
 
+def test_match_feature_widths_differ_exits_2_before_any_eigensolve(
+        runner, tmp_path, monkeypatch):
+    asked = []
+    monkeypatch.setattr(spectral, "eigenbasis",
+                        lambda W, A, k: asked.append(k))
+    m = strong_bump_grid(6)
+    p, out = tmp_path / "m.ply", tmp_path / "o.json"
+    save_mesh(p, m)
+    feats = []
+    for d in (3, 4):
+        feats.append(tmp_path / f"f{d}.dmf")
+        write_features(feats[-1], FeatureField(np.ones((m.n_vertices, d))))
+    res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                               str(p), "--source-features", str(feats[0]),
+                               "--target-features", str(feats[1]),
+                               "-o", str(out)])
+    assert res.exit_code == 2, all_output(res)
+    assert "must share the feature dimension, got 3 and 4" in all_output(res)
+    assert asked == [] and not out.exists()
+
+
 def test_match_bad_weight_exits_2(runner, tmp_path):
     m = strong_bump_grid(6)
     p = tmp_path / "m.ply"
@@ -211,7 +252,7 @@ def test_descriptors_command_and_external_features(runner, tmp_path):
     res = runner.invoke(main, ["match", "--source", str(p), "--target",
                                str(p), "--source-features", str(feat),
                                "--target-features", str(feat),
-                               "-o", str(out), "--recovery", "nearest"])
+                               "-o", str(out)])
     assert res.exit_code == 0, all_output(res)
     assert out.exists()
 
@@ -335,9 +376,9 @@ def test_descriptors_do_not_depend_on_blas_threads(runner, tmp_path):
                          ids=["torus1024", "sphere642"])
 def test_low_rank_feature_files_exit_4(runner, tmp_path, mesh):
     m = mesh()
-    config = RunConfig()
     feat, out = tmp_path / "m.dmf", tmp_path / "o.json"
-    write_features(feat, spectral.hks(pipeline.prepare_mesh(m, config)[1], 16))
+    basis = pipeline.prepare_mesh(m, spectral.DEFAULT_DESC_K)[1]
+    write_features(feat, spectral.hks(basis, 16))
     save_mesh(tmp_path / "m.ply", m)
     res = runner.invoke(main, [
         "match", "--source", str(tmp_path / "m.ply"), "--target",
@@ -357,6 +398,26 @@ def test_descriptors_zero_samples_exits_2(runner, tmp_path, flag):
                                "-o", str(feat)])
     assert res.exit_code == 2, all_output(res)
     assert not feat.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--hks", "0"], ["--wks", "0"], ["--posenc", "-1"],
+    ["--hks", "4", "-k", "0"], ["--posenc", "1024"], ["--posenc", "1100"],
+], ids=["hks-0", "wks-0", "posenc-neg", "k-0", "posenc-inf", "posenc-over"])
+@pytest.mark.parametrize("present", [True, False], ids=["mesh", "absent-mesh"])
+def test_descriptors_bad_sizes_exit_2_before_reading_the_mesh(
+        runner, tmp_path, monkeypatch, args, present):
+    # posenc's top frequency pi 2^(bands - 1) overflows from 1024 bands on
+    asked = []
+    monkeypatch.setattr(spectral, "eigenbasis",
+                        lambda W, A, k: asked.append(k))
+    p, feat = tmp_path / "m.ply", tmp_path / "m.dmf"
+    if present:
+        save_mesh(p, strong_bump_grid(6))
+    res = runner.invoke(main, ["descriptors", "--mesh", str(p), *args,
+                               "-o", str(feat)])
+    assert res.exit_code == 2, all_output(res)
+    assert asked == [] and not feat.exists()
 
 
 def test_descriptors_basis_is_k_eigenpairs(runner, tmp_path, monkeypatch):
@@ -591,8 +652,7 @@ def test_benchmark_command(runner, sphere_dataset, tmp_path):
     json_path = tmp_path / "agg.json"
     res = runner.invoke(main, ["benchmark", "--dataset", str(root),
                                "--csv", str(csv_path), "--json",
-                               str(json_path), "--descriptors", "posenc",
-                               "--recovery", "nearest"])
+                               str(json_path), "--descriptors", "posenc"])
     assert res.exit_code == 0, all_output(res)
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))

@@ -183,9 +183,10 @@ def test_prepared_problem_is_build_problems(monkeypatch):
                       for m in meshes)
     features = []
     for m in meshes:
-        mesh, basis, _ = pipeline.prepare_mesh(m, config)
-        features.append(pipeline._standardize(
-            pipeline.descriptor_stack(mesh, basis, config), basis).values)
+        mesh, basis, _ = pipeline.prepare_mesh(m, spectral.DEFAULT_DESC_K,
+                                               config.k)
+        features.append(pipeline._standardize(pipeline.descriptor_stack(
+            mesh, basis, config.descriptors), basis).values)
     built = []
     solve = pipeline.solve_fmap
 
@@ -311,8 +312,8 @@ def test_external_features_match_at_any_mesh_or_feature_scale():
     # path too, so neither the mesh's units nor the features' change the map
     m = bumpy_grid(20)
     config = pipeline.RunConfig()
-    prepared, basis, _ = pipeline.prepare_mesh(m, config)
-    f = pipeline.descriptor_stack(prepared, basis, config).values
+    prepared, basis, _ = pipeline.prepare_mesh(m, spectral.DEFAULT_DESC_K)
+    f = pipeline.descriptor_stack(prepared, basis, config.descriptors).values
     maps = []
     for scale in (0.01, 1.0, 100.0):
         mesh = TriMesh(scale * m.vertices, m.triangles)
@@ -355,7 +356,7 @@ def test_low_rank_external_features_are_refused(mesh):
     # few eigenfunctions, and inside repeated eigenvalues no term pins C
     m = mesh()
     config = pipeline.RunConfig()
-    f = spectral.hks(pipeline.prepare_mesh(m, config)[1], 16)
+    f = spectral.hks(pipeline.prepare_mesh(m, spectral.DEFAULT_DESC_K)[1], 16)
     with pytest.raises(NumericError, match="directions of C are unconstrained"):
         pipeline.match_meshes(m, m, config, f, f)
 
@@ -495,6 +496,18 @@ def test_solve_refuses_an_entropy_weight():
     prob = random_problem(k=4, d=3, seed=2, weights=FmapWeights(w_entropy=1e-5))
     with pytest.raises(ArgumentError, match="w_entropy"):
         solve_fmap(prob)
+
+
+def test_run_config_refuses_an_entropy_weight_before_any_eigensolve(
+        monkeypatch):
+    asked = []
+    monkeypatch.setattr(spectral, "eigenbasis",
+                        lambda W, A, k: asked.append(k))
+    m = grid_patch(8, 8, z_fn=wavy)
+    with pytest.raises(ArgumentError, match="w_entropy 0, got 1e-05"):
+        pipeline.match_meshes(m, m, pipeline.RunConfig(
+            weights=FmapWeights(w_entropy=1e-5)))
+    assert asked == []
 
 
 def test_solve_without_entropy_is_the_closed_form(monkeypatch):

@@ -281,15 +281,16 @@ def test_positional_encoding_shape_and_values():
     np.testing.assert_allclose(out[:, 9:12], np.sin(2 * np.pi * m.vertices))
 
 
-def test_descriptor_defaults_are_run_config():
-    import inspect
-    from meshcorr.pipeline import RunConfig
-
-    def default(fn, name):
-        return inspect.signature(fn).parameters[name].default
-
-    config = RunConfig()
-    assert default(spectral.hks, "num_times") == config.hks_times
-    assert default(spectral.wks, "num_energies") == config.wks_energies
-    assert default(spectral.positional_encoding, "bands") \
-        == config.posenc_bands
+def test_positional_encoding_bands_up_to_a_finite_top_frequency():
+    # pi 2^b is exact, as ldexp gives it, up to the last finite band
+    top = spectral.MAX_POSENC_BANDS - 1
+    assert np.ldexp(np.pi, top) == 2.0 ** top * np.pi
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.ldexp(np.pi, top + 1))
+    m = grid_patch(3, 3)
+    m = TriMesh(m.vertices / np.abs(m.vertices).max(), m.triangles)
+    out = positional_encoding(m, spectral.MAX_POSENC_BANDS).values
+    assert out.shape == (9, 3 + 6 * spectral.MAX_POSENC_BANDS)
+    for bands in (-1, spectral.MAX_POSENC_BANDS + 1, 10 ** 30):
+        with pytest.raises(ArgumentError, match="bands must be in"):
+            positional_encoding(m, bands)

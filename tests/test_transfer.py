@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import meshcorr.transfer as transfer
 from meshcorr.errors import ArgumentError, DataError
 from meshcorr.funcmap import PointMap
 from meshcorr.mesh import TriMesh
@@ -163,6 +164,28 @@ def test_transfer_keypoints_euclidean_fallback_across_parts():
     out = transfer_keypoints([("a", 9), ("b", 17), ("c", 4)], pmap, source)
     # (5, 0) and (6, 1) are nearest to the covered corners (1, 0) and (1, 1)
     assert out == [(6, 0.0, "a"), (8, 0.0, "b"), (4, 1.0, "c")]
+
+
+def test_transfer_keypoints_builds_the_graph_once(monkeypatch):
+    # two uncovered keypoints share one edge graph, built on demand
+    m = grid_patch(5, 5)
+    calls, edge_graph = [], transfer.edge_graph
+
+    def counted(mesh):
+        calls.append(mesh)
+        return edge_graph(mesh)
+
+    monkeypatch.setattr(transfer, "edge_graph", counted)
+    n = m.n_vertices
+    covered = PointMap(np.arange(n), np.ones(n))
+    transfer_keypoints([("c", 12)], covered, m)
+    assert calls == []
+    match = np.arange(n)
+    match[[12, 0]] = 13, 1  # the centre and a corner are left uncovered
+    out = transfer_keypoints([("c", 12), ("o", 0), ("e", 13)],
+                             PointMap(match, np.ones(n)), m)
+    assert len(calls) == 1
+    assert [kp[1:] for kp in out] == [(0.0, "c"), (0.0, "o"), (1.0, "e")]
 
 
 def test_save_transferred_keypoints(tmp_path):
