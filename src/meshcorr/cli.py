@@ -46,7 +46,7 @@ def _handle_errors(fn):
 
 def _log(log_json, **payload):
     if log_json:
-        click.echo(json.dumps(payload, sort_keys=True))
+        click.echo(json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
 @click.group()
@@ -73,6 +73,12 @@ def _split_names(ctx, param, value):
     return tuple(d.strip() for d in value.split(",") if d.strip())
 
 
+def _descriptors_option(help):
+    return click.option("--descriptors",
+                        default=",".join(pipeline.RunConfig.descriptors),
+                        show_default=True, callback=_split_names, help=help)
+
+
 def _solver_options(fn):
     """Options that set a RunConfig; their defaults are RunConfig's."""
     for opt in reversed([
@@ -85,11 +91,8 @@ def _solver_options(fn):
                      show_default=True, help="pointwise commutativity weight"),
         click.option("--w-sum", type=float, default=funcmap.DEFAULT_W_SUM,
                      show_default=True),
-        click.option("--descriptors",
-                     default=",".join(pipeline.RunConfig.descriptors),
-                     show_default=True, callback=_split_names,
-                     help="comma-separated stack used when no feature "
-                          "files are given"),
+        _descriptors_option("comma-separated stack used when no feature "
+                            "files are given"),
         click.option("--log-json", is_flag=True),
     ]):
         fn = opt(fn)
@@ -140,17 +143,14 @@ def cmd_match(source, target, source_features, target_features, output,
 @click.option("--source-instance", required=True, type=click.Path(),
               help="dataset instance directory of the source mesh")
 @click.option("--target-instance", required=True, type=click.Path())
-@click.option("--max-threshold", type=float,
-              default=evalbench.DEFAULT_MAX_THRESHOLD, show_default=True)
 @click.option("--log-json", is_flag=True)
 @_handle_errors
-def cmd_eval(map_path, source_instance, target_instance, max_threshold,
-             log_json):
+def cmd_eval(map_path, source_instance, target_instance, log_json):
     """Evaluate a stored map against ground-truth semantic groups."""
     src = evalbench.load_instance(source_instance)
     tgt = evalbench.load_instance(target_instance)
     _, pmap, _ = funcmap.load_map(map_path)
-    err, area, coverage = evalbench.score_map(pmap, src, tgt, max_threshold)
+    err, area, coverage = evalbench.score_map(pmap, src, tgt)
     click.echo(f"err {err:.4f}  auc {area:.4f}  coverage {coverage:.3f}")
     _log(log_json, command="eval", err=err, auc=area, coverage=coverage)
 
@@ -183,6 +183,12 @@ class _BenchmarkMatcher:
                                        self.config).pmap
 
 
+def _score(mean):
+    """A category's mean score as ``benchmark`` prints it; None, the mean
+    of no pair, prints as nan."""
+    return "nan" if mean is None else f"{mean:.4f}"
+
+
 @main.command("benchmark")
 @click.option("--dataset", "dataset_root", required=True, type=click.Path())
 @click.option("--category", default=None,
@@ -194,12 +200,10 @@ class _BenchmarkMatcher:
               callback=_output_path)
 @click.option("--json", "json_path", required=True, type=click.Path(),
               callback=_output_path)
-@click.option("--max-threshold", type=float,
-              default=evalbench.DEFAULT_MAX_THRESHOLD, show_default=True)
 @_solver_options
 @_handle_errors
 def cmd_benchmark(dataset_root, category, split, jobs, csv_path, json_path,
-                  max_threshold, log_json, **options):
+                  log_json, **options):
     """Run the all-pairs protocol over dataset categories."""
     config = _make_config(options)
 
@@ -218,14 +222,14 @@ def cmd_benchmark(dataset_root, category, split, jobs, csv_path, json_path,
     for cat in categories:
         # a matcher per category holds one category's preparations at a time
         results, agg = evalbench.benchmark_category(
-            instances, cat, _BenchmarkMatcher(config), jobs=jobs,
-            max_threshold=max_threshold)
+            instances, cat, _BenchmarkMatcher(config), jobs=jobs)
         all_results.extend(results)
         aggregates[cat] = agg
         _log(log_json, command="benchmark", category=cat, **{
             k: v for k, v in agg.items() if k != "category"})
-        click.echo(f"{cat}: pairs {agg['pairs']}  err {agg['err_mean']:.4f}  "
-                   f"auc {agg['auc_mean']:.4f}")
+        click.echo(f"{cat}: pairs {agg['pairs']}  "
+                   f"err {_score(agg['err_mean'])}  "
+                   f"auc {_score(agg['auc_mean'])}")
     evalbench.write_results_csv(csv_path, all_results)
     evalbench.write_aggregates_json(json_path, aggregates)
 
@@ -276,30 +280,18 @@ def cmd_transfer_keypoints(source, target, keypoints, map_path, output):
 
 @main.command("descriptors")
 @click.option("--mesh", "mesh_path", required=True, type=click.Path())
-@click.option("--hks", type=click.IntRange(min=1), default=None,
-              help="write an HKS stack with this many time samples")
-@click.option("--wks", type=click.IntRange(min=1), default=None,
-              help="write a WKS stack with this many energies")
-@click.option("--posenc", type=click.IntRange(0, spectral.MAX_POSENC_BANDS),
-              default=None,
-              help="write a positional encoding with this many bands")
-@click.option("-k", "--basis-size", type=click.IntRange(min=1),
-              default=spectral.DEFAULT_DESC_K, show_default=True)
+@_descriptors_option("comma-separated stack to write")
 @click.option("-o", "--output", required=True, type=click.Path(),
               callback=_output_path)
 @_handle_errors
-def cmd_descriptors(mesh_path, hks, wks, posenc, basis_size, output):
-    """Compute a descriptor stack of the welded, normalized mesh and write
-    it as a DMF feature file, one row per vertex of the mesh file. Sizes
-    out of range exit 2 before the mesh is read."""
-    sizes = {"hks": hks, "wks": wks, "posenc": posenc}
-    sizes = {name: n for name, n in sizes.items() if n is not None}
-    if not sizes:
-        raise ArgumentError("choose at least one of --hks/--wks/--posenc")
-    # no map is solved, so the basis is min(-k, n) eigenpairs
+def cmd_descriptors(mesh_path, descriptors, output):
+    """Compute the descriptor stack that match computes of the welded,
+    normalized mesh and write it as a DMF feature file, one row per vertex
+    of the mesh file. Bad names exit 2 before the mesh is read."""
+    pipeline._check_descriptors(descriptors)
     mesh, basis, index = pipeline.prepare_mesh(load_mesh(mesh_path),
-                                               basis_size)
-    stack = pipeline.descriptor_stack(mesh, basis, tuple(sizes), sizes)
+                                               spectral.DEFAULT_DESC_K)
+    stack = pipeline.descriptor_stack(mesh, basis, descriptors)
     stack = FeatureField(stack.values[index])
     write_features(output, stack)
     click.echo(f"wrote {output} ({stack.n}x{stack.d})")

@@ -104,7 +104,9 @@ def json_array(value, kind, ndim: int, name: str) -> np.ndarray:
 
 
 def write_json(path, doc):
-    """Write ``doc`` as JSON: sorted keys, one-space indent, final newline."""
+    """Write ``doc`` as JSON: sorted keys, one-space indent, final newline.
+    A NaN or infinite number, which JSON cannot hold, raises ValueError
+    before the file is opened."""
+    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")

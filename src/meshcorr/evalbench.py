@@ -24,7 +24,7 @@ from .geodesics import (GeodesicMatrix, SemanticGroups, geodesic_matrix,
 from .mesh import TriMesh, VertexAreas, vertex_areas
 from .meshio import load_mesh
 
-DEFAULT_MAX_THRESHOLD = 25.0
+MAX_THRESHOLD = 25.0
 NUM_THRESHOLDS = 100
 
 
@@ -54,26 +54,18 @@ def geodesic_error(target_to_source, src_groups: SemanticGroups,
     return errors
 
 
-def _check_max_threshold(max_threshold):
-    if not 0.0 < max_threshold < np.inf:
-        raise ArgumentError(
-            f"max_threshold must be finite and > 0, got {max_threshold}")
-
-
-def auc(errors, max_threshold: float = DEFAULT_MAX_THRESHOLD):
+def auc(errors):
     """Threshold-accuracy curve at NUM_THRESHOLDS evenly spaced
-    thresholds and its normalized trapezoidal area; max_threshold must
-    be finite and > 0."""
-    _check_max_threshold(max_threshold)
+    thresholds in [0, MAX_THRESHOLD] and its normalized trapezoidal area."""
     errors = np.asarray(errors, dtype=np.float64)
     errors = errors[~np.isnan(errors)]
     if errors.size == 0:
         raise ArgumentError("cannot compute AUC of an empty error list")
-    thresholds = np.linspace(0.0, max_threshold, NUM_THRESHOLDS)
+    thresholds = np.linspace(0.0, MAX_THRESHOLD, NUM_THRESHOLDS)
     # the count of errors at or below each threshold
     accuracy = np.searchsorted(np.sort(errors), thresholds,
                                side="right") / errors.size
-    area = float(np.trapezoid(accuracy, thresholds) / max_threshold)
+    area = float(np.trapezoid(accuracy, thresholds) / MAX_THRESHOLD)
     return list(zip(thresholds.tolist(), accuracy.tolist())), area
 
 
@@ -157,21 +149,20 @@ def load_instance(inst_dir) -> DatasetInstance:
                            groups)
 
 
-def score_map(pmap, src: DatasetInstance, tgt: DatasetInstance,
-              max_threshold: float = DEFAULT_MAX_THRESHOLD):
+def score_map(pmap, src: DatasetInstance, tgt: DatasetInstance):
     """(mean error, AUC, coverage) of a target->source map; coverage is
     the fraction of target vertices whose group exists on the source."""
     errors = geodesic_error(pmap, src.groups, tgt.groups, src.geo, src.areas)
     included = errors[~np.isnan(errors)]
-    _, area = auc(included, max_threshold)
+    _, area = auc(included)
     return float(included.mean()), area, len(included) / len(errors)
 
 
-def evaluate_pair(src: DatasetInstance, tgt: DatasetInstance, matcher,
-                  max_threshold: float = DEFAULT_MAX_THRESHOLD) -> EvalResult:
+def evaluate_pair(src: DatasetInstance, tgt: DatasetInstance,
+                  matcher) -> EvalResult:
     start = time.perf_counter()
     try:
-        scores = score_map(matcher(src, tgt), src, tgt, max_threshold)
+        scores = score_map(matcher(src, tgt), src, tgt)
         wall = (time.perf_counter() - start) * 1000.0
         return EvalResult((src.name, tgt.name), *scores, wall)
     except Exception as exc:  # per-pair failures are recorded, not fatal
@@ -181,26 +172,25 @@ def evaluate_pair(src: DatasetInstance, tgt: DatasetInstance, matcher,
                           message=f"{type(exc).__name__}: {exc}")
 
 
-def benchmark_category(instances, category: str, matcher, jobs: int = 1,
-                       max_threshold: float = DEFAULT_MAX_THRESHOLD):
+def benchmark_category(instances, category: str, matcher, jobs: int = 1):
     """Evaluate all ordered pairs (self-pairs included) of a category in
     (source, target) instance order on the calling thread; returns
-    (results, aggregates). ``jobs`` must be >= 1 and has no effect."""
+    (results, aggregates). The aggregates' err_mean and auc_mean are the
+    means over the pairs that did not fail, None when every pair failed.
+    ``jobs`` must be >= 1 and has no effect."""
     if jobs < 1:
         raise ArgumentError(f"jobs must be >= 1, got {jobs}")
-    _check_max_threshold(max_threshold)
     chosen = [i for i in instances if i.category == category]
     if not chosen:
         raise ArgumentError(f"no instances in category '{category}'")
-    results = [evaluate_pair(s, t, matcher, max_threshold)
-               for s in chosen for t in chosen]
+    results = [evaluate_pair(s, t, matcher) for s in chosen for t in chosen]
     ok = [r for r in results if not r.failed]
     aggregates = {
         "category": category,
         "pairs": len(results),
         "failed": len(results) - len(ok),
-        "err_mean": float(np.mean([r.err_mean for r in ok])) if ok else float("nan"),
-        "auc_mean": float(np.mean([r.auc for r in ok])) if ok else float("nan"),
+        "err_mean": float(np.mean([r.err_mean for r in ok])) if ok else None,
+        "auc_mean": float(np.mean([r.auc for r in ok])) if ok else None,
     }
     return results, aggregates
 

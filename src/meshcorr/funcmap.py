@@ -117,10 +117,13 @@ class FmapProblem:
         return self.source.basis.k
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def quadratic(self):
         """(H, b, const) such that every term but the entropy sums to
         c^T H c - 2 b^T c + const for c = C.ravel(). Each term is added
-        whatever its weight; a zero weight adds exact zeros.
+        whatever its weight; a zero weight adds exact zeros. A weight
+        large enough to overflow makes entries inf or NaN without a
+        warning; ``_whitening`` refuses them.
 
         H is k^2 x k^2, built as its (k, k, k, k) view H[i, j, a, b],
         the coefficient of C[i, j] C[a, b]. A term |A C B|^2 adds
@@ -298,9 +301,13 @@ def _whitening(problem: FmapProblem):
     and the ridge WHITEN_RIDGE times its mean diagonal (so a singular H
     factors). In y = L^T vec(C) the quadratic part has unit curvature:
     to_C(y) is that C, and lower(v) = L^-1 v maps a gradient in vec(C) to
-    one in y, and b to the quadratic part's minimizer in y. Pivots with
-    L_ii^2 <= 100 ridges are directions only the ridge pins: NumericError."""
-    H, k = problem.quadratic[0], problem.k
+    one in y, and b to the quadratic part's minimizer in y. An H or b
+    that is not finite (a weight overflowed it) and pivots with L_ii^2 <=
+    100 ridges, directions only the ridge pins, raise NumericError."""
+    (H, b, _), k = problem.quadratic, problem.k
+    if not (np.isfinite(H).all() and np.isfinite(b).all()):
+        raise NumericError("the objective overflows: its quadratic part is "
+                           "not finite, so a weight is too large")
     ridge = WHITEN_RIDGE * (np.trace(H) / len(H) or 1.0)
     L = np.linalg.cholesky(H + ridge * np.eye(len(H)))
     free = int((np.diag(L) ** 2 <= 100.0 * ridge).sum())
@@ -489,17 +496,25 @@ def save_map(path, fmap: FunctionalMap, pmap: PointMap,
     write_json(path, doc)
 
 
+def _finite(value, ndim: int, name: str) -> np.ndarray:
+    """``json_array`` of floats; a NaN or infinite entry raises ValueError."""
+    array = json_array(value, float, ndim, name)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} holds a NaN or infinite number")
+    return array
+
+
 def _parse_map(doc):
     k = int(json_array(doc["k"], int, 0, "k"))
-    C = json_array(doc["C"], float, 2, "C")
+    C = _finite(doc["C"], 2, "C")
     if C.shape != (k, k):
         raise ValueError(f"C has shape {C.shape}, not k x k with k={k}")
     fmap = FunctionalMap(
         C, bool(json_array(doc["converged"], bool, 0, "converged")),
-        float(json_array(doc["objective"], float, 0, "objective")),
+        float(_finite(doc["objective"], 0, "objective")),
         int(json_array(doc["iterations"], int, 0, "iterations")))
     match = json_array(doc["target_to_source"], int, 1, "target_to_source")
-    confidence = json_array(doc["confidence"], float, 1, "confidence")
+    confidence = _finite(doc["confidence"], 1, "confidence")
     if confidence.shape != match.shape:
         raise ValueError(f"confidence has {confidence.size} entries, "
                          f"target_to_source {match.size}")
@@ -511,9 +526,10 @@ def _parse_map(doc):
 
 def load_map(path):
     """Read a map written by ``save_map``; a missing or malformed file, a
-    value of another JSON type (see ``json_array``), a C that is not k x
-    k, a confidence of another length than target_to_source, or weights
-    that are not an object raise FormatError. A map without weights has
+    value of another JSON type (see ``json_array``), a NaN or infinite
+    number in C, confidence or objective, a C that is not k x k, a
+    confidence of another length than target_to_source, or weights that
+    are not an object raise FormatError. A map without weights has
     weights {}.
     Whether the map fits a pair of meshes is ``check_map_fits``'s job."""
     return read_json(path, "map", _parse_map)

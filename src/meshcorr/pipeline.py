@@ -32,11 +32,10 @@ from .funcmap import (DEFAULT_MAX_ITER, FmapProblem, FmapWeights,
                       recover_pointmap, solve_fmap)
 from .mesh import TriMesh, cotangent_weights, normalize_mesh, vertex_areas, weld_mesh
 
-_DESCRIPTORS = {  # name -> its feature field of (mesh, basis[, size])
-    "hks": lambda mesh, basis, *size: spectral.hks(basis, *size),
-    "wks": lambda mesh, basis, *size: spectral.wks(basis, *size),
-    "posenc": lambda mesh, basis, *size: spectral.positional_encoding(
-        mesh, *size),
+_DESCRIPTORS = {  # name -> its feature field of (mesh, basis)
+    "hks": lambda mesh, basis: spectral.hks(basis),
+    "wks": lambda mesh, basis: spectral.wks(basis),
+    "posenc": lambda mesh, basis: spectral.positional_encoding(mesh),
 }
 DESCRIPTOR_NAMES = tuple(_DESCRIPTORS)
 SOLVE_BYTES_PER_K4 = 5 * 8  # a solve's peak: about five k^2 x k^2 float64s
@@ -61,10 +60,7 @@ class RunConfig:
         if self.weights.w_entropy != 0.0:
             raise ArgumentError("the match is the closed-form solve and needs "
                                 f"w_entropy 0, got {self.weights.w_entropy}")
-        if not self.descriptors or set(self.descriptors) - _DESCRIPTORS.keys():
-            raise ArgumentError(
-                f"descriptors must be one or more of {DESCRIPTOR_NAMES}, "
-                f"got {list(self.descriptors)}")
+        _check_descriptors(self.descriptors)
         try:
             memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         except (AttributeError, ValueError):  # no such names here: no bound
@@ -74,6 +70,15 @@ class RunConfig:
             raise ArgumentError(
                 f"k={self.k} needs about {need / 2 ** 30:.3g} GiB to solve, "
                 f"more than the {memory / 2 ** 30:.3g} GiB of physical memory")
+
+
+def _check_descriptors(names):
+    """Raise ArgumentError unless ``names`` is one or more of
+    DESCRIPTOR_NAMES."""
+    if not names or set(names) - _DESCRIPTORS.keys():
+        raise ArgumentError(
+            f"descriptors must be one or more of {DESCRIPTOR_NAMES}, "
+            f"got {list(names)}")
 
 
 def prepare_mesh(mesh: TriMesh, basis_k: int, k: int = 1
@@ -93,15 +98,10 @@ def prepare_mesh(mesh: TriMesh, basis_k: int, k: int = 1
 
 
 def descriptor_stack(mesh: TriMesh, basis: spectral.SpectralBasis,
-                     names, sizes=None) -> FeatureField:
-    """The named descriptors' fields side by side, in order. ``sizes``
-    maps a name to its sample count (hks times, wks energies or posenc
-    bands); a name it lacks takes spectral's default."""
-    sizes = sizes or {}
-    return concat_features(
-        _DESCRIPTORS[name](mesh, basis, *([sizes[name]] if name in sizes
-                                          else []))
-        for name in names)
+                     names) -> FeatureField:
+    """The named descriptors' fields side by side, in order, each of
+    spectral's default size."""
+    return concat_features(_DESCRIPTORS[name](mesh, basis) for name in names)
 
 
 @dataclass(frozen=True)

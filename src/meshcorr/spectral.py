@@ -216,12 +216,23 @@ def positional_encoding(mesh: TriMesh,
     Returns [xyz, sin(2^b pi xyz), cos(2^b pi xyz) for b < bands],
     d = 3 + 6 * bands. Extrinsic by design: moves with the mesh. Bands
     outside [0, MAX_POSENC_BANDS] raise ArgumentError: past it the top
-    frequency is not finite.
+    frequency is not finite. So do bands whose top argument 2^(bands-1)
+    pi |xyz| overflows on this mesh (from 1023 bands once |xyz| > ~1.27),
+    before any sine is taken.
     """
     if not 0 <= bands <= MAX_POSENC_BANDS:
         raise ArgumentError(f"bands must be in [0, {MAX_POSENC_BANDS}], "
                             f"got {bands}")
     xyz = mesh.vertices
+    if bands:
+        extent = np.abs(xyz).max()
+        with np.errstate(over="ignore"):  # the loop's top argument
+            top = (2.0 ** (bands - 1)) * np.pi * extent
+        if not np.isfinite(top):
+            raise ArgumentError(
+                f"{bands} bands overflow on this mesh: its largest "
+                f"coordinate {extent:.3g} times the top frequency "
+                f"pi 2^{bands - 1} is not a finite float")
     cols = [xyz]
     for b in range(bands):
         arg = (2.0 ** b) * np.pi * xyz

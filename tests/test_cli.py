@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -241,8 +242,8 @@ def test_descriptors_command_and_external_features(runner, tmp_path):
     p = tmp_path / "m.ply"
     save_mesh(p, m)
     feat = tmp_path / "m.dmf"
-    res = runner.invoke(main, ["descriptors", "--mesh", str(p), "--hks",
-                               "16", "-k", "40", "-o", str(feat)])
+    res = runner.invoke(main, ["descriptors", "--mesh", str(p),
+                               "--descriptors", "hks", "-o", str(feat)])
     assert res.exit_code == 0, all_output(res)
     from meshcorr.features import load_features
     bundle = load_features(feat, expected_n=m.n_vertices)
@@ -257,7 +258,7 @@ def test_descriptors_command_and_external_features(runner, tmp_path):
     assert out.exists()
 
     res = runner.invoke(main, ["descriptors", "--mesh", str(p),
-                               "-o", str(feat)])
+                               "--descriptors", "", "-o", str(feat)])
     assert res.exit_code == 2  # no descriptor family chosen
 
 
@@ -269,7 +270,6 @@ def default_and_descriptor_file_maps(runner, tmp_path, source, target):
         save_mesh(tmp_path / f"{name}.ply", mesh)
         res = runner.invoke(main, [
             "descriptors", "--mesh", str(tmp_path / f"{name}.ply"),
-            "--hks", "16", "--wks", "100", "--posenc", "6",
             "-o", str(tmp_path / f"{name}.dmf")])
         assert res.exit_code == 0, all_output(res)
     meshes = ["--source", str(tmp_path / "source.ply"),
@@ -363,9 +363,8 @@ def test_descriptors_do_not_depend_on_blas_threads(runner, tmp_path):
     for count in (1, 2):
         feat = tmp_path / f"m{count}.dmf"
         with blas_threads(count):
-            res = runner.invoke(main, [
-                "descriptors", "--mesh", str(p), "--hks", "16", "--wks",
-                "100", "--posenc", "6", "-o", str(feat)])
+            res = runner.invoke(main, ["descriptors", "--mesh", str(p),
+                                       "-o", str(feat)])
         assert res.exit_code == 0, all_output(res)
         written.append(feat.read_bytes())
     assert written[0] == written[1]
@@ -389,37 +388,6 @@ def test_low_rank_feature_files_exit_4(runner, tmp_path, mesh):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--hks", "--wks"])
-def test_descriptors_zero_samples_exits_2(runner, tmp_path, flag):
-    p = tmp_path / "m.ply"
-    save_mesh(p, strong_bump_grid(6))
-    feat = tmp_path / "m.dmf"
-    res = runner.invoke(main, ["descriptors", "--mesh", str(p), flag, "0",
-                               "-o", str(feat)])
-    assert res.exit_code == 2, all_output(res)
-    assert not feat.exists()
-
-
-@pytest.mark.parametrize("args", [
-    ["--hks", "0"], ["--wks", "0"], ["--posenc", "-1"],
-    ["--hks", "4", "-k", "0"], ["--posenc", "1024"], ["--posenc", "1100"],
-], ids=["hks-0", "wks-0", "posenc-neg", "k-0", "posenc-inf", "posenc-over"])
-@pytest.mark.parametrize("present", [True, False], ids=["mesh", "absent-mesh"])
-def test_descriptors_bad_sizes_exit_2_before_reading_the_mesh(
-        runner, tmp_path, monkeypatch, args, present):
-    # posenc's top frequency pi 2^(bands - 1) overflows from 1024 bands on
-    asked = []
-    monkeypatch.setattr(spectral, "eigenbasis",
-                        lambda W, A, k: asked.append(k))
-    p, feat = tmp_path / "m.ply", tmp_path / "m.dmf"
-    if present:
-        save_mesh(p, strong_bump_grid(6))
-    res = runner.invoke(main, ["descriptors", "--mesh", str(p), *args,
-                               "-o", str(feat)])
-    assert res.exit_code == 2, all_output(res)
-    assert asked == [] and not feat.exists()
-
-
 def test_descriptors_basis_is_k_eigenpairs(runner, tmp_path, monkeypatch):
     asked, eigenbasis = [], spectral.eigenbasis
 
@@ -428,28 +396,24 @@ def test_descriptors_basis_is_k_eigenpairs(runner, tmp_path, monkeypatch):
         return eigenbasis(W, A, k)
 
     monkeypatch.setattr(spectral, "eigenbasis", spy)
-    written = []
-    for mesh, k in ((strong_bump_grid(8), 4), (strong_bump_grid(8), 6),
-                    (grid_patch(3, 2), 4), (grid_patch(3, 2), 128)):
-        p, feat = tmp_path / "m.ply", tmp_path / f"m{len(written)}.dmf"
+    for mesh in (strong_bump_grid(8), grid_patch(3, 2)):
+        p, feat = tmp_path / "m.ply", tmp_path / "m.dmf"
         save_mesh(p, mesh)
-        res = runner.invoke(main, ["descriptors", "--mesh", str(p), "--hks",
-                                   "2", "-k", str(k), "-o", str(feat)])
+        res = runner.invoke(main, ["descriptors", "--mesh", str(p),
+                                   "--descriptors", "hks", "-o", str(feat)])
         assert res.exit_code == 0, all_output(res)
-        written.append(feat.read_bytes())
-    assert asked == [4, 6, 4, 6]  # min(-k, n); n = 6 on the 3x2 grid
-    assert written[0] != written[1]
+    assert asked == [32, 6]  # min(32, n); n = 6 on the 3x2 grid
 
 
 def test_descriptors_degenerate_spectrum_exits_4(runner, tmp_path):
     triangle = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     m = TriMesh(np.vstack([triangle + [3.0 * i, 0.0, 0.0]
-                           for i in range(12)]),
-                np.arange(36).reshape(12, 3))  # 12 disjoint triangles
+                           for i in range(33)]),
+                np.arange(99).reshape(33, 3))  # 33 disjoint triangles
     p, feat = tmp_path / "m.ply", tmp_path / "m.dmf"
     save_mesh(p, m)
-    res = runner.invoke(main, ["descriptors", "--mesh", str(p), "--hks",
-                               "4", "-k", "10", "-o", str(feat)])
+    res = runner.invoke(main, ["descriptors", "--mesh", str(p),
+                               "--descriptors", "hks", "-o", str(feat)])
     assert res.exit_code == 4, all_output(res)
     assert "degenerate spectrum" in all_output(res)
     assert not feat.exists()
@@ -710,32 +674,6 @@ def test_log_json_prints_json_lines(runner, sphere_dataset, tmp_path,
     assert lines[0]["command"] == command
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-@pytest.mark.parametrize("command", ["eval", "benchmark"])
-def test_bad_max_threshold_exits_2(runner, sphere_dataset, tmp_path,
-                                   monkeypatch, command, value):
-    root, dirs, m = sphere_dataset
-    n = m.n_vertices
-    map_path = tmp_path / "ident.json"
-    save_map(map_path, FunctionalMap(np.eye(10), True, 0.0, 0),
-             PointMap(np.arange(n), np.ones(n)), FmapWeights())
-    calls = []
-    monkeypatch.setattr(spectral, "eigenbasis",
-                        lambda *args, **kwargs: calls.append(1))
-    csv_path, json_path = tmp_path / "r.csv", tmp_path / "agg.json"
-    args = {"eval": ["--map", str(map_path), "--source-instance",
-                     str(dirs[0]), "--target-instance", str(dirs[1]),
-                     "--log-json"],
-            "benchmark": ["--dataset", str(root), "--csv", str(csv_path),
-                          "--json", str(json_path)]}[command]
-    res = runner.invoke(main, [command, *args, "--max-threshold", value])
-    assert res.exit_code == 2, all_output(res)
-    assert "max_threshold" in all_output(res)
-    assert '"command"' not in res.output  # no --log-json line
-    assert not csv_path.exists() and not json_path.exists()
-    assert not calls  # no pair was matched
-
-
 @pytest.fixture()
 def grid_dataset(tmp_path):
     """One category of three distinct 10x10 height fields."""
@@ -972,8 +910,7 @@ def test_no_command_loads_the_optimizer(sphere_dataset, tmp_path):
          "--target", mesh, "--map", map_path, "-o", out + ".ply"],
         ["transfer-keypoints", "--source", mesh, "--target", mesh,
          "--keypoints", kps, "--map", map_path, "-o", out + ".json"],
-        ["descriptors", "--mesh", mesh, "--hks", "4", "-k", "8",
-         "-o", out + ".dmf"],
+        ["descriptors", "--mesh", mesh, "-o", out + ".dmf"],
         ["match", "--source", mesh, "--target", mesh,
          "-o", out + "-default.json"],
         ["benchmark", "--dataset", str(root), "--csv", out + ".csv",
@@ -1032,7 +969,8 @@ def test_transfer_keypoints_bad_keypoints_exit_code(runner, tmp_path, text,
 @pytest.mark.parametrize("case, code", [
     ("negative", 2), ("beyond-source", 2), ("short-map", 2),
     ("fractional", 3), ("short-confidence", 3), ("weights-not-object", 3),
-    ("nested", 3)])
+    ("nested", 3), ("C-nan", 3), ("confidence-infinity", 3),
+    ("objective-nan", 3)])
 def test_map_that_does_not_fit_exits(runner, sphere_dataset, tmp_path,
                                      command, case, code):
     _, dirs, m = sphere_dataset
@@ -1052,6 +990,12 @@ def test_map_that_does_not_fit_exits(runner, sphere_dataset, tmp_path,
             doc["target_to_source"].pop()
     elif case == "weights-not-object":
         doc["weights"] = 3
+    elif case == "C-nan":  # Python's json reads NaN and Infinity; JSON lacks them
+        doc["C"][1][2] = float("nan")
+    elif case == "confidence-infinity":
+        doc["confidence"][5] = float("inf")
+    elif case == "objective-nan":
+        doc["objective"] = float("nan")
     elif case != "nested":
         doc["target_to_source"][3] = {"negative": -1, "beyond-source": n + 5,
                                       "fractional": 2.7}[case]
@@ -1095,17 +1039,15 @@ def test_match_external_features_solve_k_eigenpairs(runner, tmp_path,
 
 @pytest.mark.parametrize("command, args", [
     ("match", ["-k", "0"]),
-    ("descriptors", ["--hks", "4", "-k", "0"]),
     ("benchmark", ["--jobs", "0"]),
     ("benchmark", ["--jobs", "-3"]),
-], ids=["match-k", "descriptors-k", "benchmark-jobs-0", "benchmark-jobs-neg"])
+], ids=["match-k", "benchmark-jobs-0", "benchmark-jobs-neg"])
 def test_sizes_below_one_exit_2(runner, sphere_dataset, tmp_path, command,
                                 args):
     root, dirs, _ = sphere_dataset
     mesh = str(dirs[0] / "remeshed.ply")
     out = tmp_path / "out"
     inputs = {"match": ["--source", mesh, "--target", mesh, "-o", str(out)],
-              "descriptors": ["--mesh", mesh, "-o", str(out)],
               "benchmark": ["--dataset", str(root), "--csv", str(out),
                             "--json", str(tmp_path / "agg.json")]}[command]
     res = runner.invoke(main, [command, *inputs, *args])
@@ -1115,7 +1057,7 @@ def test_sizes_below_one_exit_2(runner, sphere_dataset, tmp_path, command,
 
 @pytest.mark.parametrize("names", ["bogus", "", "hks,bogus"],
                          ids=["unknown", "empty", "one-unknown"])
-@pytest.mark.parametrize("command", ["match", "benchmark"])
+@pytest.mark.parametrize("command", ["match", "benchmark", "descriptors"])
 @pytest.mark.parametrize("present", [True, False],
                          ids=["inputs", "absent-inputs"])
 def test_bad_descriptors_exit_2_before_reading_inputs(
@@ -1127,7 +1069,8 @@ def test_bad_descriptors_exit_2_before_reading_inputs(
     out, agg = tmp_path / "out", tmp_path / "agg.json"
     inputs = {"match": ["--source", mesh, "--target", mesh, "-o", str(out)],
               "benchmark": ["--dataset", str(root), "--csv", str(out),
-                            "--json", str(agg)]}[command]
+                            "--json", str(agg)],
+              "descriptors": ["--mesh", mesh, "-o", str(out)]}[command]
     res = runner.invoke(main, [command, *inputs, "--descriptors", names])
     assert res.exit_code == 2, all_output(res)
     assert "descriptors must be one or more of" in all_output(res)
@@ -1248,8 +1191,7 @@ def test_missing_map_exits_3(runner, sphere_dataset, tmp_path, command):
 OUTPUT_COMMANDS = {
     "match": ["match", "--source", "{in}.ply", "--target", "{in}.ply",
               "-o", "{out}"],
-    "descriptors": ["descriptors", "--mesh", "{in}.ply", "--hks", "4",
-                    "-o", "{out}"],
+    "descriptors": ["descriptors", "--mesh", "{in}.ply", "-o", "{out}"],
     "transfer-color": ["transfer-color", "--source-textured", "{in}.ply",
                        "--source", "{in}.ply", "--target", "{in}.ply",
                        "--map", "{in}.json", "-o", "{out}"],
@@ -1290,7 +1232,7 @@ def test_zero_area_vertex_exits_3(runner, tmp_path):
     m = with_unreferenced_vertex(strong_bump_grid(8))
     p, feat = tmp_path / "m.ply", tmp_path / "f.dmf"
     save_mesh(p, m)
-    res = runner.invoke(main, ["descriptors", "--mesh", str(p), "--hks", "4",
+    res = runner.invoke(main, ["descriptors", "--mesh", str(p),
                                "-o", str(feat)])
     assert res.exit_code == 3, all_output(res)
     assert "1 vertices have zero or non-finite area" in all_output(res)
@@ -1345,3 +1287,65 @@ def test_benchmark_names_zero_area_error(runner, tmp_path):
     assert len(rows) == 4 and len(failed) == 3
     assert all(r["error"].startswith("DegenerateGeometryError: ")
                for r in failed)
+
+
+@pytest.mark.parametrize("option", ["--alpha", "--beta", "--w-sum"])
+def test_overflowing_weight_exits_4(runner, tmp_path, option):
+    # a weight of 1e308 is finite, but it overflows H to inf; the solve
+    # refuses that before any factorization, with no numpy warning
+    p, out = tmp_path / "m.ply", tmp_path / "o.json"
+    save_mesh(p, bumpy_grid(8))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                                   str(p), option, "1e308", "-o", str(out)])
+    assert res.exit_code == 4, all_output(res)
+    assert "the objective overflows" in all_output(res)
+    assert caught == [] and "Warning" not in all_output(res)
+    assert not out.exists()
+
+
+def test_benchmark_of_failed_pairs_writes_null_means(runner, tmp_path):
+    # k = 10 exceeds both meshes' 4 vertices, so every pair fails; no
+    # mean exists, and JSON has null for it, not NaN
+    root = tmp_path / "data"
+    tiny = grid_patch(2, 2)
+    for name in ("a", "b"):
+        make_instance(root, "tiny", name, tiny, octant_groups(tiny))
+    json_path = tmp_path / "a.json"
+    res = runner.invoke(main, [
+        "benchmark", "--dataset", str(root), "--csv", str(tmp_path / "r.csv"),
+        "--json", str(json_path), "--log-json"])
+    assert res.exit_code == 0, all_output(res)
+    assert "tiny: pairs 4  err nan  auc nan" in res.output
+    assert json_path.read_text() == ('{\n "tiny": {\n  "auc_mean": null,\n'
+                                     '  "err_mean": null\n }\n}\n')
+    line = [line for line in res.output.splitlines()
+            if line.startswith("{")][0]
+    assert "NaN" not in line
+    assert json.loads(line)["err_mean"] is None
+
+
+def test_json_writers_refuse_non_finite_numbers(tmp_path, capsys):
+    from meshcorr.cli import _log
+    from meshcorr.errors import write_json
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(tmp_path / "a.json", {"err_mean": value})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _log(True, err=value)
+    assert not (tmp_path / "a.json").exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_readme_cli_section_names_the_options_there_are():
+    # every option the CLI section names exists, and every option of
+    # every command is named there under one of its aliases
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("## CLI")
+    section = readme[start:readme.index("\n## ", start)]
+    named = set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", section))
+    aliases = [set(param.opts) for command in main.commands.values()
+               for param in command.params]
+    assert named - set().union({"--help"}, *aliases) == set()
+    assert [sorted(a) for a in aliases if not a & named] == []

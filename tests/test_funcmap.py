@@ -564,6 +564,21 @@ def test_solve_refuses_rank_deficient_quadratic():
         solve_fmap(prob)
 
 
+@pytest.mark.parametrize("weight", ["alpha", "beta", "w_sum"])
+def test_both_solves_refuse_an_overflowing_weight(weight):
+    # 1e308 is a valid weight, but it overflows H to inf; _whitening,
+    # which both solves share, refuses that before factoring, with no
+    # warning (a warning fails the test)
+    m, b = basis_pair(6)
+    f = b.phi @ np.random.default_rng(11).normal(size=(6, 8))
+    prob = build_problem(b, b, f, f, FmapWeights(**{weight: 1e308}))
+    assert not np.isfinite(prob.quadratic[0]).all()
+    with pytest.raises(NumericError, match="the objective overflows"):
+        solve_fmap(prob)
+    with pytest.raises(NumericError, match="the objective overflows"):
+        solve_partial(prob, f, m.edges())
+
+
 def test_recover_pointmap_methods_and_dense():
     m, b = basis_pair(6)
     C = np.eye(6)

@@ -294,3 +294,10 @@ def test_positional_encoding_bands_up_to_a_finite_top_frequency():
     for bands in (-1, spectral.MAX_POSENC_BANDS + 1, 10 ** 30):
         with pytest.raises(ArgumentError, match="bands must be in"):
             positional_encoding(m, bands)
+    # at |xyz| <= 2 the top band's argument overflows: refused before any
+    # sine, with no warning (a warning fails the test); one band fewer fits
+    m = TriMesh(2.0 * m.vertices, m.triangles)
+    with pytest.raises(ArgumentError, match="bands overflow on this mesh"):
+        positional_encoding(m, spectral.MAX_POSENC_BANDS)
+    out = positional_encoding(m, spectral.MAX_POSENC_BANDS - 1).values
+    assert np.isfinite(out).all()
