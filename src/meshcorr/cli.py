@@ -16,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from . import evalbench, funcmap, pipeline, spectral, transfer
+from . import evalbench, funcmap, pipeline, transfer
 from .errors import ArgumentError, DataError, MeshCorrError, NumericError
 from .features import FeatureField, load_features, write_features
 from .funcmap import FmapWeights
@@ -289,8 +289,8 @@ def cmd_descriptors(mesh_path, descriptors, output):
     normalized mesh and write it as a DMF feature file, one row per vertex
     of the mesh file. Bad names exit 2 before the mesh is read."""
     pipeline._check_descriptors(descriptors)
-    mesh, basis, index = pipeline.prepare_mesh(load_mesh(mesh_path),
-                                               spectral.DEFAULT_DESC_K)
+    mesh, basis, index = pipeline.prepare_mesh(
+        load_mesh(mesh_path), pipeline._stack_basis_k(descriptors))
     stack = pipeline.descriptor_stack(mesh, basis, descriptors)
     stack = FeatureField(stack.values[index])
     write_features(output, stack)

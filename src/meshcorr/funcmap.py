@@ -373,11 +373,12 @@ def recover_pointmap(C, basis_M: SpectralBasis, basis_N: SpectralBasis,
     O(ENTROPY_BLOCK) memory. The confidence of j is its clamped Pi entry.
     """
     C = np.asarray(C, dtype=np.float64)
-    if C.shape != (basis_M.k, basis_N.k):
-        raise ArgumentError("C is not square in the shared basis size")
+    if C.shape != (basis_N.k, basis_M.k):
+        raise ArgumentError(f"C is {C.shape}, not the target's basis size "
+                            f"{basis_N.k} by the source's {basis_M.k}")
     if method not in RECOVERY_METHODS:
         raise ArgumentError(f"unknown recovery method '{method}'")
-    emb_n = basis_N.phi @ C                          # (n_N, k)
+    emb_n = basis_N.phi @ C                          # (n_N, k_M)
     if method == "nearest":
         match = cKDTree(basis_M.phi).query(emb_n)[1]
     else:

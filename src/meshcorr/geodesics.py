@@ -104,12 +104,9 @@ def geodesic_matrix(mesh: TriMesh) -> GeodesicMatrix:
 
 
 def min_cost_assignment(cost):
-    """Minimum-cost injective matching of size min(m, n).
-
-    Returns (pairs, total) where pairs is a list of (row, col) sorted
-    ascending; the matched index sequence is the lexicographically
-    smallest among all optimal matchings.
-    """
+    """Minimum-cost injective matching of size min(m, n). Returns
+    (pairs, total): one optimal matching as a list of (row, col) with
+    rows ascending, and its cost."""
     # imported here, so eval and transfer never load scipy.optimize
     from scipy.optimize import linear_sum_assignment
     cost = np.asarray(cost, dtype=np.float64)
@@ -118,60 +115,20 @@ def min_cost_assignment(cost):
     if not np.isfinite(cost).all() or (cost < 0).any():
         raise ArgumentError("costs must be finite and nonnegative")
     rows, cols = linear_sum_assignment(cost)
-    total = float(cost[rows, cols].sum())
-    return _lex_smallest(cost, total), total
-
-
-def _lex_smallest(cost, total):
-    """Fix pairs one row at a time, keeping overall optimality.
-
-    A matched row always precedes a skipped one lexicographically, so a
-    row is only left unmatched (m > n case) when no column keeps the
-    total optimal.
-    """
-    # imported here, so eval and transfer never load scipy.optimize
-    from scipy.optimize import linear_sum_assignment
-    m, n = cost.shape
-    size = min(m, n)
-    tol = 1e-9 * max(1.0, abs(total))  # ties within roundoff of optimal
-    free_rows = list(range(m))
-    free_cols = list(range(n))
-    pairs = []
-    remaining = total
-    while len(pairs) < size:
-        i = free_rows.pop(0)
-        chosen = None
-        for j in free_cols:
-            rest = 0.0
-            if len(pairs) + 1 < size:
-                other = [c for c in free_cols if c != j]
-                sub = cost[np.ix_(free_rows, other)]
-                r, c = linear_sum_assignment(sub)
-                rest = float(sub[r, c].sum())
-            if cost[i, j] + rest <= remaining + tol:
-                chosen = j
-                break
-        if chosen is None:
-            continue  # leaving row i unmatched is the optimal move
-        remaining -= cost[i, chosen]
-        pairs.append((i, chosen))
-        free_cols.remove(chosen)
-    return pairs
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    return pairs, float(cost[rows, cols].sum())
 
 
 def semantic_distance(groups: SemanticGroups, geo: GeodesicMatrix,
                       a: int, b: int) -> float:
     """Assignment-averaged geodesic distance between two groups:
     optimal injective matching cost divided by the smaller group size."""
-    # imported here, so eval and transfer never load scipy.optimize
-    from scipy.optimize import linear_sum_assignment
     ga, gb = groups.members(a), groups.members(b)
     if a == b:
         return 0.0
     cost = dijkstra(geo.graph, directed=True,
                     indices=geo.index[ga])[:, geo.index[gb]]
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum()) / min(len(ga), len(gb))
+    return min_cost_assignment(cost)[1] / min(len(ga), len(gb))
 
 
 # ----------------------------------------------------------------- io

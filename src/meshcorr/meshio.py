@@ -83,55 +83,41 @@ def _load_obj(path: Path) -> TriMesh:
 
 # ---------------------------------------------------------------- OFF
 
+_OFF_ELEMENTS = (("vertex", [(c, "double", None) for c in "xyz"]),
+                 ("face", [("vertex_indices", "int", "uchar")]))
+
+
 def _load_off(path: Path) -> TriMesh:
-    with open(path, "r", errors="replace") as fh:
-        tokens = []
-        lines = []
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if body:
-                for tok in body.split():
-                    tokens.append(tok)
-                    lines.append(lineno)
-    if not tokens:
+    """An optional OFF line, a line of vertex and face counts (an edge
+    count may end it), then one line per vertex and per face, read as an
+    ASCII PLY body is; '#' starts a comment."""
+    text = path.read_text(errors="replace")
+    if "#" in text:  # blank the comments, keeping every line
+        text = "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
+    rows = list(filter(str.strip, text.split("\n")))
+    at = partial(_RowLine, path, text, 1)
+    if not rows:
         raise FormatError(f"{path}: empty OFF file")
-    pos = 0
-    if tokens[0].upper() == "OFF":
-        pos = 1
-    elif tokens[0].upper().endswith("OFF"):  # COFF, NOFF, ...: more columns
-        raise FormatError(f"{path}:{lines[0]}: only the plain OFF header "
-                          f"is supported, got '{tokens[0]}'")
+    start, counts = 1, rows[0].split()
+    if counts[0].upper() == "OFF":
+        counts = counts[1:]  # the counts may share the OFF line
+        if not counts and len(rows) > 1:
+            start, counts = 2, rows[1].split()
+    elif counts[0].upper().endswith("OFF"):  # COFF, NOFF, ...: more columns
+        raise FormatError(f"{at(0)}: only the plain OFF header is "
+                          f"supported, got '{counts[0]}'")
     try:
-        nv, nf = int(tokens[pos]), int(tokens[pos + 1])
-        if nv < 0 or nf < 0:
-            raise ValueError("negative count")
-        # the edge count is optional; when present it ends the count line
-        has_edges = pos + 2 < len(tokens) and lines[pos + 2] == lines[pos + 1]
-        pos += 3 if has_edges else 2
-    except (ValueError, IndexError):
-        raise FormatError(f"{path}:{lines[min(pos, len(lines) - 1)]}: "
-                          "bad OFF header counts")
-    need = nv * 3
-    try:
-        verts = np.array(tokens[pos:pos + need], dtype=float).reshape(nv, 3)
+        nv, nf = map(int, counts[:2])
+        if len(counts) > 3 or nv < 0 or nf < 0:
+            raise ValueError
     except ValueError:
-        raise FormatError(f"{path}: bad vertex data (expected {nv} vertices)")
-    pos += need
-    faces = []
-    for _ in range(nf):
-        if pos >= len(tokens):
-            raise FormatError(f"{path}: truncated face list")
-        try:
-            cnt = int(tokens[pos])
-            if cnt != 3:
-                raise TopologyError(
-                    f"{path}:{lines[pos]}: only triangle faces are supported, "
-                    f"got {cnt}-gon")
-            faces.append([int(tokens[pos + i]) for i in (1, 2, 3)])
-        except (IndexError, ValueError):
-            raise FormatError(f"{path}:{lines[pos]}: bad or truncated face")
-        pos += 4
-    return TriMesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
+        raise FormatError(f"{at(start - 1)}: bad OFF header counts")
+    data, pos = {"vertex": {c: np.empty(0) for c in "xyz"}}, start
+    for (name, props), count in zip(_OFF_ELEMENTS, (nv, nf)):
+        if count:
+            data[name], pos = _read_ascii(path, rows, pos, name, count,
+                                          props, at)
+    return _assemble_ply(path, data, {})
 
 
 # ---------------------------------------------------------------- PLY
@@ -298,6 +284,11 @@ def _assemble_ply(path, data, vertex_types) -> TriMesh:
     idx = fel.get("vertex_indices", fel.get("vertex_index", np.empty((0, 3))))
     if idx.ndim != 2:
         raise FormatError(f"{path}: face vertex indices must be a list")
+    if idx.dtype.kind == "f":  # ASCII rows are read as floats
+        whole = (np.isfinite(idx) & (idx == np.trunc(idx))).all(axis=1)
+        if not whole.all():
+            raise FormatError(f"{path}: face {np.argmin(whole)} has a vertex "
+                              "index that is not an integer")
     return TriMesh(verts, idx.astype(np.int64).reshape(-1, 3), colors)
 
 

@@ -14,7 +14,8 @@ MatchInputs); ``match_meshes`` is the two steps for a single pair.
 
 A preparation is mostly the mesh's eigensolve (``spectral.eigenbasis``
 picks the solver), of max(min(spectral.DEFAULT_DESC_K, n), k) eigenpairs
-for the descriptor stack and k for external features.
+for a descriptor stack with ``hks`` or ``wks`` and k for ``posenc`` alone
+or external features.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from .funcmap import (DEFAULT_MAX_ITER, FmapProblem, FmapWeights,
                       recover_pointmap, solve_fmap)
 from .mesh import TriMesh, cotangent_weights, normalize_mesh, vertex_areas, weld_mesh
 
-_DESCRIPTORS = {  # name -> its feature field of (mesh, basis)
-    "hks": lambda mesh, basis: spectral.hks(basis),
-    "wks": lambda mesh, basis: spectral.wks(basis),
-    "posenc": lambda mesh, basis: spectral.positional_encoding(mesh),
+_DESCRIPTORS = {  # name -> (eigenpairs it reads, its field of (mesh, basis))
+    "hks": (spectral.DEFAULT_DESC_K, lambda mesh, basis: spectral.hks(basis)),
+    "wks": (spectral.DEFAULT_DESC_K, lambda mesh, basis: spectral.wks(basis)),
+    "posenc": (0, lambda mesh, basis: spectral.positional_encoding(mesh)),
 }
 DESCRIPTOR_NAMES = tuple(_DESCRIPTORS)
 SOLVE_BYTES_PER_K4 = 5 * 8  # a solve's peak: about five k^2 x k^2 float64s
@@ -81,6 +82,11 @@ def _check_descriptors(names):
             f"got {list(names)}")
 
 
+def _stack_basis_k(names) -> int:
+    """Eigenpairs the named descriptors read (0 for ``posenc`` alone)."""
+    return max(_DESCRIPTORS[name][0] for name in names)
+
+
 def prepare_mesh(mesh: TriMesh, basis_k: int, k: int = 1
                  ) -> tuple[TriMesh, spectral.SpectralBasis, np.ndarray]:
     """(mesh, basis, index): the mesh welded (``weld_mesh``, whose index
@@ -101,7 +107,8 @@ def descriptor_stack(mesh: TriMesh, basis: spectral.SpectralBasis,
                      names) -> FeatureField:
     """The named descriptors' fields side by side, in order, each of
     spectral's default size."""
-    return concat_features(_DESCRIPTORS[name](mesh, basis) for name in names)
+    return concat_features(_DESCRIPTORS[name][1](mesh, basis)
+                           for name in names)
 
 
 @dataclass(frozen=True)
@@ -128,13 +135,14 @@ def prepare_for_matching(mesh: TriMesh, config: RunConfig,
     features, standardize them (``_standardize``) and project them into
     the k-sized basis. Features default to the descriptor stack; external
     ones need a row per input vertex, and a welded vertex reads the row
-    of the input vertex it keeps. With external features nothing reads
-    more than the k eigenpairs C lives in, so only those are solved."""
+    of the input vertex it keeps. With external features or a stack that
+    reads no eigenpair (``posenc`` alone) nothing reads more than the k
+    eigenpairs C lives in, so only those are solved."""
     if features is not None:
         if features.n != mesh.n_vertices:
             raise ArgumentError(f"feature rows {features.n} != vertex count "
                                 f"{mesh.n_vertices}")
-    basis_k = spectral.DEFAULT_DESC_K if features is None else config.k
+    basis_k = _stack_basis_k(config.descriptors) if features is None else 0
     mesh, basis, index = prepare_mesh(mesh, basis_k, config.k)
     if features is None:
         features = descriptor_stack(mesh, basis, config.descriptors)

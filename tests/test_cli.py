@@ -1037,6 +1037,33 @@ def test_match_external_features_solve_k_eigenpairs(runner, tmp_path,
     assert asked == [6, 6]
 
 
+@pytest.mark.parametrize("stack, want", [
+    ("posenc", [10, 10, 1]),
+    ("hks,wks,posenc", [32, 32, 32]),
+    ("posenc,wks", [32, 32, 32]),
+], ids=["posenc", "default", "posenc-wks"])
+def test_stack_solves_the_eigenpairs_it_reads(runner, tmp_path, monkeypatch,
+                                              stack, want):
+    # posenc reads no eigenpair: a match solves C's k, descriptors one
+    m = bumpy_grid(32)
+    p = tmp_path / "m.ply"
+    save_mesh(p, m)
+    asked, eigenbasis = [], spectral.eigenbasis
+
+    def spy(W, A, k):
+        asked.append(k)
+        return eigenbasis(W, A, k)
+
+    monkeypatch.setattr(spectral, "eigenbasis", spy)
+    for args in (["match", "--source", str(p), "--target", str(p),
+                  "-o", str(tmp_path / "map.json")],
+                 ["descriptors", "--mesh", str(p),
+                  "-o", str(tmp_path / "m.dmf")]):
+        res = runner.invoke(main, args + ["--descriptors", stack])
+        assert res.exit_code == 0, all_output(res)
+    assert asked == want
+
+
 @pytest.mark.parametrize("command, args", [
     ("match", ["-k", "0"]),
     ("benchmark", ["--jobs", "0"]),

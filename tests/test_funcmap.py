@@ -608,6 +608,22 @@ def test_recover_pointmap_methods_and_dense():
     np.testing.assert_allclose(pa.confidence, pi.max(axis=1), atol=1e-12)
 
 
+@pytest.mark.parametrize("mesh", [bumpy_grid(12), torus(16, 8)],
+                         ids=["bumpy-grid", "torus"])
+def test_recover_pointmap_takes_a_rectangular_C(mesh):
+    # C maps the source's 8 eigenfunctions into the target's 10, so it is
+    # (10, 8), the shape fmap_from_pointmap returns
+    _, b8 = basis_pair(8, mesh)
+    _, b10 = basis_pair(10, mesh)
+    C = fmap_from_pointmap(np.arange(mesh.n_vertices), b8, b10)
+    assert C.shape == (10, 8)
+    pmap = recover_pointmap(C, b8, b10)
+    assert np.array_equal(pmap.target_to_source, np.arange(mesh.n_vertices))
+    assert recover_pointmap(C, b8, b10, method="argmax").n == mesh.n_vertices
+    with pytest.raises(ArgumentError, match=r"\(8, 10\).* 10 .* 8"):
+        recover_pointmap(C.T, b8, b10)
+
+
 def test_no_dense_pi_buffer():
     # neither the entropy nor argmax recovery holds an n_N x n_M array
     m = grid_patch(30, 30, z_fn=wavy)

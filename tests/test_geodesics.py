@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from meshcorr import geodesics
 from meshcorr.errors import ArgumentError, DataError, DisconnectedMeshError
-from meshcorr.geodesics import (GeodesicMatrix, SemanticGroups,
+from meshcorr.geodesics import (GeodesicMatrix, SemanticGroups, edge_graph,
                                 geodesic_matrix, load_groups,
                                 min_cost_assignment, save_groups,
                                 semantic_distance)
@@ -123,13 +123,19 @@ def test_min_cost_assignment_matches_brute_force():
         assert total == pytest.approx(sum(cost[i, j] for i, j in pairs))
 
 
-def test_min_cost_assignment_lexicographic_ties():
-    # all-equal costs: every matching is optimal; the lexicographically
-    # smallest one is the identity pairing
-    cost = np.ones((3, 3))
+@pytest.mark.parametrize("cost", [
+    np.ones((3, 5)),
+    np.array([[1, 2, 1, 2], [2, 1, 2, 1], [1, 1, 2, 2], [2, 2, 1, 1]], float),
+    np.array([[0, 3, 0], [3, 0, 3], [0, 3, 0], [3, 0, 3], [1, 1, 1]], float),
+], ids=["ones-3x5", "4x4-repeated", "5x3-repeated"])
+def test_min_cost_assignment_ties_give_one_optimal_matching(cost):
+    # many matchings are optimal; any one of them is a valid answer
     pairs, total = min_cost_assignment(cost)
-    assert pairs == [(0, 0), (1, 1), (2, 2)]
-    assert total == pytest.approx(3.0)
+    rows, cols = zip(*pairs)
+    assert len(pairs) == min(cost.shape)
+    assert list(rows) == sorted(set(rows)) and len(set(cols)) == len(cols)
+    assert total == brute_force_assignment(cost)
+    assert total == sum(cost[i, j] for i, j in pairs)
 
 
 def test_min_cost_assignment_validation():
@@ -181,6 +187,17 @@ def test_semantic_distance_brute_force_oracle():
         want = brute_force_semantic(d, np.flatnonzero(labels == 0),
                                     np.flatnonzero(labels == 1))
         assert got == pytest.approx(want)
+
+
+def test_semantic_distance_between_components_is_refused():
+    # no path joins the two groups, so no matching has a finite cost
+    a = grid_patch(3, 3)
+    mesh = TriMesh(np.vstack([a.vertices, a.vertices + [10.0, 0, 0]]),
+                   np.vstack([a.triangles, a.triangles + 9]))
+    geo = GeodesicMatrix(edge_graph(mesh), np.arange(18))
+    groups = SemanticGroups(np.repeat([0, 1], 9))
+    with pytest.raises(ArgumentError, match="finite"):
+        semantic_distance(groups, geo, 0, 1)
 
 
 def test_groups_file_roundtrip(tmp_path):

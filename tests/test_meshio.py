@@ -94,6 +94,33 @@ def test_off_variant_headers_rejected_at_line_1(tmp_path, header, extra):
         load_mesh(p)
 
 
+@pytest.mark.parametrize("body, line", [
+    ("OFF\n3 1 0\n0 0 0\n# a note\n\n1 x 0\n0 1 0\n3 0 1 2\n", 6),
+    ("OFF # header\n# counts next\n3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n", 7),
+    ("OFF\n3 1 0\n0 0\n0\n1 0 0\n0 1 0\n3 0 1 2\n", 3),
+], ids=["vertex-after-comment", "face-after-comments", "split-vertex"])
+def test_off_bad_row_names_its_file_line(tmp_path, body, line):
+    p = tmp_path / "m.off"
+    p.write_text(body)
+    with pytest.raises(FormatError, match=f"m.off:{line}: malformed"):
+        load_mesh(p)
+
+
+@pytest.mark.parametrize("name, head", [
+    ("m.off", "OFF\n3 2 0\n"),
+    ("m.ply", "ply\nformat ascii 1.0\nelement vertex 3\n"
+              + "".join(f"property float {c}\n" for c in "xyz")
+              + "element face 2\nproperty list uchar int vertex_indices\n"
+              "end_header\n"),
+], ids=["off", "ascii-ply"])
+@pytest.mark.parametrize("bad", ["2.7", "nan", "inf"])
+def test_ascii_face_index_must_be_an_integer(tmp_path, name, head, bad):
+    p = tmp_path / name
+    p.write_text(head + "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n" + f"3 0 1 {bad}\n")
+    with pytest.raises(FormatError, match="face 1 has a vertex index"):
+        load_mesh(p)
+
+
 def test_ply_ascii_roundtrip(tmp_path):
     m = icosphere(1)
     rng = np.random.default_rng(3)
