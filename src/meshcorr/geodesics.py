@@ -122,12 +122,16 @@ def min_cost_assignment(cost):
 def semantic_distance(groups: SemanticGroups, geo: GeodesicMatrix,
                       a: int, b: int) -> float:
     """Assignment-averaged geodesic distance between two groups:
-    optimal injective matching cost divided by the smaller group size."""
+    optimal injective matching cost divided by the smaller group size.
+    Groups with vertices that no path joins raise ArgumentError."""
     ga, gb = groups.members(a), groups.members(b)
     if a == b:
         return 0.0
     cost = dijkstra(geo.graph, directed=True,
                     indices=geo.index[ga])[:, geo.index[gb]]
+    if np.isinf(cost).any():
+        raise ArgumentError(f"no path joins groups {a} and {b}: some of "
+                            "their vertices lie in different components")
     return min_cost_assignment(cost)[1] / min(len(ga), len(gb))
 
 

@@ -91,6 +91,16 @@ class VertexAreas:
     def total(self) -> float:
         return float(self.areas.sum())
 
+    def check_positive(self) -> None:
+        """Raise DegenerateGeometryError unless every area is finite and
+        positive: a vertex that no triangle uses, or that lies on
+        degenerate triangles only, has area 0."""
+        bad = ~(np.isfinite(self.areas) & (self.areas > 0))
+        if bad.any():
+            raise DegenerateGeometryError(
+                f"{int(bad.sum())} vertices have zero or non-finite area "
+                "(unreferenced or on degenerate triangles only)")
+
 
 def triangle_areas(mesh: TriMesh) -> np.ndarray:
     v = mesh.vertices

@@ -15,7 +15,8 @@ MatchInputs); ``match_meshes`` is the two steps for a single pair.
 A preparation is mostly the mesh's eigensolve (``spectral.eigenbasis``
 picks the solver), of max(min(spectral.DEFAULT_DESC_K, n), k) eigenpairs
 for a descriptor stack with ``hks`` or ``wks`` and k for ``posenc`` alone
-or external features.
+or external features. The ``descriptors`` command's ``posenc`` alone
+solves none.
 """
 
 from __future__ import annotations
@@ -87,20 +88,26 @@ def _stack_basis_k(names) -> int:
     return max(_DESCRIPTORS[name][0] for name in names)
 
 
-def prepare_mesh(mesh: TriMesh, basis_k: int, k: int = 1
-                 ) -> tuple[TriMesh, spectral.SpectralBasis, np.ndarray]:
+def prepare_mesh(mesh: TriMesh, basis_k: int, k: int = 0) -> tuple[
+        TriMesh, spectral.SpectralBasis | None, np.ndarray]:
     """(mesh, basis, index): the mesh welded (``weld_mesh``, whose index
     gives the welded vertex of each input vertex), then normalized, and
     its basis of max(min(basis_k, n), k) eigenpairs, n the welded vertex
-    count. C's size k above n raises ArgumentError before the eigensolve."""
+    count; None, with no eigensolve, when that is 0. C's size k above n
+    raises ArgumentError before the eigensolve, and a vertex of zero or
+    non-finite area DegenerateGeometryError, with or without one."""
     mesh, index = weld_mesh(mesh)
     mesh = normalize_mesh(mesh)
     if k > mesh.n_vertices:
         raise ArgumentError(
             f"k={k} exceeds mesh vertex count {mesh.n_vertices}")
     size = max(min(basis_k, mesh.n_vertices), k)
-    return mesh, spectral.eigenbasis(cotangent_weights(mesh),
-                                     vertex_areas(mesh), size), index
+    areas = vertex_areas(mesh)
+    if size == 0:  # no eigensolve checks the areas, so check them here
+        areas.check_positive()
+        return mesh, None, index
+    return mesh, spectral.eigenbasis(cotangent_weights(mesh), areas,
+                                     size), index
 
 
 def descriptor_stack(mesh: TriMesh, basis: spectral.SpectralBasis,

@@ -1,21 +1,33 @@
 """Laplace-Beltrami spectral basis and intrinsic descriptors.
 
-The generalized eigenproblem (-W) phi = lambda A phi is solved with the
-stiffness matrix from ``cotangent_weights`` (negative semidefinite, so
-the stored eigenvalues are nonnegative). The solver is chosen from n and
-k: shift-invert Lanczos (ARPACK) when n >= LANCZOS_N_PER_K * k and n >=
-LANCZOS_MIN_N, a dense symmetric solve after diagonal-mass
-symmetrization otherwise. Measured at one BLAS thread on bumpy grids and
-spheres, Lanczos is at least twice as fast past that ratio from n = 784
-on; below 700 vertices it saves at most about 10 ms and is slower on the
-sphere's degenerate spectrum. k > n/2 (a full-rank basis) stays dense.
+The generalized eigenproblem (-W) phi = lambda A phi, with the stiffness
+matrix from ``cotangent_weights`` (negative semidefinite, so the stored
+eigenvalues are nonnegative) and the vertex areas A, is solved as one
+symmetric standard problem: S = A^-1/2 (-W) A^-1/2, built sparse and
+symmetrized once, has the same eigenvalues, and phi is A^-1/2 times its
+eigenvectors. The solver is chosen from n and k: shift-invert Lanczos
+(ARPACK) on S when n >= LANCZOS_N_PER_K * k and n >= LANCZOS_MIN_N, a
+dense symmetric solve of S otherwise; k > n/2 (a full-rank basis) stays
+dense. S plus a small shift is symmetric positive definite, so the
+Lanczos factor takes a minimum-degree ordering of S's own pattern with
+diagonal pivots, and no Lanczos step multiplies by A.
+
+Measured at one BLAS thread on bumpy grids and spheres, Lanczos is 3.5
+to 12 times as fast as the dense solve at n = 784 and 1,024 (k = 10 and
+32), and already faster by 7 to 16 ms from n = 576 on; at n = 400 and
+k = 32 the dense solve is faster. The crossover stays where it was set
+for the generalized Lanczos solve: a basis from the other path holds
+other vectors of a repeated eigenvalue, so moving the crossover would
+move the maps of meshes with such ties, as at k = 10 on the 642-vertex
+sphere that criterion 12 cuts.
+
 Lanczos starts from a fixed-seed vector, so repeat calls give the same
-bits. The dense solve holds one n x n buffer: the symmetrized matrix is
-built sparse and densified once, and LAPACK overwrites it. Inputs are
-checked in O(n + nnz) before anything is built: a vertex area that is
-not finite and positive (an unreferenced vertex, say), or a stiffness
-entry that is not finite, raises DegenerateGeometryError. A failed solve
-of either kind raises NumericError.
+bits. The dense solve holds one n x n buffer: S is densified once, and
+LAPACK overwrites it. Inputs are checked in O(n + nnz) before anything
+is built: a vertex area that is not finite and positive (an
+unreferenced vertex, say), or a stiffness entry that is not finite,
+raises DegenerateGeometryError. A failed solve of either kind raises
+NumericError.
 """
 
 from __future__ import annotations
@@ -85,24 +97,23 @@ def eigenbasis(W: sp.spmatrix, A: VertexAreas, k: int) -> SpectralBasis:
     if W.shape != (n, n):
         raise ArgumentError(f"W shape {W.shape} does not match n={n}")
 
-    a = A.areas
     # O(n + nnz) input checks; the dense solve skips LAPACK's O(n^2) scan
-    bad = ~(np.isfinite(a) & (a > 0))
-    if bad.any():
-        raise DegenerateGeometryError(
-            f"{int(bad.sum())} vertices have zero or non-finite area "
-            "(unreferenced or on degenerate triangles only)")
+    A.check_positive()
     W = W.tocsr()
     if not np.isfinite(W.data).all():
         raise DegenerateGeometryError("stiffness matrix has non-finite "
                                       "entries")
+    # S = A^-1/2 (-W) A^-1/2, symmetrized: the standard symmetric problem
+    # both solvers take; its eigenvectors scaled by A^-1/2 are (-W, A)'s
+    inv_sqrt = 1.0 / np.sqrt(A.areas)
+    D = sp.diags(inv_sqrt)
+    S = D @ (-W) @ D
+    S = 0.5 * (S + S.T)
     if n < max(LANCZOS_MIN_N, LANCZOS_N_PER_K * k):
-        inv_sqrt = 1.0 / np.sqrt(a)
-        vals, vecs = _dense_eigh(W, inv_sqrt, k)
-        phi = vecs * inv_sqrt[:, None]
+        vals, vecs = _dense_eigh(S, k)
     else:
-        vals, phi = _lanczos_eigh(W, a, k)
-
+        vals, vecs = _lanczos_eigh(S, k)
+    phi = vecs * inv_sqrt[:, None]
     vals = np.maximum(vals, 0.0)  # kernel eigenvalue may round negative
 
     # deterministic signs: largest-magnitude entry positive
@@ -113,14 +124,11 @@ def eigenbasis(W: sp.spmatrix, A: VertexAreas, k: int) -> SpectralBasis:
     return SpectralBasis(phi, vals, A)
 
 
-def _dense_eigh(W, inv_sqrt, k):
-    """First k eigenpairs of S = A^-1/2 (-W) A^-1/2, an ordinary symmetric
-    problem. S is scaled and symmetrized sparse, then densified once into
-    the only n x n buffer, which LAPACK overwrites; it is freed on return,
-    before the caller scales the eigenvectors."""
-    D = sp.diags(inv_sqrt)
-    S = D @ (-W) @ D
-    S = (0.5 * (S + S.T)).toarray(order="F")
+def _dense_eigh(S, k):
+    """First k eigenpairs of the sparse symmetric S. S is densified once
+    into the only n x n buffer, which LAPACK overwrites; it is freed on
+    return, before the caller scales the eigenvectors."""
+    S = S.toarray(order="F")
     try:
         return scipy.linalg.eigh(S, subset_by_index=[0, k - 1],
                                  overwrite_a=True, check_finite=False)
@@ -128,34 +136,55 @@ def _dense_eigh(W, inv_sqrt, k):
         raise NumericError(f"dense eigensolver failed: {exc}") from exc
 
 
-def _lanczos_eigh(W, a, k):
-    """First k eigenpairs of (-W, A), ascending, by shift-invert Lanczos
-    just below zero. ARPACK starts from a fixed-seed vector: its own
-    random start changes from call to call, and so would the last bits.
-    An ARPACK error (no convergence, say) or a singular shift-invert
-    factorization raises NumericError."""
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, len(a))
+def _lanczos_eigh(S, k):
+    """First k eigenpairs of the sparse symmetric S, ascending, by
+    shift-invert Lanczos just below zero. The shift is 1e-8 of S's mean
+    eigenvalue (its trace over n), so in any units it stays above the
+    roundoff of S's entries: a fixed 1e-8 sank below it on a mesh of
+    total area 1.4e-8 and left a zero mode's pivot at exactly 0.
+    S plus the shift is symmetric positive definite, so its factor takes
+    a symmetric fill-reducing ordering with diagonal pivots. Its
+    supernodes are not relaxed: SuperLU's default relaxation made the
+    factor of an icosphere of 10,242 vertices, in the order it is
+    generated, take 1.8 s instead of 42 ms, and saved nothing on grids
+    and tori. ARPACK starts from a fixed-seed vector: its own random
+    start changes from call to call, and so would the last bits. An
+    ARPACK error (no convergence, say) or a singular factor raises
+    NumericError."""
+    n = S.shape[0]
+    shift = 1e-8 * S.diagonal().mean()
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     try:
-        vals, vecs = spla.eigsh(-W.tocsc(), k=k, M=sp.diags(a).tocsc(),
-                                sigma=-1e-8, which="LM", v0=v0)
+        lu = spla.splu((S + shift * sp.identity(n)).tocsc(),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                       relax=1, panel_size=1,
+                       options={"SymmetricMode": True})
+        vals, vecs = spla.eigsh(
+            S, k=k, sigma=-shift, which="LM", v0=v0,
+            OPinv=spla.LinearOperator((n, n), matvec=lu.solve))
     except RuntimeError as exc:  # ArpackError, or splu's singular factor
         raise NumericError(f"Lanczos eigensolver failed: {exc}") from exc
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
 
+def _zero_modes(basis: SpectralBasis) -> np.ndarray:
+    """Mask of the zero modes (a mesh has one per connected component),
+    column 0 always among them. lam times the total area is unitless, so
+    the test does not depend on the mesh's units: on the self-matching
+    fixtures, raw and normalized, zero modes read at most 2.5e-12 there
+    and first nonzero eigenvalues at least 9.2."""
+    zero = basis.lam * basis.areas.total <= ZERO_MODE
+    zero[0] = True
+    return zero
+
+
 def _nonzero_spectrum(basis: SpectralBasis):
-    """The eigenpairs past the constant mode that are not zero modes (a
-    mesh has one zero mode per connected component). lam times the total
-    area is unitless, so the test does not depend on the mesh's units: on
-    the self-matching fixtures, raw and normalized, zero modes read at
-    most 2.5e-12 there and first nonzero eigenvalues at least 9.2."""
-    lam = basis.lam
-    nz = lam * basis.areas.total > ZERO_MODE
-    nz[0] = False  # constant mode never participates
+    """The eigenpairs that are not zero modes (``_zero_modes``)."""
+    nz = ~_zero_modes(basis)
     if not nz.any():
         raise NumericError("degenerate spectrum: no nonzero eigenvalues")
-    return lam[nz], basis.phi[:, nz]
+    return basis.lam[nz], basis.phi[:, nz]
 
 
 def hks(basis: SpectralBasis,
@@ -163,7 +192,8 @@ def hks(basis: SpectralBasis,
     """Heat kernel signature over log-spaced diffusion times.
 
     k_t(v) = sum_i exp(-lam_i t) phi_i(v)^2, each time column rescaled
-    to unit area-weighted mean.
+    to unit area-weighted mean. The times span the nonzero eigenvalues;
+    every zero mode enters with weight 1.
     """
     if basis.k < 2:
         raise ArgumentError("hks needs a basis with k >= 2")
@@ -176,8 +206,9 @@ def hks(basis: SpectralBasis,
 
     decay = np.exp(-np.outer(lam, times))            # (k', T)
     sig = (phi ** 2) @ decay                          # (n, T)
-    # the lam ~ 0 constant mode survives every time with weight 1
-    sig = sig + (basis.phi[:, 0] ** 2)[:, None]
+    # the zero modes survive every time with weight 1; the sum of their
+    # squares does not depend on which basis of the kernel the solver gave
+    sig = sig + (basis.phi[:, _zero_modes(basis)] ** 2).sum(axis=1)[:, None]
 
     a = basis.areas.areas
     mean = (a @ sig) / basis.areas.total

@@ -24,7 +24,7 @@ from meshcorr.funcmap import FmapWeights, FunctionalMap, PointMap, save_map
 from meshcorr.geodesics import save_groups
 from meshcorr.mesh import TriMesh
 from meshcorr.meshio import load_mesh, save_mesh
-from meshcorr.pipeline import RunConfig, match_meshes, prepare_for_matching
+from meshcorr.pipeline import RunConfig, match_meshes
 
 from conftest import (blas_threads, bumpy_grid, grid_patch, icosphere,
                       octant_groups, rotation_matrix, seam_split_grid, torus)
@@ -419,17 +419,7 @@ def test_descriptors_degenerate_spectrum_exits_4(runner, tmp_path):
     assert not feat.exists()
 
 
-@pytest.mark.parametrize("error", [
-    spla.ArpackNoConvergence("No convergence (3000 iterations, 5/32 "
-                             "eigenvectors converged)", [], []),
-    spla.ArpackError(-9999),
-    RuntimeError("Factor is exactly singular"),
-], ids=["no-convergence", "arpack-error", "singular-factor"])
-def test_lanczos_failure_exits_4(runner, tmp_path, monkeypatch, error):
-    def failing(*args, **kwargs):
-        raise error
-
-    monkeypatch.setattr(spectral.spla, "eigsh", failing)
+def assert_lanczos_failure_exits_4(runner, tmp_path, error):
     m = strong_bump_grid(32)
     assert m.n_vertices >= max(spectral.LANCZOS_MIN_N,
                                spectral.LANCZOS_N_PER_K * 32)  # Lanczos
@@ -441,6 +431,31 @@ def test_lanczos_failure_exits_4(runner, tmp_path, monkeypatch, error):
     assert f"Lanczos eigensolver failed: {error}" in all_output(res)
     assert "Traceback" not in all_output(res)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [
+    spla.ArpackNoConvergence("No convergence (3000 iterations, 5/32 "
+                             "eigenvectors converged)", [], []),
+    spla.ArpackError(-9999),
+    RuntimeError("Factor is exactly singular"),
+], ids=["no-convergence", "arpack-error", "singular-factor"])
+def test_lanczos_failure_exits_4(runner, tmp_path, monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(spectral.spla, "eigsh", failing)
+    assert_lanczos_failure_exits_4(runner, tmp_path, error)
+
+
+def test_singular_shift_invert_factor_exits_4(runner, tmp_path, monkeypatch):
+    # the shift-invert factor is built before eigsh runs
+    error = RuntimeError("Factor is exactly singular")
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(spectral.spla, "splu", failing)
+    assert_lanczos_failure_exits_4(runner, tmp_path, error)
 
 
 def make_instance(root, category, name, mesh, groups):
@@ -697,11 +712,9 @@ def benchmark_rows(path):
 @pytest.mark.parametrize("jobs", [1, 2, 8])
 def test_benchmark_prepares_each_instance_once(runner, grid_dataset,
                                                tmp_path, monkeypatch, jobs):
-    # feature channels per instance: one multiplication operator each
-    d = len(prepare_for_matching(grid_patch(10, 10), RunConfig()).mult_ops)
     # one ground-truth distance field per group of each source instance
     fields = sum(len(inst.groups.ids()) for inst in load_dataset(grid_dataset))
-    calls = {"eigenbasis": 0, "multiplication_operator": 0, "dijkstra": 0}
+    calls = {"eigenbasis": 0, "project_features": 0, "dijkstra": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -712,14 +725,14 @@ def test_benchmark_prepares_each_instance_once(runner, grid_dataset,
         monkeypatch.setattr(module, name, wrapper)
 
     counted(spectral, "eigenbasis")
-    counted(funcmap, "multiplication_operator")
+    counted(pipeline, "project_features")
     counted(geodesics, "dijkstra")
     res = runner.invoke(main, [
         "benchmark", "--dataset", str(grid_dataset), "--csv",
         str(tmp_path / "r.csv"), "--json", str(tmp_path / "a.json"),
         "--jobs", str(jobs)])
     assert res.exit_code == 0, all_output(res)
-    assert calls == {"eigenbasis": 3, "multiplication_operator": 3 * d,
+    assert calls == {"eigenbasis": 3, "project_features": 3,
                      "dijkstra": fields}
 
     # the same rows as matching every pair from scratch
@@ -1038,13 +1051,13 @@ def test_match_external_features_solve_k_eigenpairs(runner, tmp_path,
 
 
 @pytest.mark.parametrize("stack, want", [
-    ("posenc", [10, 10, 1]),
+    ("posenc", [10, 10]),
     ("hks,wks,posenc", [32, 32, 32]),
     ("posenc,wks", [32, 32, 32]),
 ], ids=["posenc", "default", "posenc-wks"])
 def test_stack_solves_the_eigenpairs_it_reads(runner, tmp_path, monkeypatch,
                                               stack, want):
-    # posenc reads no eigenpair: a match solves C's k, descriptors one
+    # posenc reads no eigenpair: a match solves C's k, descriptors none
     m = bumpy_grid(32)
     p = tmp_path / "m.ply"
     save_mesh(p, m)
@@ -1259,11 +1272,12 @@ def test_zero_area_vertex_exits_3(runner, tmp_path):
     m = with_unreferenced_vertex(strong_bump_grid(8))
     p, feat = tmp_path / "m.ply", tmp_path / "f.dmf"
     save_mesh(p, m)
-    res = runner.invoke(main, ["descriptors", "--mesh", str(p),
-                               "-o", str(feat)])
-    assert res.exit_code == 3, all_output(res)
-    assert "1 vertices have zero or non-finite area" in all_output(res)
-    assert not feat.exists()
+    for stack in ("hks,wks,posenc", "posenc"):  # posenc solves nothing
+        res = runner.invoke(main, ["descriptors", "--mesh", str(p),
+                                   "--descriptors", stack, "-o", str(feat)])
+        assert res.exit_code == 3, all_output(res)
+        assert "1 vertices have zero or non-finite area" in all_output(res)
+        assert not feat.exists()
 
     f = FeatureField(np.random.default_rng(0).random((m.n_vertices, 4)))
     write_features(feat, f)

@@ -67,6 +67,21 @@ def test_multiplication_operator_property():
         multiplication_operator(b, ch[:-1])
 
 
+@pytest.mark.parametrize("k", [1, 10, 32])
+def test_project_features_operators_are_multiplication_operators(k):
+    # one GEMM over blocks of vertex rows (a single block at k = 1, two
+    # at 10, a ragged last one at 32 on 1,024 vertices) against the loop
+    m, b = basis_pair(k, bumpy_grid(32))
+    rng = np.random.default_rng(k)
+    f = np.column_stack([rng.normal(size=(m.n_vertices, 4)),
+                         np.exp(rng.normal(size=m.n_vertices))])
+    ops = project_features(b, f).mult_ops
+    assert ops.shape == (5, k, k)
+    for p in range(f.shape[1]):
+        want = multiplication_operator(b, f[:, p])
+        assert np.abs(ops[p] - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_build_problem_shapes_and_validation():
     m, b = basis_pair(6)
     rng = np.random.default_rng(0)
@@ -243,9 +258,9 @@ def test_match_meshes_restores_blas_threads_and_leaves_no_thread(
         monkeypatch):
     dense_eigh, during = spectral._dense_eigh, []
 
-    def recorded(W, inv_sqrt, k):  # inside eigenbasis' pin
+    def recorded(S, k):  # inside eigenbasis' pin
         during.append(blas_thread_counts())
-        return dense_eigh(W, inv_sqrt, k)
+        return dense_eigh(S, k)
 
     monkeypatch.setattr(spectral, "_dense_eigh", recorded)
     mesh = grid_patch(8, 8, z_fn=wavy)

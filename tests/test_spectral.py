@@ -30,10 +30,29 @@ def force(monkeypatch, solver):
     monkeypatch.setattr(spectral, "LANCZOS_MIN_N", min_n)
 
 
-def test_a_orthonormality(sphere2):
-    b = basis_of(sphere2, 20)
+def union(*meshes):
+    """The meshes side by side as one mesh, 3 units apart along x."""
+    offsets = np.cumsum([0] + [m.n_vertices for m in meshes[:-1]])
+    return TriMesh(np.vstack([m.vertices + [3.0 * i, 0.0, 0.0]
+                              for i, m in enumerate(meshes)]),
+                   np.vstack([m.triangles + o
+                              for m, o in zip(meshes, offsets)]))
+
+
+def assert_a_orthonormal(b):
     gram = b.phi.T @ (b.areas.areas[:, None] * b.phi)
-    assert np.abs(gram - np.eye(20)).max() < 1e-10
+    assert np.abs(gram - np.eye(b.k)).max() < 1e-10
+
+
+def assert_eigen_residuals(W, A, b):
+    for i in range(b.k):
+        r = (-W) @ b.phi[:, i] - b.lam[i] * (A.areas * b.phi[:, i])
+        scale = max(1.0, b.lam[i]) * np.linalg.norm(A.areas * b.phi[:, i])
+        assert np.linalg.norm(r) <= 1e-6 * scale
+
+
+def test_a_orthonormality(sphere2):
+    assert_a_orthonormal(basis_of(sphere2, 20))
 
 
 def test_first_eigenpair_is_constant_mode(sphere2):
@@ -53,11 +72,19 @@ def test_sphere_spectrum_degeneracies():
 def test_eigen_residual(sphere2):
     W = cotangent_weights(sphere2)
     A = vertex_areas(sphere2)
-    b = eigenbasis(W, A, 15)
-    for i in range(15):
-        r = (-W) @ b.phi[:, i] - b.lam[i] * (A.areas * b.phi[:, i])
-        scale = max(1.0, b.lam[i]) * np.linalg.norm(A.areas * b.phi[:, i])
-        assert np.linalg.norm(r) <= 1e-6 * scale
+    assert_eigen_residuals(W, A, eigenbasis(W, A, 15))
+
+
+def test_lanczos_solves_the_generalized_problem():
+    # the Lanczos path solves the standard problem of S = A^-1/2 (-W)
+    # A^-1/2; scaled back, its vectors solve (-W, A) and are A-orthonormal
+    m = bumpy_grid(32)
+    assert m.n_vertices >= max(spectral.LANCZOS_MIN_N,
+                               spectral.LANCZOS_N_PER_K * 32)  # Lanczos
+    W, A = cotangent_weights(m), vertex_areas(m)
+    b = eigenbasis(W, A, 32)
+    assert_eigen_residuals(W, A, b)
+    assert_a_orthonormal(b)
 
 
 def test_deterministic_signs(sphere2):
@@ -67,11 +94,18 @@ def test_deterministic_signs(sphere2):
 
 
 def test_dense_and_sparse_paths_agree(monkeypatch):
-    m = torus(18, 10)
+    assert_paths_agree(monkeypatch, torus(18, 10), 8)
+
+
+def test_dense_and_sparse_paths_agree_at_descriptor_size(monkeypatch):
+    assert_paths_agree(monkeypatch, bumpy_grid(32), spectral.DEFAULT_DESC_K)
+
+
+def assert_paths_agree(monkeypatch, m, k):
     force(monkeypatch, "dense")
-    b_dense = basis_of(m, 8)
+    b_dense = basis_of(m, k)
     force(monkeypatch, "lanczos")
-    b_sparse = basis_of(m, 8)
+    b_sparse = basis_of(m, k)
     np.testing.assert_allclose(b_sparse.lam, b_dense.lam, rtol=1e-8, atol=1e-10)
     # eigenspaces of the torus are degenerate, so compare the heat kernel
     # built from each basis instead of individual eigenvectors
@@ -269,6 +303,31 @@ def test_zero_modes_do_not_depend_on_units():
             b = basis_of(TriMesh(scale * mesh.vertices, mesh.triangles), 10)
             with pytest.raises(NumericError, match="degenerate spectrum"):
                 hks(b, 4)
+
+
+def test_hks_of_several_components_follows_a_permutation():
+    # the kernel of a two-component mesh comes back in whatever basis the
+    # solver picks for each vertex order; hks must not depend on it
+    m = union(bumpy_grid(20), bumpy_grid(12))
+    perm = np.random.default_rng(0).permutation(m.n_vertices)
+    out = hks(basis_of(m, 32)).values
+    moved = hks(basis_of(permuted(m, 0), 32)).values
+    np.testing.assert_allclose(moved, out[perm], rtol=1e-8)
+
+
+@pytest.mark.parametrize("parts", [
+    lambda: (bumpy_grid(20), bumpy_grid(12)),
+    lambda: (bumpy_grid(20), torus(16, 8)),
+    lambda: (bumpy_grid(20), bumpy_grid(12), bumpy_grid(8)),
+], ids=["grid400-grid144", "grid400-torus128", "grid400-grid144-grid64"])
+def test_several_components_self_match_in_any_vertex_order(parts):
+    # criterion 3's identity bound against permuted copies
+    m = union(*parts())
+    for seed in range(6):
+        truth = np.random.default_rng(seed).permutation(m.n_vertices)
+        match = match_meshes(m, permuted(m, seed), RunConfig()).pmap
+        ident = np.mean(match.target_to_source == truth)
+        assert ident >= 0.95, f"seed {seed}: identity fraction {ident:.3f}"
 
 
 def test_positional_encoding_shape_and_values():
