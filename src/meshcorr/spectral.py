@@ -7,19 +7,40 @@ symmetric standard problem: S = A^-1/2 (-W) A^-1/2, built sparse and
 symmetrized once, has the same eigenvalues, and phi is A^-1/2 times its
 eigenvectors. The solver is chosen from n and k: shift-invert Lanczos
 (ARPACK) on S when n >= LANCZOS_N_PER_K * k and n >= LANCZOS_MIN_N, a
-dense symmetric solve of S otherwise; k > n/2 (a full-rank basis) stays
-dense. S plus a small shift is symmetric positive definite, so the
-Lanczos factor takes a minimum-degree ordering of S's own pattern with
-diagonal pivots, and no Lanczos step multiplies by A.
+dense symmetric solve of S otherwise; k > n/2 (a full-rank basis) and
+meshes under LANCZOS_MIN_N vertices stay dense. S plus a small shift is
+symmetric positive definite, so the Lanczos factor takes a
+minimum-degree ordering of S's own pattern with diagonal pivots, and no
+Lanczos step multiplies by A.
 
-Measured at one BLAS thread on bumpy grids and spheres, Lanczos is 3.5
-to 12 times as fast as the dense solve at n = 784 and 1,024 (k = 10 and
-32), and already faster by 7 to 16 ms from n = 576 on; at n = 400 and
-k = 32 the dense solve is faster. The crossover stays where it was set
-for the generalized Lanczos solve: a basis from the other path holds
-other vectors of a repeated eigenvalue, so moving the crossover would
-move the maps of meshes with such ties, as at k = 10 on the 642-vertex
-sphere that criterion 12 cuts.
+The two constants come from this table: ``eigenbasis`` in ms, dense /
+Lanczos, best of 9 at one BLAS thread on a 2-vCPU Xeon VM.
+
+    n    mesh            k = 10       k = 32        k = 64
+    196  bumpy_grid(14)   2.6 /  2.9   4.8 /  6.0    7.8 / 14.5
+    256  bumpy_grid(16)   3.8 /  3.1   6.4 /  6.3   10.2 / 13.3
+    300  torus(30, 10)    4.8 /  4.9   6.6 /  9.3    9.8 / 17.5
+    324  bumpy_grid(18)   5.5 /  3.3   8.6 /  7.9   13.7 / 15.9
+    360  torus(30, 12)    6.6 /  5.2   9.0 / 10.5   12.4 / 19.3
+    400  bumpy_grid(20)   8.3 /  4.1  12.3 /  8.4   17.8 / 17.0
+    480  torus(30, 16)   11.5 /  6.3  14.8 / 12.3   19.3 / 21.7
+    576  bumpy_grid(24)  17.7 /  5.1  23.2 / 10.9   31.6 / 26.0
+    576  torus(36, 16)   16.9 /  7.4  21.2 / 14.7   26.5 / 26.7
+    642  icosphere(3)    21.4 /  8.5  24.5 / 16.9   28.5 / 31.7
+    720  torus(40, 18)   30.6 /  8.5  35.2 / 17.2   42.2 / 30.8
+    784  bumpy_grid(28)  40.3 /  6.3  48.4 / 13.1   60.2 / 30.8
+
+Lanczos wins from n = 250 to 360 at k = 10 and from 320 to 480 at
+k = 32, grids first and tori last, and from 6 k to 11 k at k = 64; under
+n = 200 the dense solve wins at every k. With LANCZOS_MIN_N = 300 and
+LANCZOS_N_PER_K = 10 the rule's pick is at most 1.5 ms slower than the
+other path anywhere in the table at k <= 32, and at most 5.6 ms at
+k = 64.
+
+Each path returns its own vectors of a repeated eigenvalue, so a basis
+whose last eigenvalue is tied with the next (k = 10 on spheres and
+tori) holds other vectors when a mesh changes path, and maps built on
+it change; they change with the vertex order on either path.
 
 Lanczos starts from a fixed-seed vector, so repeat calls give the same
 bits. The dense solve holds one n x n buffer: S is densified once, and
@@ -44,8 +65,8 @@ from .errors import ArgumentError, DegenerateGeometryError, NumericError
 from .features import FeatureField
 from .mesh import TriMesh, VertexAreas
 
-LANCZOS_N_PER_K = 16     # Lanczos when n >= LANCZOS_N_PER_K * k
-LANCZOS_MIN_N = 700      # and n >= LANCZOS_MIN_N; dense otherwise
+LANCZOS_N_PER_K = 10     # Lanczos when n >= LANCZOS_N_PER_K * k
+LANCZOS_MIN_N = 300      # and n >= LANCZOS_MIN_N; dense otherwise
 DEFAULT_FMAP_K = 10      # basis size used by the map solver
 DEFAULT_DESC_K = 32      # basis size used for descriptors
 DEFAULT_HKS_TIMES = 16

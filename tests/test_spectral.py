@@ -144,8 +144,10 @@ def test_dense_path_equals_reference_formula(monkeypatch, mesh, k):
 
 def test_eigenbasis_does_not_depend_on_blas_threads():
     # at two BLAS threads LAPACK would return other vectors of the
-    # sphere's repeated eigenspaces; the caller's counts come back
-    m = icosphere(3)
+    # sphere's repeated eigenspaces; the caller's counts come back.
+    # icosphere(2) takes the dense solve, whose vectors move with an
+    # unpinned thread count (icosphere(3)'s Lanczos vectors did not)
+    m = icosphere(2)
     W, A = cotangent_weights(m), vertex_areas(m)
     bases = []
     for count in (1, 2):
@@ -155,6 +157,27 @@ def test_eigenbasis_does_not_depend_on_blas_threads():
                 == [count, count]
     assert np.array_equal(bases[0].phi, bases[1].phi)
     assert np.array_equal(bases[0].lam, bases[1].lam)
+
+
+@pytest.mark.parametrize("mesh, k, solver", [
+    (lambda: bumpy_grid(19), 32, "_lanczos_eigh"),
+    (lambda: bumpy_grid(24), 32, "_lanczos_eigh"),
+    (lambda: icosphere(3), 10, "_lanczos_eigh"),
+    (lambda: grid_patch(12, 12), 10, "_dense_eigh"),
+    (lambda: bumpy_grid(24), 289, "_dense_eigh"),
+], ids=["bumpy361-k32", "bumpy576-k32", "sphere642-k10", "grid144-k10",
+        "bumpy576-k-above-half-n"])
+def test_rule_takes_the_faster_solver(monkeypatch, mesh, k, solver):
+    # the crossover measured in the module docstring: Lanczos from
+    # n = 300 and n = 10 k, dense below and for every k > n/2
+    calls = []
+    for name in ("_dense_eigh", "_lanczos_eigh"):
+        def spy(S, k, name=name, solve=getattr(spectral, name)):
+            calls.append(name)
+            return solve(S, k)
+        monkeypatch.setattr(spectral, name, spy)
+    basis_of(mesh(), k)
+    assert calls == [solver]
 
 
 def test_dense_path_holds_one_n_by_n_buffer():
@@ -196,19 +219,23 @@ def test_lanczos_repeats_bit_for_bit(monkeypatch, mesh, k):
 
 def test_dense_and_lanczos_give_the_same_map(monkeypatch):
     # a rotated, permuted copy: the exact isometry of criterion 4, which
-    # the bounding-box normalization treats like the original
-    m = bumpy_grid(20)
+    # the bounding-box normalization treats like the original; and a
+    # permuted copy of a 576-vertex grid with the default stack
     R = rotation_matrix([0, 0, 1], np.pi / 2) @ rotation_matrix(
         [1, 0, 0], np.pi)
-    target = permuted(TriMesh(m.vertices @ R.T, m.triangles), seed=3)
-    truth = np.random.default_rng(3).permutation(m.n_vertices)
-    config = RunConfig(descriptors=("hks", "wks"))
-    maps = []
-    for solver in ("dense", "lanczos"):
-        force(monkeypatch, solver)
-        maps.append(match_meshes(m, target, config).pmap.target_to_source)
-    assert np.array_equal(maps[0], maps[1])
-    assert np.array_equal(maps[0], truth)
+    small = bumpy_grid(20)
+    cases = [(small, TriMesh(small.vertices @ R.T, small.triangles),
+              RunConfig(descriptors=("hks", "wks"))),
+             (bumpy_grid(24), bumpy_grid(24), RunConfig())]
+    for m, moved, config in cases:
+        target = permuted(moved, seed=3)
+        truth = np.random.default_rng(3).permutation(m.n_vertices)
+        maps = []
+        for solver in ("dense", "lanczos"):
+            force(monkeypatch, solver)
+            maps.append(match_meshes(m, target, config).pmap.target_to_source)
+        assert np.array_equal(maps[0], maps[1])
+        assert np.array_equal(maps[0], truth)
 
 
 def test_non_finite_or_zero_area_inputs_raise():
