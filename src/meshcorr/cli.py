@@ -18,7 +18,7 @@ import click
 
 from . import evalbench, funcmap, pipeline, transfer
 from .errors import ArgumentError, DataError, MeshCorrError, NumericError
-from .features import FeatureField, load_features, write_features
+from .features import load_features, write_features
 from .funcmap import FmapWeights
 from .meshio import load_mesh, save_mesh
 
@@ -288,11 +288,8 @@ def cmd_descriptors(mesh_path, descriptors, output):
     """Compute the descriptor stack that match computes of the welded,
     normalized mesh and write it as a DMF feature file, one row per vertex
     of the mesh file. Bad names exit 2 before the mesh is read."""
-    pipeline._check_descriptors(descriptors)
-    mesh, basis, index = pipeline.prepare_mesh(
-        load_mesh(mesh_path), pipeline._stack_basis_k(descriptors))
-    stack = pipeline.descriptor_stack(mesh, basis, descriptors)
-    stack = FeatureField(stack.values[index])
+    config = pipeline.RunConfig(descriptors=descriptors)
+    stack = pipeline.describe(load_mesh(mesh_path), config.descriptors)
     write_features(output, stack)
     click.echo(f"wrote {output} ({stack.n}x{stack.d})")
 

@@ -12,7 +12,7 @@ with Pi = Phi_N C Phi_M^+ (rows index target vertices, columns source
 vertices; match(j) is the row of Phi_M nearest to row j of Phi_N C, or
 the row-argmax of Pi). All gradients are analytic; the clamp contributes
 zero gradient outside (0, 1). The entropy and argmax recovery both read
-Pi in float64 blocks of whole target rows, about ENTROPY_BLOCK entries
+Pi in float64 blocks of whole target rows, about BLOCK_ENTRIES entries
 each (``_pi_rows``), so no n_N x n_M buffer is built.
 
 An FmapProblem is two MatchInputs and the weights. A MatchInput is all
@@ -53,10 +53,7 @@ from .errors import (ArgumentError, NumericError, json_array, read_json,
 from .spectral import SpectralBasis
 
 EPS_LOG = 1e-12
-ENTROPY_BLOCK = 32_768          # Pi entries per entropy/argmax block (256 KiB)
-# basis-pair products per projection block (256 KiB): at n = 22,500 and
-# k = 32 such blocks beat one n x k(k+1)/2 buffer by 2.4x
-_PRODUCT_BLOCK = 32_768
+BLOCK_ENTRIES = 32_768          # float64 entries per block of rows (256 KiB)
 WHITEN_RIDGE = 1e-10            # relative to the mean diagonal of H
 
 DEFAULT_ALPHA = 1e-2
@@ -236,15 +233,16 @@ def project_features(basis: SpectralBasis, f) -> MatchInput:
     operators Phi^+ Diag(f_p) Phi as one (d, k, k) array. The operators
     are one GEMM, X_p[i, j] = sum_v f_p(v) (a_v phi_i(v) phi_j(v)) over
     the pairs i <= j, mirrored; the pair products are built in blocks of
-    vertex rows of about _PRODUCT_BLOCK entries. It runs at one BLAS
-    thread: both products sum over n."""
+    vertex rows of about BLOCK_ENTRIES entries, which stay in cache (at
+    n = 22,500 and k = 32, 2.4x faster than one n x k(k+1)/2 buffer). It
+    runs at one BLAS thread: both products sum over n."""
     f = np.atleast_2d(np.asarray(f, dtype=np.float64))
     if f.shape[0] != basis.n:
         raise ArgumentError(
             f"feature rows {f.shape[0]} != vertex count {basis.n}")
     phi, a = basis.phi, basis.areas.areas
     i, j = np.triu_indices(basis.k)
-    rows = max(1, _PRODUCT_BLOCK // len(i))
+    rows = max(1, BLOCK_ENTRIES // len(i))
     upper = np.zeros((f.shape[1], len(i)))
     for start in range(0, basis.n, rows):
         block = slice(start, start + rows)
@@ -265,8 +263,8 @@ def build_problem(basis_M: SpectralBasis, basis_N: SpectralBasis,
 
 def _pi_rows(emb, pinv_m):
     """(rows, Pi[rows]) of Pi = emb pinv_m, emb = Phi_N C, in blocks of
-    whole target rows of about ENTROPY_BLOCK entries, which stay in cache."""
-    step = max(1, ENTROPY_BLOCK // pinv_m.shape[1])  # target rows per block
+    whole target rows of about BLOCK_ENTRIES entries, which stay in cache."""
+    step = max(1, BLOCK_ENTRIES // pinv_m.shape[1])  # target rows per block
     for start in range(0, len(emb), step):
         rows = slice(start, start + step)
         yield rows, emb[rows] @ pinv_m
@@ -395,7 +393,7 @@ def recover_pointmap(C, basis_M: SpectralBasis, basis_N: SpectralBasis,
     Phi_M is nearest to row j of Phi_N C (a k-d tree, O(n k) memory);
     ``argmax`` takes the row-argmax of the clamped Pi = Phi_N C Phi_M^+
     (ties to the smallest index) over ``_pi_rows``' blocks of whole rows,
-    O(ENTROPY_BLOCK) memory. The confidence of j is its clamped Pi entry.
+    O(BLOCK_ENTRIES) memory. The confidence of j is its clamped Pi entry.
     """
     C = np.asarray(C, dtype=np.float64)
     if C.shape != (basis_N.k, basis_M.k):
@@ -454,14 +452,19 @@ def solve_partial(problem: FmapProblem, g,
     g = np.atleast_2d(np.asarray(g, dtype=np.float64))
     bn, k = problem.target.basis, problem.k
     F = problem.source.spectral_features
-    if g.shape[0] != bn.n:
-        raise ArgumentError("g rows must match the target vertex count")
+    if g.shape != (bn.n, F.shape[1]):
+        raise ArgumentError(f"g is {g.shape}, not the target's {bn.n} "
+                            f"vertices by the {F.shape[1]} features of F")
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.ndim != 2 or edges.shape[1] != 2 or (
+            (edges < 0) | (edges >= bn.n)).any():
+        raise ArgumentError("edges must be an (e, 2) array of target "
+                            f"vertices in range({bn.n})")
     a_n, area_n = bn.areas.areas, bn.areas.total
     area_m = problem.source.basis.areas.total
     if area_m > area_n:
         warnings.warn("source area exceeds target area; mask will saturate")
 
-    edges = np.asarray(edges, dtype=np.int64)
     head, tail = np.ascontiguousarray(edges.T)
     ew = 0.5 * (a_n[head] + a_n[tail])                # area-weighted edges
     phi_a = bn.phi * a_n[:, None]                     # Phi_N^+ = phi_a^T

@@ -13,10 +13,9 @@ pairwise (``match_prepared``, which solves the ``FmapProblem`` of two
 MatchInputs); ``match_meshes`` is the two steps for a single pair.
 
 A preparation is mostly the mesh's eigensolve (``spectral.eigenbasis``
-picks the solver), of max(min(spectral.DEFAULT_DESC_K, n), k) eigenpairs
-for a descriptor stack with ``hks`` or ``wks`` and k for ``posenc`` alone
-or external features. The ``descriptors`` command's ``posenc`` alone
-solves none.
+picks the solver), whose size ``prepare_mesh`` alone decides from the
+descriptor names and C's size k: external features name no descriptor,
+and the ``descriptors`` command (``describe``) has no C.
 """
 
 from __future__ import annotations
@@ -34,9 +33,11 @@ from .funcmap import (DEFAULT_MAX_ITER, FmapProblem, FmapWeights,
                       recover_pointmap, solve_fmap)
 from .mesh import TriMesh, cotangent_weights, normalize_mesh, vertex_areas, weld_mesh
 
+DEFAULT_FMAP_K = 10      # C's basis size k
+DESCRIPTOR_K = 32        # eigenpairs hks and wks read
 _DESCRIPTORS = {  # name -> (eigenpairs it reads, its field of (mesh, basis))
-    "hks": (spectral.DEFAULT_DESC_K, lambda mesh, basis: spectral.hks(basis)),
-    "wks": (spectral.DEFAULT_DESC_K, lambda mesh, basis: spectral.wks(basis)),
+    "hks": (DESCRIPTOR_K, lambda mesh, basis: spectral.hks(basis)),
+    "wks": (DESCRIPTOR_K, lambda mesh, basis: spectral.wks(basis)),
     "posenc": (0, lambda mesh, basis: spectral.positional_encoding(mesh)),
 }
 DESCRIPTOR_NAMES = tuple(_DESCRIPTORS)
@@ -51,7 +52,7 @@ class RunConfig:
     form), an empty descriptor list or a name outside DESCRIPTOR_NAMES,
     or a k whose solve would outgrow the machine's physical memory,
     raises ArgumentError."""
-    k: int = spectral.DEFAULT_FMAP_K
+    k: int = DEFAULT_FMAP_K
     weights: FmapWeights = field(default_factory=FmapWeights)
     descriptors: tuple = DESCRIPTOR_NAMES
     max_iter: int = DEFAULT_MAX_ITER  # read by nothing; the benchmark passes it
@@ -62,7 +63,10 @@ class RunConfig:
         if self.weights.w_entropy != 0.0:
             raise ArgumentError("the match is the closed-form solve and needs "
                                 f"w_entropy 0, got {self.weights.w_entropy}")
-        _check_descriptors(self.descriptors)
+        if not self.descriptors or set(self.descriptors) - _DESCRIPTORS.keys():
+            raise ArgumentError(
+                f"descriptors must be one or more of {DESCRIPTOR_NAMES}, "
+                f"got {list(self.descriptors)}")
         try:
             memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         except (AttributeError, ValueError):  # no such names here: no bound
@@ -74,34 +78,22 @@ class RunConfig:
                 f"more than the {memory / 2 ** 30:.3g} GiB of physical memory")
 
 
-def _check_descriptors(names):
-    """Raise ArgumentError unless ``names`` is one or more of
-    DESCRIPTOR_NAMES."""
-    if not names or set(names) - _DESCRIPTORS.keys():
-        raise ArgumentError(
-            f"descriptors must be one or more of {DESCRIPTOR_NAMES}, "
-            f"got {list(names)}")
-
-
-def _stack_basis_k(names) -> int:
-    """Eigenpairs the named descriptors read (0 for ``posenc`` alone)."""
-    return max(_DESCRIPTORS[name][0] for name in names)
-
-
-def prepare_mesh(mesh: TriMesh, basis_k: int, k: int = 0) -> tuple[
+def prepare_mesh(mesh: TriMesh, names=(), k: int = 0) -> tuple[
         TriMesh, spectral.SpectralBasis | None, np.ndarray]:
     """(mesh, basis, index): the mesh welded (``weld_mesh``, whose index
     gives the welded vertex of each input vertex), then normalized, and
-    its basis of max(min(basis_k, n), k) eigenpairs, n the welded vertex
-    count; None, with no eigensolve, when that is 0. C's size k above n
-    raises ArgumentError before the eigensolve, and a vertex of zero or
-    non-finite area DegenerateGeometryError, with or without one."""
+    its basis of max(min(e, n), k) eigenpairs, e the most that one of the
+    named descriptors reads and n the welded vertex count; None, with no
+    eigensolve, when that is 0. C's size k above n raises ArgumentError
+    before the eigensolve, and a vertex of zero or non-finite area
+    DegenerateGeometryError, with or without one."""
     mesh, index = weld_mesh(mesh)
     mesh = normalize_mesh(mesh)
     if k > mesh.n_vertices:
         raise ArgumentError(
             f"k={k} exceeds mesh vertex count {mesh.n_vertices}")
-    size = max(min(basis_k, mesh.n_vertices), k)
+    reads = max((_DESCRIPTORS[name][0] for name in names), default=0)
+    size = max(min(reads, mesh.n_vertices), k)
     areas = vertex_areas(mesh)
     if size == 0:  # no eigensolve checks the areas, so check them here
         areas.check_positive()
@@ -116,6 +108,14 @@ def descriptor_stack(mesh: TriMesh, basis: spectral.SpectralBasis,
     spectral's default size."""
     return concat_features(_DESCRIPTORS[name][1](mesh, basis)
                            for name in names)
+
+
+def describe(mesh: TriMesh, names) -> FeatureField:
+    """The named descriptor stack that a match computes of the prepared
+    mesh (``prepare_mesh``), one row per input vertex: the row of the
+    welded vertex it became."""
+    prepared, basis, index = prepare_mesh(mesh, names)
+    return FeatureField(descriptor_stack(prepared, basis, names).values[index])
 
 
 @dataclass(frozen=True)
@@ -138,19 +138,17 @@ def _survivors(index: np.ndarray) -> np.ndarray:
 
 def prepare_for_matching(mesh: TriMesh, config: RunConfig,
                          features: FeatureField | None = None) -> PreparedInput:
-    """Prepare one mesh (``prepare_mesh``), compute its basis and
-    features, standardize them (``_standardize``) and project them into
-    the k-sized basis. Features default to the descriptor stack; external
-    ones need a row per input vertex, and a welded vertex reads the row
-    of the input vertex it keeps. With external features or a stack that
-    reads no eigenpair (``posenc`` alone) nothing reads more than the k
-    eigenpairs C lives in, so only those are solved."""
-    if features is not None:
-        if features.n != mesh.n_vertices:
-            raise ArgumentError(f"feature rows {features.n} != vertex count "
-                                f"{mesh.n_vertices}")
-    basis_k = _stack_basis_k(config.descriptors) if features is None else 0
-    mesh, basis, index = prepare_mesh(mesh, basis_k, config.k)
+    """Prepare one mesh (``prepare_mesh``, which external features name
+    no descriptor to), compute its features, standardize them
+    (``_standardize``) and project them into the k-sized basis. Features
+    default to the descriptor stack; external ones need a row per input
+    vertex, and a welded vertex reads the row of the input vertex it
+    keeps."""
+    if features is not None and features.n != mesh.n_vertices:
+        raise ArgumentError(f"feature rows {features.n} != vertex count "
+                            f"{mesh.n_vertices}")
+    names = config.descriptors if features is None else ()
+    mesh, basis, index = prepare_mesh(mesh, names, config.k)
     if features is None:
         features = descriptor_stack(mesh, basis, config.descriptors)
     else:

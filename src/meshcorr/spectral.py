@@ -67,8 +67,6 @@ from .mesh import TriMesh, VertexAreas
 
 LANCZOS_N_PER_K = 10     # Lanczos when n >= LANCZOS_N_PER_K * k
 LANCZOS_MIN_N = 300      # and n >= LANCZOS_MIN_N; dense otherwise
-DEFAULT_FMAP_K = 10      # basis size used by the map solver
-DEFAULT_DESC_K = 32      # basis size used for descriptors
 DEFAULT_HKS_TIMES = 16
 DEFAULT_WKS_ENERGIES = 100
 DEFAULT_POSENC_BANDS = 6

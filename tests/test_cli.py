@@ -376,7 +376,7 @@ def test_descriptors_do_not_depend_on_blas_threads(runner, tmp_path):
 def test_low_rank_feature_files_exit_4(runner, tmp_path, mesh):
     m = mesh()
     feat, out = tmp_path / "m.dmf", tmp_path / "o.json"
-    basis = pipeline.prepare_mesh(m, spectral.DEFAULT_DESC_K)[1]
+    basis = pipeline.prepare_mesh(m, ("hks",))[1]
     write_features(feat, spectral.hks(basis, 16))
     save_mesh(tmp_path / "m.ply", m)
     res = runner.invoke(main, [
@@ -1390,3 +1390,110 @@ def test_readme_cli_section_names_the_options_there_are():
                for param in command.params]
     assert named - set().union({"--help"}, *aliases) == set()
     assert [sorted(a) for a in aliases if not a & named] == []
+
+
+PLY_LIST_VERTEX_HEADER = (
+    "ply\nformat {} 1.0\nelement vertex 3\nproperty float x\n"
+    "property float y\nproperty float z\nproperty list uchar int tags\n"
+    "element face 1\nproperty list uchar int vertex_indices\nend_header\n")
+TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+
+def binary_ply_with_uneven_lists():
+    tags = [[7], [7, 7], [7]]
+    return (PLY_LIST_VERTEX_HEADER.format("binary_little_endian").encode()
+            + b"".join(struct.pack(f"<3fB{len(t)}i", *v, len(t), *t)
+                       for v, t in zip(np.eye(3), tags))
+            + struct.pack("<B3i", 3, 0, 1, 2))
+
+
+@pytest.mark.parametrize("name, content, where", [
+    ("f.obj", TRIANGLE + "f 1 x 3\n", "f.obj:4: bad face index"),
+    ("v.obj", "# no vertex\n", "no vertices found"),
+    ("c.obj", "v 0 0 0 nan 0 0\nv 1 0 0 0 0 0\nv 0 1 0 0 0 0\nf 1 2 3\n",
+     "colors must be finite"),
+    ("t.obj", TRIANGLE, "mesh has no triangles"),
+    ("e.off", "", "empty OFF file"),
+    ("n.off", "OFF\n-1 0 0\n", "n.off:2: bad OFF header counts"),
+    ("n.ply", "ply\nformat ascii 1.0\nelement vertex -1\nend_header\n",
+     "n.ply:3: malformed header line (negative element count)"),
+    ("p.ply", "ply\nformat ascii 1.0\nproperty float x\nend_header\n",
+     "p.ply:3: malformed header line (property before element)"),
+    ("x.ply", "ply\nformat ascii 1.0\nelement vertex 1\nproperty float a\n"
+     "end_header\n0\n", "no vertex element with x/y/z"),
+    ("s.ply", PLY_ASCII_HEADER.replace("list uchar int", "int")
+     + "0 0 0\n1 0 0\n0 1 0\n0\n", "face vertex indices must be a list"),
+    ("a.ply", PLY_LIST_VERTEX_HEADER.format("ascii")
+     + "0 0 0 1 7\n1 0 0 2 7 7\n0 1 0 1 7\n3 0 1 2\n",
+     "a.ply:12: 'vertex' row's list lengths differ from the first row's"),
+    ("b.ply", binary_ply_with_uneven_lists(),
+     "'vertex' record 1: list lengths differ from record 0's"),
+], ids=["obj-face-index", "obj-no-vertex", "obj-nan-color", "obj-no-face",
+        "off-empty", "off-negative-count", "ply-negative-count",
+        "ply-property-first", "ply-no-xyz", "ply-scalar-faces",
+        "ply-ascii-uneven-lists", "ply-binary-uneven-lists"])
+def test_match_refused_mesh_file_exits_3(runner, tmp_path, name, content,
+                                          where):
+    p = tmp_path / name
+    if isinstance(content, bytes):
+        p.write_bytes(content)
+    else:
+        p.write_text(content)
+    res = runner.invoke(main, ["match", "--source", str(p), "--target",
+                               str(p), "-o", str(tmp_path / "o.json")])
+    assert res.exit_code == 3, all_output(res)
+    assert where in all_output(res)
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_match_non_finite_feature_file_exits_3(runner, tmp_path, value):
+    m = strong_bump_grid(6)
+    save_mesh(tmp_path / "m.ply", m)
+    write_features(tmp_path / "f.dmf", FeatureField(m.vertices))
+    with open(tmp_path / "f.dmf", "r+b") as fh:  # row 4, column 1
+        fh.seek(12 + 4 * (3 * 4 + 1))
+        fh.write(struct.pack("<f", float(value)))
+    res = runner.invoke(main, [
+        "match", "--source", str(tmp_path / "m.ply"), "--target",
+        str(tmp_path / "m.ply"), "--source-features", str(tmp_path / "f.dmf"),
+        "--target-features", str(tmp_path / "f.dmf"),
+        "-o", str(tmp_path / "o.json")])
+    assert res.exit_code == 3, all_output(res)
+    assert "f.dmf: feature matrix contains NaN/Inf" in all_output(res)
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_benchmark_dataset_file_exits_3(runner, tmp_path):
+    root = tmp_path / "data"
+    root.write_text("not a directory")
+    res = runner.invoke(main, ["benchmark", "--dataset", str(root), "--csv",
+                               str(tmp_path / "r.csv"), "--json",
+                               str(tmp_path / "a.json")])
+    assert res.exit_code == 3, all_output(res)
+    assert f"dataset root not found: {root}" in all_output(res)
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("uncolored", 2, "source textured mesh has no vertex colors"),
+    ("obj-output", 3, "only PLY output is supported, got .obj"),
+])
+def test_transfer_color_refusals_exit(runner, tmp_path, case, code, message):
+    m = strong_bump_grid(6)
+    n = m.n_vertices
+    plain = tmp_path / "plain.ply"
+    save_mesh(plain, m)
+    textured = tmp_path / "tex.ply"
+    save_mesh(textured, m if case == "uncolored"
+              else m.with_colors(np.full((n, 3), 0.5)))
+    save_map(tmp_path / "map.json", FunctionalMap(np.eye(10), True, 0.0, 0),
+             PointMap(np.arange(n), np.ones(n)), FmapWeights())
+    out = tmp_path / ("o.obj" if case == "obj-output" else "o.ply")
+    res = runner.invoke(main, ["transfer-color", "--source-textured",
+                               str(textured), "--source", str(plain),
+                               "--target", str(plain), "--map",
+                               str(tmp_path / "map.json"), "-o", str(out)])
+    assert res.exit_code == code, all_output(res)
+    assert message in all_output(res)
+    assert not out.exists()

@@ -81,3 +81,10 @@ def test_concat_features():
     assert out.values.dtype == np.float64
     with pytest.raises(ArgumentError):
         concat_features([a, field(np.ones((4, 2)))])
+
+
+def test_concat_features_needs_a_field():
+    with pytest.raises(ArgumentError, match="at least one field"):
+        concat_features([])
+    with pytest.raises(ArgumentError, match="at least one field"):
+        concat_features(iter(()))

@@ -198,7 +198,7 @@ def test_prepared_problem_is_build_problems(monkeypatch):
                       for m in meshes)
     features = []
     for m in meshes:
-        mesh, basis, _ = pipeline.prepare_mesh(m, spectral.DEFAULT_DESC_K,
+        mesh, basis, _ = pipeline.prepare_mesh(m, config.descriptors,
                                                config.k)
         features.append(pipeline._standardize(pipeline.descriptor_stack(
             mesh, basis, config.descriptors), basis).values)
@@ -327,7 +327,7 @@ def test_external_features_match_at_any_mesh_or_feature_scale():
     # path too, so neither the mesh's units nor the features' change the map
     m = bumpy_grid(20)
     config = pipeline.RunConfig()
-    prepared, basis, _ = pipeline.prepare_mesh(m, spectral.DEFAULT_DESC_K)
+    prepared, basis, _ = pipeline.prepare_mesh(m, config.descriptors)
     f = pipeline.descriptor_stack(prepared, basis, config.descriptors).values
     maps = []
     for scale in (0.01, 1.0, 100.0):
@@ -371,7 +371,7 @@ def test_low_rank_external_features_are_refused(mesh):
     # few eigenfunctions, and inside repeated eigenvalues no term pins C
     m = mesh()
     config = pipeline.RunConfig()
-    f = spectral.hks(pipeline.prepare_mesh(m, spectral.DEFAULT_DESC_K)[1], 16)
+    f = spectral.hks(pipeline.prepare_mesh(m, ("hks",))[1], 16)
     with pytest.raises(NumericError, match="directions of C are unconstrained"):
         pipeline.match_meshes(m, m, config, f, f)
 
@@ -401,7 +401,7 @@ def entropy_blocks_problem(k, seed):
     a second, with the entropy weighted up so its share of the value and
     the gradient shows."""
     m = grid_patch(15, 14, z_fn=wavy)
-    rows = funcmap.ENTROPY_BLOCK // m.n_vertices   # per block
+    rows = funcmap.BLOCK_ENTRIES // m.n_vertices   # per block
     assert rows < m.n_vertices and m.n_vertices % rows
     return random_problem(k, 3, seed, FmapWeights(w_entropy=1.0), m)
 
@@ -755,6 +755,32 @@ def test_solve_partial_objective_is_J():
     C0 = np.linalg.solve(H, b).reshape(prob.k, prob.k)
     assert sol.objective <= partial_objective(prob, g, edges, C0, eta0)
 
+
+
+@pytest.mark.parametrize("case", ["rows", "width"])
+def test_solve_partial_refuses_g_of_the_wrong_shape(case, monkeypatch):
+    prob, g, edges = corner_cut()
+    g = {"rows": g[:-1], "width": g[:, :-1]}[case]
+    monkeypatch.setattr(funcmap, "_whitening", None)  # refused before it
+    with pytest.raises(ArgumentError, match="not the target's 81 vertices "
+                                            "by the 4 features of F"):
+        solve_partial(prob, g, edges)
+
+
+@pytest.mark.parametrize("case", ["past-n", "negative", "one-column",
+                                  "flat"])
+def test_solve_partial_refuses_edges_outside_the_target(case, monkeypatch):
+    prob, g, edges = corner_cut()
+    if case == "past-n":
+        edges[3, 1] = len(g)
+    elif case == "negative":
+        edges[3, 0] = -1
+    edges = {"one-column": edges[:, :1], "flat": edges.ravel()}.get(case,
+                                                                    edges)
+    monkeypatch.setattr(funcmap, "_whitening", None)  # refused before it
+    with pytest.raises(ArgumentError, match=r"edges must be an \(e, 2\) "
+                                            r"array .* in range\(81\)"):
+        solve_partial(prob, g, edges)
 
 def test_solve_nonfinite_objective_keeps_last_valid_C(monkeypatch):
     # the objective turns NaN after the first evaluation: the solver

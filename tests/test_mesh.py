@@ -25,6 +25,17 @@ def test_trimesh_validation():
         TriMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]), colors=np.zeros((2, 3)))
 
 
+
+def test_trimesh_refuses_non_triangles_and_non_finite_colors():
+    with pytest.raises(DataError, match=r"triangles must be \(m, 3\), "
+                                        r"got \(1, 4\)"):
+        TriMesh(np.eye(4, 3), np.array([[0, 1, 2, 3]]))
+    for value in (np.nan, np.inf):
+        colors = np.full((3, 3), 0.5)
+        colors[1, 2] = value
+        with pytest.raises(DataError, match="colors must be finite"):
+            TriMesh(np.eye(3), np.array([[0, 1, 2]]), colors=colors)
+
 def test_trimesh_is_immutable():
     m = grid_patch(4, 4)
     with pytest.raises(ValueError):

@@ -43,6 +43,24 @@ def test_obj_roundtrip_parsing(tmp_path):
     np.testing.assert_array_equal(m.triangles, [[0, 1, 2]])
 
 
+
+def test_comment_lines_are_skipped(tmp_path):
+    # OBJ '#' lines and blank lines, and PLY header 'comment' lines
+    obj = tmp_path / "c.obj"
+    obj.write_text("# made by hand\n\nv 0 0 0\n  # indented\nv 1 0 0\n"
+                   "v 0 1 0\n#f 9 9 9\nf 1 2 3\n")
+    ply = tmp_path / "c.ply"
+    save_mesh(ply, load_mesh(obj))
+    lines = ply.read_text().split("\n")
+    ply.write_text("\n".join(lines[:2] + ["comment made by hand",
+                                          "comment element vertex 99"]
+                             + lines[2:]))
+    for path in (obj, ply):
+        m = load_mesh(path)
+        np.testing.assert_array_equal(m.vertices, [[0, 0, 0], [1, 0, 0],
+                                                   [0, 1, 0]])
+        np.testing.assert_array_equal(m.triangles, [[0, 1, 2]])
+
 def test_obj_with_vertex_colors(tmp_path):
     p = tmp_path / "tri.obj"
     p.write_text("v 0 0 0 1 0 0\nv 1 0 0 0 1 0\nv 0 1 0 0 0 1\nf 1 2 3\n")

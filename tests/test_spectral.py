@@ -9,7 +9,7 @@ from meshcorr.errors import (ArgumentError, DegenerateGeometryError,
                              NumericError)
 from meshcorr.mesh import (TriMesh, VertexAreas, cotangent_weights,
                            normalize_mesh, vertex_areas)
-from meshcorr.pipeline import RunConfig, match_meshes
+from meshcorr.pipeline import DESCRIPTOR_K, RunConfig, match_meshes
 from meshcorr.spectral import (SpectralBasis, eigenbasis, hks,
                                positional_encoding, wks)
 
@@ -98,7 +98,7 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
 
 
 def test_dense_and_sparse_paths_agree_at_descriptor_size(monkeypatch):
-    assert_paths_agree(monkeypatch, bumpy_grid(32), spectral.DEFAULT_DESC_K)
+    assert_paths_agree(monkeypatch, bumpy_grid(32), DESCRIPTOR_K)
 
 
 def assert_paths_agree(monkeypatch, m, k):
@@ -265,6 +265,31 @@ def test_truncate(sphere2):
     np.testing.assert_array_equal(t.phi, b.phi[:, :5])
     np.testing.assert_array_equal(t.lam, b.lam[:5])
 
+
+
+def test_basis_size_and_shape_refusals(sphere2):
+    W, A = cotangent_weights(sphere2), vertex_areas(sphere2)
+    for k in (0, -3):
+        with pytest.raises(ArgumentError, match="k must be >= 1"):
+            eigenbasis(W, A, k)
+    with pytest.raises(ArgumentError, match=r"W shape \(9, 9\) does not "
+                                            r"match n=162"):
+        eigenbasis(W[:9, :9], A, 5)
+    with pytest.raises(ArgumentError, match="cannot truncate basis of "
+                                            "size 6 to 7"):
+        basis_of(sphere2, 6).truncate(7)
+
+
+def test_signatures_refuse_a_basis_below_two_and_no_samples(sphere2):
+    one, b = basis_of(sphere2, 1), basis_of(sphere2, 6)
+    with pytest.raises(ArgumentError, match="hks needs a basis with k >= 2"):
+        hks(one)
+    with pytest.raises(ArgumentError, match="wks needs a basis with k >= 2"):
+        wks(one)
+    with pytest.raises(ArgumentError, match="num_times must be >= 1"):
+        hks(b, 0)
+    with pytest.raises(ArgumentError, match="num_energies must be >= 1"):
+        wks(b, 0)
 
 def test_pinv_identity(sphere2):
     b = basis_of(sphere2, 10)
