@@ -36,8 +36,7 @@ def geodesic_error(target_to_source, src_groups: SemanticGroups,
     Target vertices whose group id does not exist on the source mesh
     are excluded and returned as NaN.
     """
-    match = np.asarray(getattr(target_to_source, "target_to_source",
-                               target_to_source), dtype=np.int64)
+    match = np.asarray(target_to_source, dtype=np.int64)
     check_map_fits(match, src_groups.n, tgt_groups.n)
     norm = 100.0 / np.sqrt(src_areas.total)
     src_ids = set(src_groups.ids().tolist())
@@ -152,7 +151,8 @@ def load_instance(inst_dir) -> DatasetInstance:
 def score_map(pmap, src: DatasetInstance, tgt: DatasetInstance):
     """(mean error, AUC, coverage) of a target->source map; coverage is
     the fraction of target vertices whose group exists on the source."""
-    errors = geodesic_error(pmap, src.groups, tgt.groups, src.geo, src.areas)
+    errors = geodesic_error(pmap.target_to_source, src.groups, tgt.groups,
+                            src.geo, src.areas)
     included = errors[~np.isnan(errors)]
     _, area = auc(included)
     return float(included.mean()), area, len(included) / len(errors)

@@ -455,11 +455,12 @@ def solve_partial(problem: FmapProblem, g,
     if g.shape != (bn.n, F.shape[1]):
         raise ArgumentError(f"g is {g.shape}, not the target's {bn.n} "
                             f"vertices by the {F.shape[1]} features of F")
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.ndim != 2 or edges.shape[1] != 2 or (
-            (edges < 0) | (edges >= bn.n)).any():
-        raise ArgumentError("edges must be an (e, 2) array of target "
-                            f"vertices in range({bn.n})")
+    edges = np.asarray(edges)
+    if edges.dtype.kind not in "iu" or edges.ndim != 2 or (
+            edges.shape[1] != 2) or ((edges < 0) | (edges >= bn.n)).any():
+        raise ArgumentError("edges must be an (e, 2) array of integer "
+                            f"target vertices in range({bn.n})")
+    edges = edges.astype(np.int64, copy=False)
     a_n, area_n = bn.areas.areas, bn.areas.total
     area_m = problem.source.basis.areas.total
     if area_m > area_n:

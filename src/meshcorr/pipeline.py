@@ -63,10 +63,9 @@ class RunConfig:
         if self.weights.w_entropy != 0.0:
             raise ArgumentError("the match is the closed-form solve and needs "
                                 f"w_entropy 0, got {self.weights.w_entropy}")
-        if not self.descriptors or set(self.descriptors) - _DESCRIPTORS.keys():
-            raise ArgumentError(
-                f"descriptors must be one or more of {DESCRIPTOR_NAMES}, "
-                f"got {list(self.descriptors)}")
+        if not _descriptors(self.descriptors):
+            raise ArgumentError("descriptors must be one or more of "
+                                f"{DESCRIPTOR_NAMES}, got []")
         try:
             memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         except (AttributeError, ValueError):  # no such names here: no bound
@@ -78,21 +77,31 @@ class RunConfig:
                 f"more than the {memory / 2 ** 30:.3g} GiB of physical memory")
 
 
+def _descriptors(names):
+    """The _DESCRIPTORS entry of each name, in order; a name outside
+    DESCRIPTOR_NAMES raises ArgumentError."""
+    if set(names) - _DESCRIPTORS.keys():
+        raise ArgumentError("descriptors must be one or more of "
+                            f"{DESCRIPTOR_NAMES}, got {list(names)}")
+    return [_DESCRIPTORS[name] for name in names]
+
+
 def prepare_mesh(mesh: TriMesh, names=(), k: int = 0) -> tuple[
         TriMesh, spectral.SpectralBasis | None, np.ndarray]:
     """(mesh, basis, index): the mesh welded (``weld_mesh``, whose index
     gives the welded vertex of each input vertex), then normalized, and
     its basis of max(min(e, n), k) eigenpairs, e the most that one of the
     named descriptors reads and n the welded vertex count; None, with no
-    eigensolve, when that is 0. C's size k above n raises ArgumentError
-    before the eigensolve, and a vertex of zero or non-finite area
+    eigensolve, when that is 0. An unknown descriptor name raises
+    ArgumentError before the weld, C's size k above n before the
+    eigensolve, and a vertex of zero or non-finite area
     DegenerateGeometryError, with or without one."""
+    reads = max((e for e, _ in _descriptors(names)), default=0)
     mesh, index = weld_mesh(mesh)
     mesh = normalize_mesh(mesh)
     if k > mesh.n_vertices:
         raise ArgumentError(
             f"k={k} exceeds mesh vertex count {mesh.n_vertices}")
-    reads = max((_DESCRIPTORS[name][0] for name in names), default=0)
     size = max(min(reads, mesh.n_vertices), k)
     areas = vertex_areas(mesh)
     if size == 0:  # no eigensolve checks the areas, so check them here
@@ -105,9 +114,9 @@ def prepare_mesh(mesh: TriMesh, names=(), k: int = 0) -> tuple[
 def descriptor_stack(mesh: TriMesh, basis: spectral.SpectralBasis,
                      names) -> FeatureField:
     """The named descriptors' fields side by side, in order, each of
-    spectral's default size."""
-    return concat_features(_DESCRIPTORS[name][1](mesh, basis)
-                           for name in names)
+    spectral's fixed size; an unknown name raises ArgumentError."""
+    return concat_features(field(mesh, basis)
+                           for _, field in _descriptors(names))
 
 
 def describe(mesh: TriMesh, names) -> FeatureField:

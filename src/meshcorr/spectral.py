@@ -42,8 +42,10 @@ whose last eigenvalue is tied with the next (k = 10 on spheres and
 tori) holds other vectors when a mesh changes path, and maps built on
 it change; they change with the vertex order on either path.
 
-Lanczos starts from a fixed-seed vector, so repeat calls give the same
-bits. The dense solve holds one n x n buffer: S is densified once, and
+Eigenvectors keep the solver's signs: HKS and WKS square them, and C
+takes them on its rows and columns exactly, so a point map moves only
+where two matches are exactly equally near. Lanczos starts from a
+fixed-seed vector, so repeat calls give the same bits. The dense solve holds one n x n buffer: S is densified once, and
 LAPACK overwrites it. Inputs are checked in O(n + nnz) before anything
 is built: a vertex area that is not finite and positive (an
 unreferenced vertex, say), or a stiffness entry that is not finite,
@@ -67,8 +69,8 @@ from .mesh import TriMesh, VertexAreas
 
 LANCZOS_N_PER_K = 10     # Lanczos when n >= LANCZOS_N_PER_K * k
 LANCZOS_MIN_N = 300      # and n >= LANCZOS_MIN_N; dense otherwise
-DEFAULT_HKS_TIMES = 16
-DEFAULT_WKS_ENERGIES = 100
+HKS_TIMES = 16
+WKS_ENERGIES = 100
 DEFAULT_POSENC_BANDS = 6
 # most bands whose top frequency pi 2^(bands - 1) is a finite float: 1023
 MAX_POSENC_BANDS = int(np.log2(np.finfo(np.float64).max / np.pi)) + 1
@@ -101,12 +103,10 @@ class SpectralBasis:
 
 @ONE_BLAS_THREAD
 def eigenbasis(W: sp.spmatrix, A: VertexAreas, k: int) -> SpectralBasis:
-    """First k generalized eigenpairs of (-W, A).
-
-    Eigenvector signs are fixed so each column's largest-magnitude entry
-    is positive, keeping downstream maps reproducible. It runs at one
-    BLAS thread (``blas.ONE_BLAS_THREAD``), so the basis does not depend
-    on the caller's thread count.
+    """First k generalized eigenpairs of (-W, A), with the solver's
+    signs. Repeat calls give the same bits: Lanczos starts from a
+    fixed-seed vector, LAPACK is deterministic, and both run at one BLAS
+    thread (``blas.ONE_BLAS_THREAD``), whatever the caller's count.
     """
     n = A.areas.shape[0]
     if k > n:
@@ -134,12 +134,6 @@ def eigenbasis(W: sp.spmatrix, A: VertexAreas, k: int) -> SpectralBasis:
         vals, vecs = _lanczos_eigh(S, k)
     phi = vecs * inv_sqrt[:, None]
     vals = np.maximum(vals, 0.0)  # kernel eigenvalue may round negative
-
-    # deterministic signs: largest-magnitude entry positive
-    pick = np.argmax(np.abs(phi), axis=0)
-    signs = np.sign(phi[pick, np.arange(k)])
-    signs[signs == 0] = 1.0
-    phi = phi * signs
     return SpectralBasis(phi, vals, A)
 
 
@@ -206,9 +200,8 @@ def _nonzero_spectrum(basis: SpectralBasis):
     return basis.lam[nz], basis.phi[:, nz]
 
 
-def hks(basis: SpectralBasis,
-        num_times: int = DEFAULT_HKS_TIMES) -> FeatureField:
-    """Heat kernel signature over log-spaced diffusion times.
+def hks(basis: SpectralBasis) -> FeatureField:
+    """Heat kernel signature over HKS_TIMES log-spaced diffusion times.
 
     k_t(v) = sum_i exp(-lam_i t) phi_i(v)^2, each time column rescaled
     to unit area-weighted mean. The times span the nonzero eigenvalues;
@@ -216,12 +209,10 @@ def hks(basis: SpectralBasis,
     """
     if basis.k < 2:
         raise ArgumentError("hks needs a basis with k >= 2")
-    if num_times < 1:
-        raise ArgumentError("num_times must be >= 1")
     lam, phi = _nonzero_spectrum(basis)
     t_min = 4.0 * np.log(10.0) / lam[-1]
     t_max = 4.0 * np.log(10.0) / lam[0]
-    times = np.geomspace(t_min, t_max, num_times)
+    times = np.geomspace(t_min, t_max, HKS_TIMES)
 
     decay = np.exp(-np.outer(lam, times))            # (k', T)
     sig = (phi ** 2) @ decay                          # (n, T)
@@ -234,22 +225,19 @@ def hks(basis: SpectralBasis,
     return FeatureField(sig / mean)
 
 
-def wks(basis: SpectralBasis,
-        num_energies: int = DEFAULT_WKS_ENERGIES) -> FeatureField:
-    """Wave kernel signature over log-energy bands.
+def wks(basis: SpectralBasis) -> FeatureField:
+    """Wave kernel signature over WKS_ENERGIES log-energy bands.
 
     Gaussian bands of width sigma = 7 * step span [log lam_2, log lam_k];
     each band is normalized by its total coefficient mass.
     """
     if basis.k < 2:
         raise ArgumentError("wks needs a basis with k >= 2")
-    if num_energies < 1:
-        raise ArgumentError("num_energies must be >= 1")
     lam, phi = _nonzero_spectrum(basis)
     log_lam = np.log(lam)
     e_min, e_max = log_lam[0], log_lam[-1]
-    energies = np.linspace(e_min, e_max, num_energies)
-    step = (e_max - e_min) / max(num_energies - 1, 1)
+    energies = np.linspace(e_min, e_max, WKS_ENERGIES)
+    step = (e_max - e_min) / (WKS_ENERGIES - 1)
     sigma = 7.0 * step if step > 0 else 1.0
 
     coeff = np.exp(-((energies[:, None] - log_lam[None, :]) ** 2)

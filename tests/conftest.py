@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from meshcorr.blas import openblas_thread_controls
 from meshcorr.mesh import TriMesh
+from meshcorr.spectral import SpectralBasis
 
 # Property tests draw the same examples on every run and stay fast.
 settings.register_profile("meshcorr", derandomize=True, deadline=None,
@@ -134,19 +135,24 @@ def all_pairs_geodesics(geo):
 def reference_eigenbasis(W, A, k):
     """(phi, lam) by the dense formula: S = A^-1/2 (-W) A^-1/2 scaled and
     symmetrized as dense arrays, then checked and copied by ``eigh``,
-    with the largest-magnitude entry of each column made positive. The
-    eigenbasis must match it bit for bit."""
+    with the signs ``eigh`` gives. The eigenbasis must match it bit for
+    bit."""
     import scipy.linalg
     inv_sqrt = 1.0 / np.sqrt(A.areas)
     S = (-W).toarray() * inv_sqrt[:, None] * inv_sqrt[None, :]
     S = 0.5 * (S + S.T)
     vals, vecs = scipy.linalg.eigh(S, subset_by_index=[0, k - 1])
     phi = vecs * inv_sqrt[:, None]
-    vals = np.maximum(vals, 0.0)
-    pick = np.argmax(np.abs(phi), axis=0)
-    signs = np.sign(phi[pick, np.arange(k)])
-    signs[signs == 0] = 1.0
-    return phi * signs, vals
+    return phi, np.maximum(vals, 0.0)
+
+
+def sign_flipped(basis, seed):
+    """(basis with the columns of a random nonempty, proper subset
+    negated, the signs): the basis a solver could as well have returned."""
+    rng = np.random.default_rng(seed)
+    signs = np.ones(basis.k)
+    signs[rng.permutation(basis.k)[:rng.integers(1, basis.k)]] = -1.0
+    return SpectralBasis(basis.phi * signs, basis.lam, basis.areas), signs
 
 
 def permuted(mesh, seed=0):

@@ -27,7 +27,7 @@ from meshcorr.transfer import transfer_colors
 
 from conftest import (FIXTURE_MESHES, all_pairs_geodesics, bumpy_grid,
                       grid_patch, icosphere, octant_groups, rotation_matrix,
-                      torus)
+                      sign_flipped, torus)
 
 
 def basis_of(mesh, k):
@@ -43,7 +43,8 @@ def mean_err_identity_truth(pmap, mesh, groups=None):
     identity (same connectivity on both sides)."""
     groups = groups if groups is not None else octant_groups(mesh)
     geo = geodesic_matrix(mesh)
-    err = geodesic_error(pmap, groups, groups, geo, vertex_areas(mesh))
+    err = geodesic_error(pmap.target_to_source, groups, groups, geo,
+                         vertex_areas(mesh))
     return float(np.nanmean(err))
 
 
@@ -160,8 +161,8 @@ def test_criterion_04_isometry_matching():
         result = match_meshes(m, rotated, config)
         groups = octant_groups(m)
         geo = geodesic_matrix(m)
-        err = geodesic_error(result.pmap, groups, groups, geo,
-                             vertex_areas(m))
+        err = geodesic_error(result.pmap.target_to_source, groups, groups,
+                             geo, vertex_areas(m))
         assert float(np.nanmean(err)) <= 1.0
 
 
@@ -336,26 +337,35 @@ def submesh(mesh, keep):
     return TriMesh(mesh.vertices[idx], remap[tris])
 
 
-def _partial_case(full, keep):
+def _partial_case(full, keep, flip=False):
     part = submesh(full, keep)
     bs = basis_of(part, 10)
     bt = basis_of(full, 10)
+    if flip:  # columns negated, as an eigensolver could return them
+        bs, bt = sign_flipped(bs, 0)[0], sign_flipped(bt, 1)[0]
     f = positional_encoding(part, 6).values
     g = positional_encoding(full, 6).values
     prob = build_problem(bs, bt, f, g, FmapWeights())
     sol = solve_partial(prob, g, full.edges())
     ratio = vertex_areas(part).total / vertex_areas(full).total
-    return sol.matched_area_fraction, ratio
+    return sol, ratio
 
 
 def test_criterion_12_partial_matching():
     sphere = icosphere(3)
-    for keep in (sphere.vertices[:, 2] > -0.05, sphere.vertices[:, 0] > 0.0,
-                 sphere.vertices[:, 1] > -0.3):
-        fraction, ratio = _partial_case(sphere, keep)
+    cuts = (sphere.vertices[:, 2] > -0.05, sphere.vertices[:, 0] > 0.0,
+            sphere.vertices[:, 1] > -0.3)
+    solutions = [_partial_case(sphere, keep) for keep in cuts]
+    for sol, ratio in solutions:
+        fraction = sol.matched_area_fraction
         assert abs(fraction - ratio) <= 0.15, (fraction, ratio)
-    fraction, _ = _partial_case(sphere, np.ones(sphere.n_vertices, bool))
-    assert fraction >= 0.9
+    sol, _ = _partial_case(sphere, np.ones(sphere.n_vertices, bool))
+    assert sol.matched_area_fraction >= 0.9
+    # the z-cut's mask does not depend on the eigenvectors' signs
+    z, flipped = solutions[0][0], _partial_case(sphere, cuts[0], True)[0]
+    assert np.array_equal(flipped.eta, z.eta)
+    assert (flipped.objective, flipped.iterations) == (z.objective,
+                                                      z.iterations)
 
 
 # ------------------------------------------------------------ criterion 13

@@ -377,7 +377,7 @@ def test_low_rank_feature_files_exit_4(runner, tmp_path, mesh):
     m = mesh()
     feat, out = tmp_path / "m.dmf", tmp_path / "o.json"
     basis = pipeline.prepare_mesh(m, ("hks",))[1]
-    write_features(feat, spectral.hks(basis, 16))
+    write_features(feat, spectral.hks(basis))
     save_mesh(tmp_path / "m.ply", m)
     res = runner.invoke(main, [
         "match", "--source", str(tmp_path / "m.ply"), "--target",

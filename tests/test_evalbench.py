@@ -63,13 +63,6 @@ def test_geodesic_error_missing_groups():
                        SemanticGroups(np.zeros(n, dtype=int)), geo, areas)
 
 
-def test_geodesic_error_accepts_pointmap():
-    m, geo, groups = grid_setup()
-    pmap = PointMap(np.arange(m.n_vertices), np.ones(m.n_vertices))
-    err = geodesic_error(pmap, groups, groups, geo, vertex_areas(m))
-    np.testing.assert_allclose(err, 0.0)
-
-
 def test_auc_perfect_and_uniform():
     curve, area = auc(np.zeros(100))
     assert area == pytest.approx(1.0)

@@ -24,7 +24,7 @@ from meshcorr.funcmap import (FmapProblem, FmapWeights, build_problem,
                               solve_partial)
 
 from conftest import (blas_threads, bumpy_grid, grid_patch, icosphere,
-                      permuted, torus)
+                      permuted, sign_flipped, torus)
 
 
 def wavy(x, y):
@@ -371,7 +371,7 @@ def test_low_rank_external_features_are_refused(mesh):
     # few eigenfunctions, and inside repeated eigenvalues no term pins C
     m = mesh()
     config = pipeline.RunConfig()
-    f = spectral.hks(pipeline.prepare_mesh(m, ("hks",))[1], 16)
+    f = spectral.hks(pipeline.prepare_mesh(m, ("hks",))[1])
     with pytest.raises(NumericError, match="directions of C are unconstrained"):
         pipeline.match_meshes(m, m, config, f, f)
 
@@ -523,6 +523,46 @@ def test_run_config_refuses_an_entropy_weight_before_any_eigensolve(
         pipeline.match_meshes(m, m, pipeline.RunConfig(
             weights=FmapWeights(w_entropy=1e-5)))
     assert asked == []
+
+
+def test_basis_signs_move_no_map():
+    # a solver may return any column of a basis negated: C takes the
+    # signs exactly, and the objective, point map, confidence, HKS and
+    # WKS keep every bit
+    m = bumpy_grid(20)
+    meshes = (m, permuted(m, 0))
+    bases = [eigenbasis(cotangent_weights(x), vertex_areas(x), 10)
+             for x in meshes]
+    (flip_M, s_M), (flip_N, s_N) = (sign_flipped(b, seed)
+                                    for seed, b in enumerate(bases))
+    f, g = (spectral.positional_encoding(x).values for x in meshes)
+    fmap = solve_fmap(build_problem(*bases, f, g))
+    flipped = solve_fmap(build_problem(flip_M, flip_N, f, g))
+    assert np.array_equal(flipped.C, s_N[:, None] * fmap.C * s_M)
+    assert flipped.final_objective == fmap.final_objective
+    pmap = recover_pointmap(fmap.C, *bases)
+    moved = recover_pointmap(flipped.C, flip_M, flip_N)
+    assert np.array_equal(moved.target_to_source, pmap.target_to_source)
+    assert np.array_equal(moved.confidence, pmap.confidence)
+    for signature in (spectral.hks, spectral.wks):
+        assert np.array_equal(signature(flip_M).values,
+                              signature(bases[0]).values)
+
+
+def test_unknown_descriptor_names_are_refused_everywhere(monkeypatch):
+    # one lookup refuses for RunConfig, prepare_mesh (before the weld),
+    # describe and descriptor_stack alike
+    m = icosphere(2)
+    prepared, basis, _ = pipeline.prepare_mesh(m, ("hks",))
+    monkeypatch.setattr(pipeline, "weld_mesh", None)  # refused before it
+    for call in (lambda: pipeline.RunConfig(descriptors=("hks", "bogus")),
+                 lambda: pipeline.prepare_mesh(m, ("bogus",)),
+                 lambda: pipeline.describe(m, ("hks", "bogus")),
+                 lambda: pipeline.descriptor_stack(prepared, basis,
+                                                   ("hks", "bogus"))):
+        with pytest.raises(ArgumentError, match=r"descriptors must be one "
+                                                r"or more of .*'bogus'\]"):
+            call()
 
 
 def test_solve_without_entropy_is_the_closed_form(monkeypatch):
@@ -768,13 +808,18 @@ def test_solve_partial_refuses_g_of_the_wrong_shape(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["past-n", "negative", "one-column",
-                                  "flat"])
+                                  "flat", "fraction", "nan"])
 def test_solve_partial_refuses_edges_outside_the_target(case, monkeypatch):
+    # a float endpoint is refused before any cast: 42.7 is not read as
+    # vertex 42, and a NaN raises no cast warning
     prob, g, edges = corner_cut()
     if case == "past-n":
         edges[3, 1] = len(g)
     elif case == "negative":
         edges[3, 0] = -1
+    elif case in ("fraction", "nan"):
+        edges = edges.astype(np.float64)
+        edges[3, 1] += {"fraction": 0.7, "nan": np.nan}[case]
     edges = {"one-column": edges[:, :1], "flat": edges.ravel()}.get(case,
                                                                     edges)
     monkeypatch.setattr(funcmap, "_whitening", None)  # refused before it
